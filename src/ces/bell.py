@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .detection import CountRecord, MeasurementSetting, outcome_probabilities
 from .errors import ConfigError, DataError, ValidationError
@@ -155,6 +154,8 @@ def max_chsh_from_state(rho, grid_step_deg: float = 3.0) -> BellResult:
     summ = v[None, :, :] + v[:, None, :]
     s_grid = np.linalg.norm(diff, axis=-1) + np.linalg.norm(summ, axis=-1)
     i_a, i_ap = np.unravel_index(int(np.argmax(s_grid)), s_grid.shape)
+
+    from scipy.optimize import minimize  # lazy: importing it costs ~0.5 s
 
     def objective(x):
         return -_plane_chsh(s1, s2, x[0], x[1])[0]

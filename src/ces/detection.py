@@ -1,4 +1,4 @@
-"""Monte-Carlo model of the polarization detection chain.
+"""Stochastic model of the polarization detection chain.
 
 Event model, per protocol sequence
 ----------------------------------
@@ -13,7 +13,7 @@ Event model, per protocol sequence
    of the pulse count as "late" and are depolarized with probability
    ``late_emission_error`` (standing in for scattering during the second
    pulse); narrowing the window cuts these events out at the cost of rate.
-3. The joint analyzer-port outcome is sampled from the exact Born
+3. The joint analyzer-port outcome follows the exact Born
    probabilities of the arrangement (which arm saw which photon, and
    whether photon 2 was depolarized).
 4. Each photon is detected with probability ``eta_det``.  A dark count in a
@@ -30,9 +30,13 @@ state the protocol produces is exchange-symmetric, so this is invisible
 downstream; analyses of hand-crafted asymmetric states see the
 symmetrized state.
 
-Trials are partitioned into fixed-size batches, each driven by its own
-counter-based stream (see :mod:`ces.rng`), so counts are reproducible
-bit-for-bit for a given seed under any execution order.
+Each sequence ends in exactly one of five outcomes (one of the four
+cells, or discarded), independently of every other sequence.  The counts
+of one setting are therefore exactly Multinomial(n_sequences, p), with p
+summed in closed form over the branches above, and each setting is one
+draw on its own keyed counter-based stream (see :mod:`ces.rng`).  Counts
+are reproducible bit-for-bit for a given seed whatever order settings run
+in, and a draw costs the same for any n_sequences.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from .qcore import (
     require_valid_density,
     tensor,
 )
-from .rng import BATCH_SIZE, iter_batches, make_stream
+from .rng import make_stream
 
 #: Emission-time quantile beyond which photon 2 carries the late-emission
 #: depolarization.  Fixed by the reported window study (the detection window
@@ -200,74 +204,28 @@ def _marginal(mat: np.ndarray, projs) -> np.ndarray:
     return m / m.sum()
 
 
-def _event_cumulatives(mat: np.ndarray, projs_a, projs_b) -> np.ndarray:
-    """Cumulative outcome tables for the four event cases.
+def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams) -> np.ndarray:
+    """Probabilities of (uu, ud, du, dd, discarded) for one protocol sequence.
 
-    Case index is 2*s + d where s says photon 1 went to arm B and d says
-    photon 2 was depolarized.  Rows are cumulative probabilities over the
-    photon-indexed outcome (j1, j2) flattened as (00, 01, 10, 11).
+    Sums the event model over its branches: each different-arm assignment
+    (probability 1/4), photon 2 inside the window either clean or
+    late-depolarized, both photons detected, and each recorded port mixed
+    with a uniform one by a dark count.
     """
-    t0 = _joint_table(mat, projs_a, projs_b)  # photon1 at A, photon2 at B
-    t1 = _joint_table(mat, projs_b, projs_a)  # photon1 at B, photon2 at A
-    d0 = np.outer(_marginal(mat, projs_a), [0.5, 0.5])
-    d1 = np.outer(_marginal(mat, projs_b), [0.5, 0.5])
-    cums = np.empty((4, 4))
-    for case, table in enumerate((t0, d0, t1, d1)):
-        cums[case] = np.cumsum(table.reshape(-1))
-    cums[:, -1] = 1.0
-    return cums
+    late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
+    clean = det.window_fraction - late
+    dark = (1.0 - det.dark_rate) * np.eye(2) + 0.5 * det.dark_rate
 
+    def photon_table(projs_1, projs_2):
+        """Recorded (j1, j2) probabilities with photon 1 analyzed by projs_1."""
+        table = clean * _joint_table(mat, projs_1, projs_2)
+        table += late * np.outer(_marginal(mat, projs_1), [0.5, 0.5])
+        return dark @ table @ dark
 
-def _simulate_batch(
-    cums: np.ndarray,
-    det: DetectorParams,
-    seed: int,
-    spawn_prefix: tuple[int, ...],
-    batch_index: int,
-    batch_len: int,
-) -> tuple[np.ndarray, int]:
-    """Simulate one logical batch; returns (2x2 port counts, discarded)."""
-    rng = make_stream(seed, spawn_prefix + (batch_index,))
-    m = batch_len
-    # Draw order is fixed; changing it would change results for a given seed.
-    arm1 = rng.integers(0, 2, m)
-    arm2 = rng.integers(0, 2, m)
-    t_emit = rng.exponential(1.0, m)
-    u_depol = rng.random(m)
-    u_outcome = rng.random(m)
-    u_det1 = rng.random(m)
-    u_det2 = rng.random(m)
-    dark1 = rng.random(m) < det.dark_rate
-    dark2 = rng.random(m) < det.dark_rate
-    dark1_port = rng.integers(0, 2, m)
-    dark2_port = rng.integers(0, 2, m)
-
-    if det.window_fraction >= 1.0:
-        in_window = np.ones(m, dtype=bool)
-    else:
-        in_window = t_emit <= -math.log1p(-det.window_fraction)
-    keep = (arm1 != arm2) & in_window & (u_det1 < det.eta_det) & (u_det2 < det.eta_det)
-
-    late = t_emit > -math.log1p(-LATE_BOUNDARY_QUANTILE)
-    depol = late & (u_depol < det.late_emission_error)
-    swapped = arm1 == 1  # photon 1 routed to arm B
-    case = 2 * swapped.astype(np.int64) + depol.astype(np.int64)
-
-    outcome = np.zeros(m, dtype=np.int64)
-    for c in range(4):
-        mask = keep & (case == c)
-        if mask.any():
-            outcome[mask] = np.searchsorted(cums[c], u_outcome[mask], side="right")
-    j1 = outcome >> 1
-    j2 = outcome & 1
-    j1 = np.where(dark1, dark1_port, j1)
-    j2 = np.where(dark2, dark2_port, j2)
-    port_a = np.where(swapped, j2, j1)
-    port_b = np.where(swapped, j1, j2)
-
-    counts = np.zeros((2, 2), dtype=np.int64)
-    np.add.at(counts, (port_a[keep], port_b[keep]), 1)
-    return counts, int(m - keep.sum())
+    # With photon 1 at arm B the arm-indexed cell (port_a, port_b) is (j2, j1).
+    cells = photon_table(projs_a, projs_b) + photon_table(projs_b, projs_a).T
+    cells *= 0.25 * det.eta_det**2
+    return np.append(cells.reshape(-1), 1.0 - cells.sum())
 
 
 def _simulate(
@@ -283,24 +241,13 @@ def _simulate(
     mat = require_valid_density(rho)
     if mat.shape != (4, 4):
         raise ValidationError(f"expected a two-photon (4x4) state, got {mat.shape}")
-    if n_sequences <= 0:
-        raise DataError(f"n_sequences must be > 0, got {n_sequences}")
-    cums = _event_cumulatives(mat, projs_a, projs_b)
-    counts = np.zeros((2, 2), dtype=np.int64)
-    discarded = 0
-    for batch_index, batch_len in iter_batches(n_sequences, BATCH_SIZE):
-        batch_counts, batch_discarded = _simulate_batch(
-            cums, det, seed, spawn_prefix, batch_index, batch_len
-        )
-        counts += batch_counts
-        discarded += batch_discarded
+    if not isinstance(n_sequences, (int, np.integer)) or n_sequences <= 0:
+        raise DataError(f"n_sequences must be a positive integer, got {n_sequences!r}")
+    probs = _outcome_distribution(mat, projs_a, projs_b, det)
+    cells = make_stream(seed, spawn_prefix).multinomial(n_sequences, probs)
+    n_uu, n_ud, n_du, n_dd, discarded = (int(c) for c in cells)
     return CountRecord(
-        setting=setting,
-        n_uu=int(counts[0, 0]),
-        n_ud=int(counts[0, 1]),
-        n_du=int(counts[1, 0]),
-        n_dd=int(counts[1, 1]),
-        n_discarded=discarded,
+        setting=setting, n_uu=n_uu, n_ud=n_ud, n_du=n_du, n_dd=n_dd, n_discarded=discarded
     )
 
 

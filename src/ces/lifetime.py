@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DataError
 
@@ -98,6 +97,8 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         d_n0 = decay / w
         d_tau = n0 * decay * (2.0 * dt**2 / tau**3) / w
         return np.column_stack([d_n0, d_tau])
+
+    from scipy.optimize import least_squares  # lazy: importing it costs ~0.5 s
 
     res = least_squares(
         residuals,

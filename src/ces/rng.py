@@ -1,23 +1,16 @@
-"""Splittable counter-based random streams for reproducible Monte Carlo.
+"""Splittable counter-based random streams for reproducible sampling.
 
 Every stochastic routine derives its generator from a 64-bit master seed and
 a tuple key via ``SeedSequence(seed, spawn_key=key)`` feeding a Philox
 counter-based bit generator.  Streams for distinct keys are independent, so
-work units (batches, tomography bases, bootstrap resamples, sweep points)
-can run in any order or concurrently and still merge into bit-identical
-results.
+work units (one multinomial detection draw per measurement setting or
+tomography basis, bootstrap resamples, sweep points) can run in any order or
+concurrently and still merge into bit-identical results.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-
 import numpy as np
-
-#: Fixed logical batch size for Monte-Carlo trial partitioning.  The batch
-#: plan is part of the determinism contract: results depend on the seed and
-#: this constant only, never on how batches are scheduled.
-BATCH_SIZE = 1 << 16
 
 
 def make_stream(seed: int, key: tuple[int, ...] = ()) -> np.random.Generator:
@@ -31,16 +24,3 @@ def derive_seed(seed: int, *key: int) -> int:
     ss = np.random.SeedSequence(seed, spawn_key=tuple(key))
     words = ss.generate_state(2, dtype=np.uint32)
     return int(words[0]) | (int(words[1]) << 32)
-
-
-def iter_batches(n: int, batch_size: int = BATCH_SIZE) -> Iterator[tuple[int, int]]:
-    """Yield (batch_index, batch_length) covering n trials."""
-    if n < 0:
-        raise ValueError(f"trial count must be >= 0, got {n}")
-    index = 0
-    remaining = n
-    while remaining > 0:
-        length = min(batch_size, remaining)
-        yield index, length
-        index += 1
-        remaining -= length

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bell import max_chsh_from_state
 from .detection import (
@@ -31,7 +30,7 @@ from .detection import (
     TomographyDataset,
     basis_projectors,
 )
-from .errors import DataError
+from .errors import DataError, ValidationError
 from .measures import (
     concurrence,
     entanglement_of_formation,
@@ -234,6 +233,8 @@ def mle_reconstruct(
     start = 0.999999 * start + 1e-6 * np.eye(4) / 4.0  # keep the factor full-rank
     t0 = _params_from_t(_lower_factor(start))
 
+    from scipy.optimize import minimize  # lazy: importing it costs ~0.5 s
+
     res = minimize(
         _neg_log_likelihood_and_grad,
         t0,
@@ -298,7 +299,8 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
 
     Each resample runs on its own random substream keyed by the resample
     index, so results do not depend on evaluation order.  Resamples whose
-    reconstruction fails are skipped and counted.
+    reconstruction fails or does not converge, or whose S_max certificate
+    fails, are skipped and counted in ``n_failed``.
     """
     if n_resamples < 100:
         raise DataError(f"need at least 100 resamples, got {n_resamples}")
@@ -336,6 +338,9 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
             )
         try:
             fit = mle_reconstruct(TomographyDataset(records=tuple(records)))
+            if not fit.converged:
+                n_failed += 1
+                continue
             rho = fit.rho
             _, e_n = log_negativity(rho)
             samples.append(
@@ -347,7 +352,7 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
                     max_chsh_from_state(rho).s_value,
                 )
             )
-        except DataError:
+        except (DataError, ValidationError):
             n_failed += 1
     if len(samples) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")

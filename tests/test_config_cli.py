@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ces
 from ces import cli
 from ces.config import (
     DEFAULTS_ENV,
@@ -273,3 +278,13 @@ class TestCliExitCodes:
         assert code == 0
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["metrics"]["concurrence"] == pytest.approx(0.8, abs=0.03)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the fitting routines need scipy.optimize; starting any command
+    # (ces bell, ces rates) must not pay for importing it.
+    src = str(Path(ces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, ces, ces.cli; sys.exit('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert result.returncode == 0

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,9 +13,10 @@ import pytest
 from ces.detection import (
     BASIS_LABELS,
     DetectorParams,
+    LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
-    _event_cumulatives,
-    _simulate_batch,
+    _outcome_distribution,
+    _simulate,
     analyzer_projectors,
     basis_projectors,
     outcome_probabilities,
@@ -22,10 +25,56 @@ from ces.detection import (
 )
 from ces.errors import DataError, ValidationError
 from ces.qcore import KET_D, KET_H
-from ces.rng import BATCH_SIZE, iter_batches
-from conftest import dephased_singlet, singlet_dm
+from conftest import dephased_singlet, random_density, singlet_dm
 
 IDEAL = DetectorParams()
+
+
+def per_trial_cells(rho, projs_a, projs_b, det, n, rng):
+    """Reference sampler: draws each sequence of the event model one by one.
+
+    Returns the (uu, ud, du, dd, discarded) tallies of n sequences.
+    """
+
+    def born(projs_1, projs_2):
+        return np.array(
+            [[np.real(np.trace(rho @ np.kron(p, q))) for q in projs_2] for p in projs_1]
+        )
+
+    t0, t1 = born(projs_a, projs_b), born(projs_b, projs_a)
+    # Case 2*s + d: s says photon 1 went to arm B, d says photon 2 was depolarized.
+    tables = (t0, np.outer(t0.sum(axis=1), [0.5, 0.5]), t1, np.outer(t1.sum(axis=1), [0.5, 0.5]))
+    cums = np.array([np.cumsum(t.reshape(-1)) for t in tables])
+    cums[:, -1] = 1.0
+
+    arm1 = rng.integers(0, 2, n)
+    arm2 = rng.integers(0, 2, n)
+    t_emit = rng.exponential(1.0, n)
+    u_depol = rng.random(n)
+    u_outcome = rng.random(n)
+    u_det1 = rng.random(n)
+    u_det2 = rng.random(n)
+    dark1 = rng.random(n) < det.dark_rate
+    dark2 = rng.random(n) < det.dark_rate
+    dark1_port = rng.integers(0, 2, n)
+    dark2_port = rng.integers(0, 2, n)
+
+    in_window = det.window_fraction >= 1.0 or t_emit <= -math.log1p(-det.window_fraction)
+    keep = (arm1 != arm2) & in_window & (u_det1 < det.eta_det) & (u_det2 < det.eta_det)
+    late = t_emit > -math.log1p(-LATE_BOUNDARY_QUANTILE)
+    depol = late & (u_depol < det.late_emission_error)
+    swapped = arm1 == 1  # photon 1 routed to arm B
+    case = 2 * swapped + depol.astype(np.int64)
+    outcome = np.zeros(n, dtype=np.int64)
+    for c in range(4):
+        mask = case == c
+        outcome[mask] = np.searchsorted(cums[c], u_outcome[mask], side="right")
+    j1 = np.where(dark1, dark1_port, outcome >> 1)
+    j2 = np.where(dark2, dark2_port, outcome & 1)
+    port_a = np.where(swapped, j2, j1)
+    port_b = np.where(swapped, j1, j2)
+    cells = np.bincount(2 * port_a[keep] + port_b[keep], minlength=4)
+    return np.append(cells, n - keep.sum())
 
 
 class TestAnalyzerProjectors:
@@ -143,42 +192,35 @@ class TestSimulateCounts:
         assert a == b
 
     def test_scheduling_independence(self):
-        # Any execution plan over the fixed logical batches gives the same
-        # counts: serial order, reversed order, and a thread pool must agree.
+        # The unit of work is one keyed multinomial draw per basis pair:
+        # the nine draws run in serial order, in reverse order, or on a
+        # thread pool must reproduce simulate_tomography_dataset exactly.
         rho = dephased_singlet(0.85)
-        det = DetectorParams(eta_det=0.4, dark_rate=0.005)
-        setting = MeasurementSetting(12.0, 57.0)
-        n = 3 * BATCH_SIZE + 1234
+        det = DetectorParams(eta_det=0.4, dark_rate=0.005, window_fraction=0.7,
+                             late_emission_error=0.2)
+        n = 200_003
         seed = 31337
-        reference = simulate_counts(rho, setting, n, det, seed)
+        reference = simulate_tomography_dataset(rho, n, det, seed).records
+        plan = list(enumerate(product(BASIS_LABELS, BASIS_LABELS)))
 
-        cums = _event_cumulatives(
-            rho, analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-        )
-        batches = list(iter_batches(n))
+        def draw(unit):
+            index, (label_a, label_b) = unit
+            rec = _simulate(
+                rho,
+                basis_projectors(label_a),
+                basis_projectors(label_b),
+                n,
+                det,
+                seed,
+                spawn_prefix=(index,),
+                setting=reference[index][2].setting,
+            )
+            return index, (label_a, label_b, rec)
 
-        def run_plan(plan, workers=None):
-            counts = np.zeros((2, 2), dtype=np.int64)
-            discarded = 0
-            if workers:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(
-                        pool.map(lambda b: _simulate_batch(cums, det, seed, (), b[0], b[1]), plan)
-                    )
-            else:
-                results = [_simulate_batch(cums, det, seed, (), b[0], b[1]) for b in plan]
-            for c, d in results:
-                counts += c
-                discarded += d
-            return counts, discarded
-
-        for plan, workers in ((batches, None), (batches[::-1], None), (batches, 4)):
-            counts, discarded = run_plan(plan, workers)
-            assert counts[0, 0] == reference.n_uu
-            assert counts[0, 1] == reference.n_ud
-            assert counts[1, 0] == reference.n_du
-            assert counts[1, 1] == reference.n_dd
-            assert discarded == reference.n_discarded
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = dict(pool.map(draw, plan))
+        for results in (dict(map(draw, plan)), dict(map(draw, plan[::-1])), pooled):
+            assert tuple(results[i] for i in range(9)) == reference
 
     def test_frequencies_converge_to_born_rule(self):
         # 5-sigma binomial agreement per cell at 1e5+ coincidences.
@@ -208,9 +250,82 @@ class TestSimulateCounts:
             magnitudes.append(abs(correlation_from_counts(rec).value))
         assert all(a > b for a, b in zip(magnitudes, magnitudes[1:]))
 
+    def test_huge_sequence_count_is_one_draw(self):
+        det = DetectorParams(eta_det=0.2, dark_rate=0.05, window_fraction=0.8,
+                             late_emission_error=0.1)
+        n = 10**12
+        start = time.perf_counter()
+        rec = simulate_counts(dephased_singlet(0.9), MeasurementSetting(0, 22.5), n, det, seed=5)
+        assert time.perf_counter() - start < 1.0
+        assert rec.total + rec.n_discarded == n
+        # Coincidence fraction w * eta**2 / 2, to 5 binomial sigma.
+        p = 0.5 * 0.8 * 0.2**2
+        assert abs(rec.total - p * n) <= 5.0 * math.sqrt(n * p * (1 - p))
+
     def test_rejects_bad_sequence_count(self):
         with pytest.raises(DataError):
             simulate_counts(singlet_dm(), MeasurementSetting(0, 0), 0, IDEAL, seed=1)
+
+    def test_rejects_fractional_sequence_count(self):
+        # The multinomial draw would silently truncate it, breaking accounting.
+        with pytest.raises(DataError):
+            simulate_counts(singlet_dm(), MeasurementSetting(0, 0), 1000.5, IDEAL, seed=1)
+
+
+# Grid of detector parameters over which the closed form is checked.
+DETECTOR_GRID = [
+    DetectorParams(eta_det=eta, dark_rate=dark, window_fraction=window, late_emission_error=late)
+    for eta, dark, window, late in product((0.2, 1.0), (0.0, 0.05, 0.3), (0.3, 0.8, 1.0), (0.0, 0.6))
+]
+
+
+class TestOutcomeDistribution:
+    """The closed-form five-cell distribution behind the multinomial draw."""
+
+    SETTING = MeasurementSetting(12.0, 57.0)
+
+    @staticmethod
+    def asymmetric_state():
+        # Not exchange-symmetric, so the two arm assignments differ.
+        return random_density(np.random.default_rng(2024), 4)
+
+    def test_probabilities_sum_to_one(self, rng):
+        states = [singlet_dm(), self.asymmetric_state()]
+        states += [random_density(rng, 4, rank=1) for _ in range(3)]
+        for rho, det in product(states, DETECTOR_GRID):
+            probs = _outcome_distribution(
+                rho, analyzer_projectors(17.0), analyzer_projectors(71.0), det
+            )
+            assert probs.shape == (5,)
+            assert np.all(probs >= 0.0)
+            assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_coincidence_fraction(self):
+        for det in DETECTOR_GRID:
+            probs = _outcome_distribution(
+                singlet_dm(), analyzer_projectors(0.0), analyzer_projectors(45.0), det
+            )
+            expected = 0.5 * det.window_fraction * det.eta_det**2
+            assert probs[:4].sum() == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "det",
+        DETECTOR_GRID,
+        ids=lambda d: f"eta{d.eta_det}-dark{d.dark_rate}-w{d.window_fraction}-late{d.late_emission_error}",
+    )
+    def test_matches_per_trial_sampler(self, det):
+        # Every cell within 5 binomial sigma of the closed form; the
+        # threshold was fixed before the comparison was run.
+        rho = self.asymmetric_state()
+        projs_a = analyzer_projectors(self.SETTING.alpha_deg)
+        projs_b = analyzer_projectors(self.SETTING.beta_deg)
+        n = 400_000
+        cells = per_trial_cells(rho, projs_a, projs_b, det, n, np.random.default_rng(99))
+        assert cells.sum() == n
+        probs = _outcome_distribution(rho, projs_a, projs_b, det)
+        for count, p in zip(cells, probs):
+            sigma = math.sqrt(max(n * p * (1.0 - p), 1.0))
+            assert abs(count - n * p) <= 5.0 * sigma
 
 
 class TestWindowModel:

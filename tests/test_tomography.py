@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from ces.detection import (
     TomographyDataset,
     simulate_tomography_dataset,
 )
-from ces.errors import DataError
+from ces import tomography
+from ces.errors import DataError, ValidationError
 from ces.measures import fidelity_singlet
 from ces.qcore import trace_distance, validate_density
 from ces.tomography import (
@@ -224,6 +227,36 @@ class TestBootstrap:
         sigma_small = bootstrap_errors(small, 100, seed=67).sigma_fidelity
         sigma_large = bootstrap_errors(large, 100, seed=67).sigma_fidelity
         assert sigma_large < sigma_small
+
+    def test_unconverged_fits_counted_as_failed(self, dataset, monkeypatch):
+        fit = mle_reconstruct(dataset)
+        calls = []
+
+        def every_fourth_unconverged(resampled):
+            calls.append(resampled)
+            return dataclasses.replace(fit, converged=len(calls) % 4 != 0)
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", every_fourth_unconverged)
+        errs = bootstrap_errors(dataset, 100, seed=53)
+        assert len(calls) == 100
+        assert errs.n_failed == 25
+
+    def test_failed_certificate_skips_only_its_resample(self, dataset, monkeypatch):
+        fit = mle_reconstruct(dataset)
+        real_max_chsh = tomography.max_chsh_from_state
+        calls = []
+
+        def every_fifth_fails(rho):
+            calls.append(rho)
+            if len(calls) % 5 == 0:
+                raise ValidationError("angle search missed the certificate")
+            return real_max_chsh(rho)
+
+        monkeypatch.setattr(tomography, "mle_reconstruct", lambda resampled: fit)
+        monkeypatch.setattr(tomography, "max_chsh_from_state", every_fifth_fails)
+        errs = bootstrap_errors(dataset, 100, seed=53)
+        assert len(calls) == 100
+        assert errs.n_failed == 20
 
     def test_too_few_resamples_rejected(self, dataset):
         with pytest.raises(DataError):
