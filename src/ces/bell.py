@@ -2,11 +2,10 @@
 
 Correlations come either from coincidence counts (with multinomial standard
 errors, settings treated as independent) or exactly from a density matrix.
-The state-optimal CHSH value is computed from the closed form
-S_max = 2 sqrt(u1 + u2), with u1 >= u2 the two largest eigenvalues of T^T T
-and T the two-qubit correlation matrix; a grid-plus-refinement search over
-measurement directions in the principal correlation plane certifies the
-closed form and recovers an explicit optimal setting quad.
+The state-optimal CHSH value and a setting quad that attains it are both in
+closed form: S_max = 2 sqrt(u1 + u2), with u1 >= u2 the two largest
+eigenvalues of T^T T and T the two-qubit correlation matrix, reached by
+orthogonal first-arm directions in the principal correlation plane.
 """
 
 from __future__ import annotations
@@ -128,49 +127,31 @@ def _plane_chsh(s1: float, s2: float, th_a: float, th_ap: float):
     return s, th_b, th_bp
 
 
-def max_chsh_from_state(rho, grid_step_deg: float = 3.0) -> BellResult:
-    """State-optimal CHSH value and an explicit optimal setting quad.
+def max_chsh_from_state(rho) -> BellResult:
+    """State-optimal CHSH value and a setting quad that attains it.
 
-    The closed form 2 sqrt(u1 + u2) is the certificate; the returned
-    settings come from a grid search plus local refinement over measurement
-    directions in the plane of the two principal correlation axes, and the
-    achieved S matches the closed form to 1e-6.  Settings are expressed as
-    analyzer angles (half the Bloch rotation); for states whose principal
-    plane is the linear-polarization plane they are directly polarizer
-    angles, otherwise they parameterize rotations within the principal
-    plane.
+    The value is the closed form 2 sqrt(u1 + u2) (Horodecki et al., PLA 200,
+    340 (1995)).  The quad puts the first arm at plane angles 0 and pi/2 and
+    the second arm along v(a') + v(a) and v(a') - v(a) (see
+    :func:`_plane_chsh`); the S it achieves is checked against the closed
+    form to 1e-6.
+
+    The returned angles are half the Bloch angles in the principal
+    correlation plane, measured from the first principal axis, so they are
+    not polarizer angles in general.  Only for isotropic correlations
+    (singlet, Werner states), where every plane is principal, is the quad
+    the polarizer quad (0, 45, 22.5, 67.5) degrees.
     """
     mat = require_valid_density(rho)
-    t = correlation_matrix(mat)
-    _, svals, _ = np.linalg.svd(t)
+    svals = np.linalg.svd(correlation_matrix(mat), compute_uv=False)
     s1, s2 = float(svals[0]), float(svals[1])
     s_max = 2.0 * math.sqrt(s1 * s1 + s2 * s2)
 
-    # Grid over the two first-arm plane angles; second arm is closed-form.
-    steps = max(4, int(round(360.0 / grid_step_deg)))
-    grid = np.linspace(0.0, 2.0 * math.pi, steps, endpoint=False)
-    v = np.stack([s1 * np.cos(grid), s2 * np.sin(grid)], axis=-1)  # (n, 2)
-    diff = v[None, :, :] - v[:, None, :]
-    summ = v[None, :, :] + v[:, None, :]
-    s_grid = np.linalg.norm(diff, axis=-1) + np.linalg.norm(summ, axis=-1)
-    i_a, i_ap = np.unravel_index(int(np.argmax(s_grid)), s_grid.shape)
-
-    from scipy.optimize import minimize  # lazy: importing it costs ~0.5 s
-
-    def objective(x):
-        return -_plane_chsh(s1, s2, x[0], x[1])[0]
-
-    res = minimize(
-        objective,
-        x0=np.array([grid[i_a], grid[i_ap]]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 2000},
-    )
-    th_a, th_ap = (float(x) for x in res.x)
+    th_a, th_ap = 0.0, 0.5 * math.pi
     s_achieved, th_b, th_bp = _plane_chsh(s1, s2, th_a, th_ap)
     if abs(s_achieved - s_max) > 1e-6:
         raise ValidationError(
-            f"angle search reached S = {s_achieved}, certificate is {s_max}"
+            f"closed-form settings reach S = {s_achieved}, certificate is {s_max}"
         )
 
     def to_analyzer(th: float) -> float:

@@ -176,7 +176,16 @@ def final_state(noise: NoiseParams, dt_us: float) -> DensityMatrix:
 
 
 def rate_budget(eff: EfficiencyParams) -> RateReport:
-    """Pair rates from independent per-pulse and per-photon probabilities."""
+    """Pair rates from independent per-pulse and per-photon probabilities.
+
+    ``p_pair_detect = p_photon1 p_photon2 eta_det^2`` follows the published
+    budget, which acceptance criterion 5 checks against 2.4e-4 per sequence
+    (within 25 %).  It omits two factors the detection model
+    (:mod:`ces.detection`) applies to every produced pair: the 1/2 chance
+    that the beam splitter sends the photons to different arms, and the
+    window acceptance ``window_fraction`` w.  The simulated coincidence
+    rate is therefore w/2 times the detected-pair rate reported here.
+    """
     p_pair = eff.p_photon1 * eff.p_photon2 * eff.eta_det**2
     rep_per_s = eff.rep_rate_khz * 1e3
     produced = rep_per_s * eff.p_photon1 * eff.p_photon2

@@ -65,6 +65,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+#: The 16 Hermitian operators sigma_mu x sigma_nu (mu, nu in {I, x, y, z})
+#: in the polarization Bloch frame, stored at index 4 mu + nu.
+PAULI_PRODUCTS = _freeze(
+    np.array([np.kron(a, b) for a in (IDENTITY_2,) + PAULIS for b in (IDENTITY_2,) + PAULIS])
+)
+
+
 class StateVector:
     """Pure state of a dim-dimensional system (a ket)."""
 
@@ -307,8 +314,5 @@ def correlation_matrix(rho) -> np.ndarray:
     mat = as_matrix(rho)
     if mat.shape != (4, 4):
         raise DimensionError(f"correlation matrix requires a 4x4 state, got {mat.shape}")
-    t = np.empty((3, 3), dtype=float)
-    for k, sk in enumerate(PAULIS):
-        for l, sl in enumerate(PAULIS):
-            t[k, l] = float(np.real(np.trace(mat @ tensor(sk, sl))))
-    return t
+    expectations = np.real(np.einsum("mij,ji->m", PAULI_PRODUCTS, mat)).reshape(4, 4)
+    return expectations[1:, 1:]

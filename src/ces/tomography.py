@@ -37,7 +37,7 @@ from .measures import (
     fidelity_singlet,
     log_negativity,
 )
-from .qcore import IDENTITY_2, DensityMatrix, require_valid_density, tensor
+from .qcore import PAULI_PRODUCTS, DensityMatrix, require_valid_density, tensor
 from .rng import make_stream
 
 _PROB_FLOOR = 1e-12
@@ -63,10 +63,16 @@ class ReconstructionResult:
         return self.min_eigenvalue >= -1e-9
 
 
-def _pair_projectors(basis_a: str, basis_b: str) -> list[np.ndarray]:
+def _pair_projectors(basis_a: str, basis_b: str) -> np.ndarray:
     pa = basis_projectors(basis_a)
     pb = basis_projectors(basis_b)
-    return [tensor(pa[i], pb[j]) for i, j in _OUTCOME_ORDER]
+    block = np.array([tensor(pa[i], pb[j]) for i, j in _OUTCOME_ORDER])
+    block.setflags(write=False)
+    return block
+
+
+# (4, 4, 4) port-projector block of each of the nine basis pairs, built once.
+_PAIR_PROJECTORS = {pair: _pair_projectors(*pair) for pair in _CANONICAL_PAIRS}
 
 
 def _design(dataset: TomographyDataset, require_counts: bool):
@@ -76,34 +82,27 @@ def _design(dataset: TomographyDataset, require_counts: bool):
     that is acceptable).
     """
     projectors: list[np.ndarray] = []
-    counts: list[float] = []
-    freqs: list[float] = []
-    used_pairs: list[tuple[str, str]] = []
+    counts: list[np.ndarray] = []
+    freqs: list[np.ndarray] = []
     for basis_a, basis_b, rec in dataset.records:
         total = rec.total
         if total <= 0:
             if require_counts:
                 raise DataError(f"basis pair ({basis_a}, {basis_b}) has zero coincidences")
             continue
+        try:
+            projectors.append(_PAIR_PROJECTORS[(basis_a, basis_b)])
+        except KeyError:
+            raise DataError(
+                f"unknown basis pair ({basis_a!r}, {basis_b!r}), "
+                f"expected labels from {BASIS_LABELS}"
+            ) from None
         cells = rec.counts().astype(float)
-        projectors.extend(_pair_projectors(basis_a, basis_b))
-        counts.extend(cells)
-        freqs.extend(cells / float(total))
-        used_pairs.append((basis_a, basis_b))
+        counts.append(cells)
+        freqs.append(cells / float(total))
     if not projectors:
         raise DataError("dataset contains no coincidences")
-    return np.array(projectors), np.array(counts), np.array(freqs), used_pairs
-
-
-# Hermitian operator basis sigma_mu x sigma_nu (mu, nu in {I, x, y, z}).
-def _pauli_product_basis() -> np.ndarray:
-    from .qcore import PAULIS
-
-    singles = (IDENTITY_2,) + PAULIS
-    return np.array([tensor(a, b) for a in singles for b in singles])
-
-
-_PAULI_PRODUCTS = _pauli_product_basis()
+    return np.concatenate(projectors), np.concatenate(counts), np.concatenate(freqs)
 
 
 def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
@@ -113,11 +112,9 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
     counts may give a non-positive matrix, reported via min_eigenvalue and
     psd_ok rather than corrected.
     """
-    projectors, counts, freqs, _ = _design(dataset, require_counts=False)
+    projectors, counts, freqs = _design(dataset, require_counts=False)
     # rho = (1/4) sum_mn c_mn sigma_m x sigma_n with c_00 = 1 fixed by trace.
-    coeffs = np.array(
-        [[np.real(np.trace(p @ b)) / 4.0 for b in _PAULI_PRODUCTS] for p in projectors]
-    )
+    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
     rhs = freqs - coeffs[:, 0]
     design = coeffs[:, 1:]
     if np.linalg.matrix_rank(design) < 15:
@@ -126,9 +123,7 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
             "not determine the state"
         )
     c, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    mat = _PAULI_PRODUCTS[0].astype(complex) / 4.0
-    for value, op in zip(c, _PAULI_PRODUCTS[1:]):
-        mat = mat + (value / 4.0) * op
+    mat = np.einsum("m,mij->ij", np.append(1.0, c), PAULI_PRODUCTS) / 4.0
     min_eig = float(np.min(np.linalg.eigvalsh(mat)))
     probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), _PROB_FLOOR, None)
     log_like = float(np.sum(counts * np.log(probs)))
@@ -227,7 +222,7 @@ def mle_reconstruct(
     the best iterate is returned with converged=False.
     """
     _require_full_coverage(dataset)
-    projectors, counts, _, _ = _design(dataset, require_counts=True)
+    projectors, counts, _ = _design(dataset, require_counts=True)
 
     start = project_psd(linear_inversion(dataset).rho.matrix)
     start = 0.999999 * start + 1e-6 * np.eye(4) / 4.0  # keep the factor full-rank
@@ -263,13 +258,9 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
     """
     mat = require_valid_density(rho)
     records = []
-    for basis_a, basis_b in _CANONICAL_PAIRS:
-        pa = basis_projectors(basis_a)
-        pb = basis_projectors(basis_b)
-        cells = [
-            max(0.0, total_per_basis * float(np.real(np.trace(mat @ tensor(pa[i], pb[j])))))
-            for i, j in _OUTCOME_ORDER
-        ]
+    for pair, projectors in _PAIR_PROJECTORS.items():
+        probs = np.real(np.einsum("kij,ji->k", projectors, mat))
+        cells = [max(0.0, total_per_basis * float(p)) for p in probs]
         rec = CountRecord(
             setting=MeasurementSetting(0.0, 0.0),
             n_uu=cells[0],
@@ -277,7 +268,7 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
             n_du=cells[2],
             n_dd=cells[3],
         )
-        records.append((basis_a, basis_b, rec))
+        records.append((*pair, rec))
     return TomographyDataset(records=tuple(records))
 
 

@@ -180,6 +180,16 @@ class TestMaxChsh:
             result = max_chsh_from_state(werner(p))
             assert result.s_value == pytest.approx(2.0 * math.sqrt(2.0) * p, abs=1e-7)
 
+    def test_isotropic_states_give_standard_polarizer_quad(self):
+        # Every plane is principal for T = -p I, so the closed-form quad is
+        # the textbook polarizer quad and attains S_max at those angles.
+        for rho in (singlet_dm(), werner(0.2), werner(0.9)):
+            result = max_chsh_from_state(rho)
+            assert result.settings == pytest.approx((0.0, 45.0, 22.5, 67.5), abs=1e-9)
+            assert analytic_chsh(rho, result.settings).s_value == pytest.approx(
+                result.s_value, abs=1e-12
+            )
+
     def test_dephased_family_value(self):
         # T = diag(-v, -1, -v) in the polarization frame: the two largest
         # singular values are 1 and v, so S_max = 2 sqrt(1 + v^2).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -257,6 +258,25 @@ class TestCliExitCodes:
         assert payload["tau_e_us"] == pytest.approx(5.7, abs=0.6)
         assert (out / "sweep_series.csv").exists()
 
+    def test_tomo_csv_with_unknown_basis_label_is_data_error(self, tmp_path):
+        from ces.detection import DetectorParams, simulate_tomography_dataset
+        from ces.errors import DataError
+        from ces.fileio import read_tomography_csv, write_tomography_csv
+        from ces.tomography import linear_inversion
+        from conftest import singlet_dm
+
+        ds = simulate_tomography_dataset(singlet_dm(), 1_000, DetectorParams(), seed=79)
+        _, basis_b, rec = ds.records[0]
+        bad = dataclasses.replace(ds, records=(("XY", basis_b, rec),) + ds.records[1:])
+        csv_path = tmp_path / "tomography.csv"
+        write_tomography_csv(csv_path, bad)
+        with pytest.raises(DataError, match="unknown basis"):
+            linear_inversion(read_tomography_csv(csv_path))
+        code = cli.main(
+            ["tomo", "--data", str(csv_path), "--method", "linear", "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+
     def test_tomo_from_recorded_csv(self, tmp_path):
         from ces.detection import DetectorParams, simulate_tomography_dataset
         from ces.fileio import read_tomography_csv, write_tomography_csv
@@ -280,11 +300,19 @@ class TestCliExitCodes:
         assert payload["metrics"]["concurrence"] == pytest.approx(0.8, abs=0.03)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+@pytest.mark.parametrize(
+    "statement",
+    [
+        "pass",
+        "ces.measures.report(ces.qcore.DensityMatrix.from_ket(ces.qcore.SINGLET_KET))",
+    ],
+    ids=["import", "measures_report"],
+)
+def test_import_leaves_scipy_optimize_unloaded(statement):
     # Only the fitting routines need scipy.optimize; starting any command
-    # (ces bell, ces rates) must not pay for importing it.
+    # (ces bell, ces rates) or running ces measures must not pay for it.
     src = str(Path(ces.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, ces, ces.cli; sys.exit('scipy.optimize' in sys.modules)"
+    code = f"import sys, ces, ces.cli; {statement}; sys.exit('scipy.optimize' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ces.detection import DetectorParams, _outcome_distribution, analyzer_projectors
 from ces.errors import DimensionError
 from ces.measures import concurrence, fidelity_singlet, log_negativity
 from ces.protocol import (
@@ -20,7 +21,7 @@ from ces.protocol import (
     rate_budget,
 )
 from ces.qcore import partial_trace, trace_distance, validate_density
-from conftest import random_density, singlet_dm
+from conftest import dephased_singlet, random_density, singlet_dm
 
 
 class TestAtomPhotonState:
@@ -172,6 +173,20 @@ class TestRateBudget:
     def test_unit_detection_efficiency(self):
         rep = rate_budget(EfficiencyParams(0.086, 0.086, 1.0, 50.0))
         assert rep.pairs_detected_per_s == pytest.approx(rep.pairs_produced_per_s, rel=1e-12)
+
+    def test_gap_to_detection_model_is_routing_and_window(self):
+        # The published budget omits the 1/2 beam-splitter routing and the
+        # window acceptance w that the detection model applies to each pair.
+        eff = EfficiencyParams(0.086, 0.086, 0.2, 50.0)
+        det = DetectorParams(
+            eta_det=eff.eta_det, dark_rate=0.01, window_fraction=0.6, late_emission_error=0.1
+        )
+        probs = _outcome_distribution(
+            dephased_singlet(0.8), analyzer_projectors(0.0), analyzer_projectors(22.5), det
+        )
+        assert rate_budget(eff).p_pair_detect * 0.5 * det.window_fraction == pytest.approx(
+            eff.p_photon1 * eff.p_photon2 * (1.0 - probs[4]), rel=1e-12
+        )
 
     def test_zero_generation(self):
         rep = rate_budget(EfficiencyParams(0.0, 0.086, 0.2, 50.0))

@@ -109,7 +109,7 @@ class TestMleReconstruct:
         ds = simulate_tomography_dataset(dephased_singlet(0.7), 5_000, IDEAL, seed=29)
         from ces.tomography import _design
 
-        projectors, counts, _, _ = _design(ds, require_counts=True)
+        projectors, counts, _ = _design(ds, require_counts=True)
         t0 = _params_from_t(_lower_factor(project_psd(random_density(rng, 4)) + 1e-3 * np.eye(4)))
         _, grad = _neg_log_likelihood_and_grad(t0, projectors, counts)
         eps = 1e-6
@@ -138,7 +138,7 @@ class TestOracleEquivalence:
 
         for seed in (31, 37, 41):
             ds = simulate_tomography_dataset(dephased_singlet(0.85), 3_000, IDEAL, seed=seed)
-            projectors, counts, _, _ = _design(ds, require_counts=True)
+            projectors, counts, _ = _design(ds, require_counts=True)
 
             def log_like(mat):
                 probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), 1e-12, None)
