@@ -49,7 +49,6 @@ from .protocol import (
 from .qcore import (
     DensityMatrix,
     StateVector,
-    eig_hermitian,
     partial_trace,
     partial_transpose,
     tensor,

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bell import chsh_from_counts
-from .config import load_config
+from .config import ExperimentConfig, config_from_dict, load_config
 from .errors import ConfigError, DataError, DimensionError, ValidationError
 from .fileio import (
     read_counts_csv,
@@ -94,18 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> "ExperimentConfig":
-    cfg = load_config(args.config)
-    overrides = {}
+def _config_from_args(args) -> ExperimentConfig:
+    data = load_config(args.config).to_dict()
     if getattr(args, "seed", None) is not None:
-        if not (0 <= args.seed <= 2**64 - 1):
-            raise ConfigError(f"seed: expected an unsigned 64-bit integer, got {args.seed}")
-        overrides["seed"] = args.seed
+        data["seed"] = args.seed
     if getattr(args, "trials", None) is not None:
-        if args.trials <= 0:
-            raise ConfigError(f"trials: expected a positive integer, got {args.trials}")
-        overrides["n_sequences"] = args.trials
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
+        data["n_sequences"] = args.trials
+    return config_from_dict(data)
 
 
 def _cmd_simulate(args) -> int:
@@ -156,15 +151,7 @@ def _cmd_tomo(args) -> int:
 
 def _cmd_measures(args) -> int:
     rho = read_density_matrix_json(args.state)
-    rep = report(rho)
-    payload = {
-        "fidelity_singlet": rep.fidelity_singlet,
-        "concurrence": rep.concurrence,
-        "eof": rep.eof,
-        "negativity": rep.negativity,
-        "log_negativity": rep.log_negativity,
-        "s_max": rep.s_max,
-    }
+    payload = dataclasses.asdict(report(rho))
     print(json.dumps(payload, indent=2, sort_keys=True))
     if args.out:
         out_dir = Path(args.out)

@@ -1,18 +1,20 @@
 """Experiment configuration: schema, defaults, canonical form, manifest.
 
-Configs are JSON.  Unknown keys are rejected and every value is range
-checked with a full field path in the error message.  Missing keys fall
-back to the packaged ``defaults.json`` (the published experimental
-parameters); the ``CES_DEFAULTS`` environment variable may point at an
-alternative defaults file.
+Configs are JSON.  The ``noise``, ``efficiency`` and ``detector`` sections
+hold the fields of :class:`NoiseParams`, :class:`EfficiencyParams` and
+:class:`DetectorParams`; those dataclasses define each parameter's name and
+allowed range, and their validation errors are reported with the full field
+path (``noise.v0 must be within [0, 1], …``).  Unknown keys and non-finite
+numbers are rejected.  Missing keys fall back to the packaged
+``defaults.json`` (the published experimental parameters).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -20,7 +22,6 @@ from .detection import DetectorParams, MeasurementSetting
 from .errors import ConfigError
 from .protocol import EfficiencyParams, NoiseParams
 
-DEFAULTS_ENV = "CES_DEFAULTS"
 _MAX_SEED = 2**64 - 1
 
 
@@ -35,84 +36,36 @@ class ExperimentConfig:
     n_sequences: int
 
     def to_dict(self) -> dict:
-        return {
-            "noise": {
-                "v0": self.noise.v0,
-                "tau_e_us": self.noise.tau_e_us,
-                "p_white": self.noise.p_white,
-                "eta_pump": self.noise.eta_pump,
-            },
-            "efficiency": {
-                "p_photon1": self.efficiency.p_photon1,
-                "p_photon2": self.efficiency.p_photon2,
-                "eta_det": self.efficiency.eta_det,
-                "rep_rate_khz": self.efficiency.rep_rate_khz,
-            },
-            "detector": {
-                "eta_det": self.detector.eta_det,
-                "dark_rate": self.detector.dark_rate,
-                "window_fraction": self.detector.window_fraction,
-                "late_emission_error": self.detector.late_emission_error,
-            },
-            "dt_us": self.dt_us,
-            "settings": [[s.alpha_deg, s.beta_deg] for s in self.settings],
-            "seed": self.seed,
-            "n_sequences": self.n_sequences,
-        }
+        out = asdict(self)
+        out["settings"] = [[s.alpha_deg, s.beta_deg] for s in self.settings]
+        return out
 
 
-# (lo, hi, lo_open, hi_open); None means unbounded on that side.
-_RANGES = {
-    "noise.v0": (0.0, 1.0, False, False),
-    "noise.tau_e_us": (0.0, None, True, False),
-    "noise.p_white": (0.0, 1.0, False, False),
-    "noise.eta_pump": (0.0, 1.0, False, False),
-    "efficiency.p_photon1": (0.0, 1.0, False, False),
-    "efficiency.p_photon2": (0.0, 1.0, False, False),
-    "efficiency.eta_det": (0.0, 1.0, False, False),
-    "efficiency.rep_rate_khz": (0.0, None, True, False),
-    "detector.eta_det": (0.0, 1.0, False, False),
-    "detector.dark_rate": (0.0, 1.0, False, False),
-    "detector.window_fraction": (0.0, 1.0, True, False),
-    "detector.late_emission_error": (0.0, 1.0, False, False),
-    "dt_us": (0.0, None, False, False),
-}
-
-_SECTIONS = {
-    "noise": ["v0", "tau_e_us", "p_white", "eta_pump"],
-    "efficiency": ["p_photon1", "p_photon2", "eta_det", "rep_rate_khz"],
-    "detector": ["eta_det", "dark_rate", "window_fraction", "late_emission_error"],
-}
-_TOP_KEYS = ["noise", "efficiency", "detector", "dt_us", "settings", "seed", "n_sequences"]
+_SECTIONS = {"noise": NoiseParams, "efficiency": EfficiencyParams, "detector": DetectorParams}
+_TOP_KEYS = [f.name for f in fields(ExperimentConfig)]
 
 
 def _as_number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _check_range(path: str, value: float) -> float:
-    lo, hi, lo_open, hi_open = _RANGES[path]
-    if lo is not None and (value < lo or (lo_open and value == lo)):
-        raise ConfigError(f"{path}: value {value} below allowed range")
-    if hi is not None and (value > hi or (hi_open and value == hi)):
-        raise ConfigError(f"{path}: value {value} above allowed range")
-    return value
-
-
-def _merge_section(name: str, defaults: dict, override: dict) -> dict:
+def _parse_section(name: str, defaults: dict, override: dict):
     if not isinstance(override, dict):
         raise ConfigError(f"{name}: expected an object")
-    unknown = [k for k in override if k not in _SECTIONS[name]]
+    cls = _SECTIONS[name]
+    keys = [f.name for f in fields(cls)]
+    unknown = [k for k in override if k not in keys]
     if unknown:
         raise ConfigError(f"{name}: unknown key {unknown[0]!r}")
-    merged = dict(defaults)
-    merged.update(override)
-    return {
-        key: _check_range(f"{name}.{key}", _as_number(f"{name}.{key}", merged[key]))
-        for key in _SECTIONS[name]
-    }
+    merged = {**defaults, **override}
+    try:
+        return cls(**{key: _as_number(f"{name}.{key}", merged[key]) for key in keys})
+    except ValueError as exc:  # validator messages start with the field name
+        raise ConfigError(f"{name}.{exc}") from exc
 
 
 def _parse_settings(raw) -> tuple[MeasurementSetting, ...]:
@@ -135,12 +88,6 @@ def _parse_settings(raw) -> tuple[MeasurementSetting, ...]:
 
 
 def _defaults_dict() -> dict:
-    override = os.environ.get(DEFAULTS_ENV)
-    if override:
-        try:
-            return json.loads(Path(override).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read defaults file {override!r}: {exc}") from exc
     with resources.files("ces").joinpath("defaults.json").open() as fh:
         return json.load(fh)
 
@@ -153,10 +100,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown key {unknown[0]!r}")
     defaults = _defaults_dict()
 
-    sections = {}
-    for name in _SECTIONS:
-        sections[name] = _merge_section(name, defaults.get(name, {}), data.get(name, {}))
-    dt_us = _check_range("dt_us", _as_number("dt_us", data.get("dt_us", defaults["dt_us"])))
+    sections = {
+        name: _parse_section(name, defaults.get(name, {}), data.get(name, {}))
+        for name in _SECTIONS
+    }
+    dt_us = _as_number("dt_us", data.get("dt_us", defaults["dt_us"]))
+    if dt_us < 0.0:
+        raise ConfigError(f"dt_us must be >= 0, got {dt_us!r}")
     settings = _parse_settings(data.get("settings", defaults["settings"]))
 
     seed = data.get("seed", defaults["seed"])
@@ -166,16 +116,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if isinstance(n_sequences, bool) or not isinstance(n_sequences, int) or n_sequences <= 0:
         raise ConfigError(f"n_sequences: expected a positive integer, got {n_sequences!r}")
 
-    try:
-        noise = NoiseParams(**sections["noise"])
-        efficiency = EfficiencyParams(**sections["efficiency"])
-        detector = DetectorParams(**sections["detector"])
-    except ValueError as exc:  # dataclass validators; ranges already checked
-        raise ConfigError(str(exc)) from exc
     return ExperimentConfig(
-        noise=noise,
-        efficiency=efficiency,
-        detector=detector,
+        **sections,
         dt_us=dt_us,
         settings=settings,
         seed=seed,

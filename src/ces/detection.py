@@ -280,12 +280,6 @@ class TomographyDataset:
 
     records: tuple[tuple[str, str, CountRecord], ...]
 
-    def record(self, basis_a: str, basis_b: str) -> CountRecord:
-        for a, b, rec in self.records:
-            if a == basis_a and b == basis_b:
-                return rec
-        raise DataError(f"no record for basis pair ({basis_a}, {basis_b})")
-
     def basis_pairs(self) -> list[tuple[str, str]]:
         return [(a, b) for a, b, _ in self.records]
 

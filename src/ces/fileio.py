@@ -22,24 +22,37 @@ from .errors import DataError
 from .qcore import DensityMatrix
 
 COUNT_COLUMNS = ["alpha_deg", "beta_deg", "n_uu", "n_ud", "n_du", "n_dd", "n_discarded"]
+TOMOGRAPHY_COLUMNS = ["basis_a", "basis_b"] + COUNT_COLUMNS
 
 
-def write_counts_csv(path, records) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(COUNT_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    f"{rec.setting.alpha_deg:.6f}",
-                    f"{rec.setting.beta_deg:.6f}",
-                    rec.n_uu,
-                    rec.n_ud,
-                    rec.n_du,
-                    rec.n_dd,
-                    rec.n_discarded,
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _count_row(rec: CountRecord) -> list:
+    return [
+        f"{rec.setting.alpha_deg:.6f}",
+        f"{rec.setting.beta_deg:.6f}",
+        rec.n_uu,
+        rec.n_ud,
+        rec.n_du,
+        rec.n_dd,
+        rec.n_discarded,
+    ]
+
+
+def _parse_count_row(row: dict) -> CountRecord:
+    return CountRecord(
+        setting=MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"])),
+        n_uu=int(row["n_uu"]),
+        n_ud=int(row["n_ud"]),
+        n_du=int(row["n_du"]),
+        n_dd=int(row["n_dd"]),
+        n_discarded=int(row["n_discarded"]),
+    )
 
 
 def _open_csv(path):
@@ -49,85 +62,59 @@ def _open_csv(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def read_counts_csv(path) -> list[CountRecord]:
-    records = []
+def _read_count_rows(path, columns, parse, kind: str) -> list:
+    """Parse every row of a CSV holding ``columns``; DataError on any bad row."""
+    parsed = []
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [c for c in COUNT_COLUMNS if c not in reader.fieldnames]:
-            raise DataError(f"{path}: expected columns {COUNT_COLUMNS}")
+        if reader.fieldnames is None or [c for c in columns if c not in reader.fieldnames]:
+            raise DataError(f"{path}: expected columns {columns}")
         for row in reader:
             try:
-                records.append(
-                    CountRecord(
-                        setting=MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"])),
-                        n_uu=int(row["n_uu"]),
-                        n_ud=int(row["n_ud"]),
-                        n_du=int(row["n_du"]),
-                        n_dd=int(row["n_dd"]),
-                        n_discarded=int(row["n_discarded"]),
-                    )
-                )
+                parsed.append(parse(row))
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}: bad row {row!r}: {exc}") from exc
-    if not records:
-        raise DataError(f"{path}: no count rows")
-    return records
+    if not parsed:
+        raise DataError(f"{path}: no {kind} rows")
+    return parsed
+
+
+def write_counts_csv(path, records) -> None:
+    _write_csv(path, COUNT_COLUMNS, [_count_row(rec) for rec in records])
+
+
+def read_counts_csv(path) -> list[CountRecord]:
+    return _read_count_rows(path, COUNT_COLUMNS, _parse_count_row, "count")
 
 
 def write_tomography_csv(path, dataset: TomographyDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["basis_a", "basis_b"] + COUNT_COLUMNS)
-        for basis_a, basis_b, rec in dataset.records:
-            writer.writerow(
-                [
-                    basis_a,
-                    basis_b,
-                    f"{rec.setting.alpha_deg:.6f}",
-                    f"{rec.setting.beta_deg:.6f}",
-                    rec.n_uu,
-                    rec.n_ud,
-                    rec.n_du,
-                    rec.n_dd,
-                    rec.n_discarded,
-                ]
-            )
+    _write_csv(
+        path,
+        TOMOGRAPHY_COLUMNS,
+        [[basis_a, basis_b, *_count_row(rec)] for basis_a, basis_b, rec in dataset.records],
+    )
 
 
 def read_tomography_csv(path) -> TomographyDataset:
-    records = []
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        needed = ["basis_a", "basis_b"] + COUNT_COLUMNS
-        if reader.fieldnames is None or [c for c in needed if c not in reader.fieldnames]:
-            raise DataError(f"{path}: expected columns {needed}")
-        for row in reader:
-            try:
-                rec = CountRecord(
-                    setting=MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"])),
-                    n_uu=int(row["n_uu"]),
-                    n_ud=int(row["n_ud"]),
-                    n_du=int(row["n_du"]),
-                    n_dd=int(row["n_dd"]),
-                    n_discarded=int(row["n_discarded"]),
-                )
-                records.append((row["basis_a"], row["basis_b"], rec))
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}: bad row {row!r}: {exc}") from exc
-    if not records:
-        raise DataError(f"{path}: no tomography rows")
+    records = _read_count_rows(
+        path,
+        TOMOGRAPHY_COLUMNS,
+        lambda row: (row["basis_a"], row["basis_b"], _parse_count_row(row)),
+        "tomography",
+    )
     return TomographyDataset(records=tuple(records))
 
 
 def write_series_csv(path, rows) -> None:
     """rows: iterable of (dt_us, value, kind, sigma-or-None)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt_us", "value", "kind", "sigma"])
-        for dt_us, value, kind, sigma in rows:
-            writer.writerow(
-                [f"{dt_us:.6f}", repr(float(value)), kind, "" if sigma is None else repr(float(sigma))]
-            )
+    _write_csv(
+        path,
+        ["dt_us", "value", "kind", "sigma"],
+        [
+            [f"{dt_us:.6f}", repr(float(value)), kind, "" if sigma is None else repr(float(sigma))]
+            for dt_us, value, kind, sigma in rows
+        ],
+    )
 
 
 def read_series_csv(path):

@@ -7,7 +7,7 @@ the manifest's timestamp is the only field excluded from that guarantee.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
@@ -190,26 +190,11 @@ def run_tomo(
         },
     }
     if fit.psd_ok:
-        metrics = report(fit.rho)
-        payload["metrics"] = {
-            "fidelity_singlet": metrics.fidelity_singlet,
-            "concurrence": metrics.concurrence,
-            "eof": metrics.eof,
-            "negativity": metrics.negativity,
-            "log_negativity": metrics.log_negativity,
-            "s_max": metrics.s_max,
-        }
+        payload["metrics"] = asdict(report(fit.rho))
     if bootstrap:
-        errs = bootstrap_errors(dataset, bootstrap, derive_seed(cfg.seed, 2000))
-        payload["bootstrap"] = {
-            "sigma_fidelity": errs.sigma_fidelity,
-            "sigma_concurrence": errs.sigma_concurrence,
-            "sigma_eof": errs.sigma_eof,
-            "sigma_log_negativity": errs.sigma_log_negativity,
-            "sigma_s_max": errs.sigma_s_max,
-            "n_resamples": errs.n_resamples,
-            "n_failed": errs.n_failed,
-        }
+        payload["bootstrap"] = asdict(
+            bootstrap_errors(dataset, bootstrap, derive_seed(cfg.seed, 2000))
+        )
     result_path = out / "reconstruction.json"
     write_json(result_path, payload)
     manifest.add(result_path)
@@ -264,14 +249,9 @@ def run_rates(cfg: ExperimentConfig, out_dir) -> dict:
     """Rate budget JSON plus a plain-text table."""
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
-    rep = rate_budget(cfg.efficiency)
-    payload = {
-        "p_pair_detect": rep.p_pair_detect,
-        "pairs_produced_per_s": rep.pairs_produced_per_s,
-        "pairs_detected_per_s": rep.pairs_detected_per_s,
-    }
+    rep = rate_budget(cfg.efficiency, cfg.detector)
     rates_path = out / "rates.json"
-    write_json(rates_path, payload)
+    write_json(rates_path, asdict(rep))
     manifest.add(rates_path)
     manifest.write(out)
     table = "\n".join(

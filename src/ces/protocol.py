@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .detection import DetectorParams
 from .errors import DimensionError
 from .qcore import (
     IDENTITY_4,
@@ -72,24 +73,25 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class EfficiencyParams:
-    """Per-pulse photon probabilities and the detection chain efficiency."""
+    """Per-pulse photon probabilities and the pulse repetition rate.
+
+    The per-photon detection efficiency is :attr:`DetectorParams.eta_det`.
+    """
 
     p_photon1: float = 0.086
     p_photon2: float = 0.086
-    eta_det: float = 0.2
     rep_rate_khz: float = 50.0
 
     def __post_init__(self) -> None:
         _check_unit_interval("p_photon1", self.p_photon1)
         _check_unit_interval("p_photon2", self.p_photon2)
-        _check_unit_interval("eta_det", self.eta_det)
         if not self.rep_rate_khz > 0.0:
             raise ValueError(f"rep_rate_khz must be > 0, got {self.rep_rate_khz!r}")
 
 
 @dataclass(frozen=True)
 class RateReport:
-    """Pair production and detection rates implied by EfficiencyParams."""
+    """Pair rates implied by EfficiencyParams and the detector efficiency."""
 
     p_pair_detect: float
     pairs_produced_per_s: float
@@ -175,10 +177,11 @@ def final_state(noise: NoiseParams, dt_us: float) -> DensityMatrix:
     return map_to_photon_pair(rho)
 
 
-def rate_budget(eff: EfficiencyParams) -> RateReport:
+def rate_budget(eff: EfficiencyParams, det: DetectorParams) -> RateReport:
     """Pair rates from independent per-pulse and per-photon probabilities.
 
-    ``p_pair_detect = p_photon1 p_photon2 eta_det^2`` follows the published
+    ``p_pair_detect = p_photon1 p_photon2 eta_det^2``, with ``eta_det`` the
+    detector efficiency the Monte-Carlo also uses, follows the published
     budget, which acceptance criterion 5 checks against 2.4e-4 per sequence
     (within 25 %).  It omits two factors the detection model
     (:mod:`ces.detection`) applies to every produced pair: the 1/2 chance
@@ -186,7 +189,7 @@ def rate_budget(eff: EfficiencyParams) -> RateReport:
     window acceptance ``window_fraction`` w.  The simulated coincidence
     rate is therefore w/2 times the detected-pair rate reported here.
     """
-    p_pair = eff.p_photon1 * eff.p_photon2 * eff.eta_det**2
+    p_pair = eff.p_photon1 * eff.p_photon2 * det.eta_det**2
     rep_per_s = eff.rep_rate_khz * 1e3
     produced = rep_per_s * eff.p_photon1 * eff.p_photon2
     return RateReport(

@@ -203,21 +203,13 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
     return out.reshape(4, 4)
 
 
-_PARTIAL_TRACE_SPLITS = {4: (2, 2), 8: (2, 4)}
-
-
-def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] | None = None) -> DensityMatrix:
+def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
     """Trace out one factor of a bipartite state.
 
-    ``dims`` gives the (dim A, dim B) factorization; when omitted it defaults
-    to (2, 2) for dim 4 and (2, 4) for dim 8 (atom x photon pair).
+    ``dims`` gives the (dim A, dim B) factorization; two qubits by default.
     """
     mat = as_matrix(rho)
     d = mat.shape[0]
-    if dims is None:
-        if d not in _PARTIAL_TRACE_SPLITS:
-            raise DimensionError(f"cannot infer a bipartite split for dim {d}")
-        dims = _PARTIAL_TRACE_SPLITS[d]
     da, db = dims
     if da * db != d:
         raise DimensionError(f"split {dims} does not factor dim {d}")
@@ -229,22 +221,6 @@ def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] | None = Non
     else:
         reduced = np.einsum("abcb->ac", blocks)
     return DensityMatrix(reduced)
-
-
-def eig_hermitian(m, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix.
-
-    Returns real eigenvalues sorted in descending order and the matching
-    eigenvector columns.  Raises ValidationError if the input is not
-    Hermitian within ``tol``.
-    """
-    mat = as_matrix(m)
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > tol:
-        raise ValidationError(f"matrix is not Hermitian: max defect {defect:.3e} > {tol:.1e}")
-    w, v = np.linalg.eigh(mat)
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
 
 
 @dataclass(frozen=True)

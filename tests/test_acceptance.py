@@ -172,7 +172,7 @@ def test_criterion_4_lifetime_recovery():
 
 def test_criterion_5_rate_budget():
     """Default efficiencies reproduce the published rate numbers."""
-    rep = rate_budget(EfficiencyParams(0.086, 0.086, 0.2, 50.0))
+    rep = rate_budget(EfficiencyParams(0.086, 0.086, 50.0), DetectorParams(eta_det=0.2))
     ok = (
         abs(rep.p_pair_detect / 2.4e-4 - 1.0) < 0.25
         and abs(rep.pairs_produced_per_s / 370.0 - 1.0) < 0.10

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ import pytest
 import ces
 from ces import cli
 from ces.config import (
-    DEFAULTS_ENV,
     config_from_dict,
     config_hash,
     load_config,
@@ -34,7 +34,7 @@ class TestLoadConfig:
         assert cfg.noise.tau_e_us == pytest.approx(5.7)
         assert cfg.noise.eta_pump == pytest.approx(0.8)
         assert cfg.efficiency.p_photon1 == pytest.approx(0.086)
-        assert cfg.efficiency.eta_det == pytest.approx(0.2)
+        assert cfg.detector.eta_det == pytest.approx(0.2)
         assert cfg.efficiency.rep_rate_khz == pytest.approx(50.0)
         assert cfg.dt_us == pytest.approx(0.8)
 
@@ -62,16 +62,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
 
-    def test_env_defaults_override(self, tmp_path, monkeypatch):
-        from importlib import resources
+    @pytest.mark.parametrize(
+        ("text", "path"),
+        [
+            ('{"dt_us": NaN}', "dt_us"),
+            ('{"dt_us": Infinity}', "dt_us"),
+            ('{"noise": {"v0": NaN}}', "noise.v0"),
+        ],
+    )
+    def test_non_finite_number_names_field_path(self, tmp_path, text, path):
+        # Python's json module accepts NaN and Infinity literals.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: expected a finite number")):
+            load_config(cfg)
 
-        alt = tmp_path / "alt_defaults.json"
-        base = json.loads(resources.files("ces").joinpath("defaults.json").read_text())
-        base["noise"]["v0"] = 0.5
-        alt.write_text(json.dumps(base))
-        monkeypatch.setenv(DEFAULTS_ENV, str(alt))
-        cfg = config_from_dict({})
-        assert cfg.noise.v0 == pytest.approx(0.5)
+    def test_removed_efficiency_eta_det_is_rejected(self):
+        # The detector efficiency lives in detector.eta_det only.
+        with pytest.raises(ConfigError, match="efficiency: unknown key 'eta_det'"):
+            config_from_dict({"efficiency": {"eta_det": 0.2}})
+
+    def test_validator_error_is_prefixed_with_section(self):
+        with pytest.raises(ConfigError, match=re.escape("detector.window_fraction must be")):
+            config_from_dict({"detector": {"window_fraction": 0.0}})
 
     def test_seed_validation(self):
         with pytest.raises(ConfigError, match="seed"):
@@ -144,6 +157,36 @@ class TestCliExitCodes:
         code = cli.main(["rates", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "noise.v0" in capsys.readouterr().err
+
+    def test_removed_efficiency_eta_det_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "old.json"
+        bad.write_text('{"efficiency": {"eta_det": 0.2}}')
+        code = cli.main(["rates", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "efficiency" in err and "eta_det" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rates_read_detector_efficiency(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"detector": {"eta_det": 0.5}}')
+        assert cli.main(["rates", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+        eff = load_config(cfg).efficiency
+        assert rates["p_pair_detect"] == pytest.approx(
+            eff.p_photon1 * eff.p_photon2 * 0.25, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--trials", "0"]])
+    def test_bad_seed_or_trials_flag_is_2(self, tmp_path, capsys, flags):
+        code = cli.main(["simulate", "--out", str(tmp_path / "o"), *flags])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_non_finite_dt_is_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dt_us": NaN, "n_sequences": 1000}')
+        assert cli.main(["tomo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
     def test_data_error_is_3(self, tmp_path):
         series = tmp_path / "series.csv"

@@ -161,7 +161,7 @@ class TestCalibrations:
 
 class TestRateBudget:
     def test_reported_operating_point(self):
-        rep = rate_budget(EfficiencyParams(0.086, 0.086, 0.2, 50.0))
+        rep = rate_budget(EfficiencyParams(0.086, 0.086, 50.0), DetectorParams(eta_det=0.2))
         assert rep.p_pair_detect == pytest.approx(2.9584e-4, rel=1e-6)
         assert rep.pairs_produced_per_s == pytest.approx(369.8, rel=1e-6)
         assert rep.pairs_detected_per_s == pytest.approx(14.792, rel=1e-6)
@@ -171,25 +171,25 @@ class TestRateBudget:
         assert abs(rep.pairs_detected_per_s / 12.0 - 1.0) < 0.25
 
     def test_unit_detection_efficiency(self):
-        rep = rate_budget(EfficiencyParams(0.086, 0.086, 1.0, 50.0))
+        rep = rate_budget(EfficiencyParams(0.086, 0.086, 50.0), DetectorParams(eta_det=1.0))
         assert rep.pairs_detected_per_s == pytest.approx(rep.pairs_produced_per_s, rel=1e-12)
 
     def test_gap_to_detection_model_is_routing_and_window(self):
         # The published budget omits the 1/2 beam-splitter routing and the
         # window acceptance w that the detection model applies to each pair.
-        eff = EfficiencyParams(0.086, 0.086, 0.2, 50.0)
+        eff = EfficiencyParams(0.086, 0.086, 50.0)
         det = DetectorParams(
-            eta_det=eff.eta_det, dark_rate=0.01, window_fraction=0.6, late_emission_error=0.1
+            eta_det=0.2, dark_rate=0.01, window_fraction=0.6, late_emission_error=0.1
         )
         probs = _outcome_distribution(
             dephased_singlet(0.8), analyzer_projectors(0.0), analyzer_projectors(22.5), det
         )
-        assert rate_budget(eff).p_pair_detect * 0.5 * det.window_fraction == pytest.approx(
+        assert rate_budget(eff, det).p_pair_detect * 0.5 * det.window_fraction == pytest.approx(
             eff.p_photon1 * eff.p_photon2 * (1.0 - probs[4]), rel=1e-12
         )
 
     def test_zero_generation(self):
-        rep = rate_budget(EfficiencyParams(0.0, 0.086, 0.2, 50.0))
+        rep = rate_budget(EfficiencyParams(0.0, 0.086, 50.0), DetectorParams(eta_det=0.2))
         assert rep.p_pair_detect == 0.0
         assert rep.pairs_produced_per_s == 0.0
         assert rep.pairs_detected_per_s == 0.0

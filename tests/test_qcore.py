@@ -12,7 +12,6 @@ from ces.qcore import (
     SINGLET_KET,
     DensityMatrix,
     StateVector,
-    eig_hermitian,
     partial_trace,
     partial_transpose,
     tensor,
@@ -24,7 +23,6 @@ from conftest import (
     random_density,
     random_hermitian,
     random_pure,
-    random_unitary,
     singlet_dm,
 )
 
@@ -126,42 +124,6 @@ class TestPartialTrace:
     def test_bad_dims(self):
         with pytest.raises(DimensionError):
             partial_trace(np.eye(6) / 6.0, 0)
-
-
-class TestEigHermitian:
-    def test_identity(self):
-        w, _ = eig_hermitian(np.eye(4))
-        np.testing.assert_allclose(w, np.ones(4))
-
-    def test_rank_one_projector(self):
-        w, v = eig_hermitian(singlet_dm())
-        np.testing.assert_allclose(w, [1, 0, 0, 0], atol=1e-12)
-        np.testing.assert_allclose(np.abs(v[:, 0].conj() @ SINGLET_KET), 1.0, atol=1e-12)
-
-    def test_trace_equals_eigenvalue_sum(self, rng):
-        m = random_hermitian(rng, 4)
-        w, _ = eig_hermitian(m)
-        assert abs(np.sum(w) - np.real(np.trace(m))) <= 1e-10
-
-    def test_descending_and_reconstruction(self, rng):
-        for _ in range(10):
-            m = random_hermitian(rng, 4)
-            w, v = eig_hermitian(m)
-            assert np.all(np.diff(w) <= 1e-12)
-            recon = (v * w) @ v.conj().T
-            assert np.max(np.abs(recon - m)) <= 1e-8
-
-    def test_unitary_conjugation_invariance(self, rng):
-        m = random_hermitian(rng, 4)
-        u = random_unitary(rng, 4)
-        w1, _ = eig_hermitian(m)
-        w2, _ = eig_hermitian(u @ m @ u.conj().T)
-        np.testing.assert_allclose(w1, w2, atol=1e-9)
-
-    def test_non_hermitian_rejected(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError):
-            eig_hermitian(bad)
 
 
 class TestValidateDensity:
