@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bell import chsh_from_counts
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, config_from_dict, load_config, storage_time
 from .errors import ConfigError, DataError, DimensionError, ValidationError
 from .fileio import (
     read_counts_csv,
@@ -69,7 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", metavar="CSV", help="reconstruct from an existing tomography CSV")
     p.add_argument("--method", choices=["mle", "linear"], default="mle")
     p.add_argument("--bootstrap", type=int, default=0, metavar="N", help="bootstrap resamples")
-    p.add_argument("--max-iter", type=int, default=10_000, help="MLE iteration cap")
+    p.add_argument(
+        "--max-iter", type=int, default=10_000, help="cap on MLE (R rho R) iterations, at least 1"
+    )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")
     p.add_argument("state", metavar="JSON", help="density matrix file")
@@ -182,9 +184,10 @@ def _cmd_rates(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     try:
-        grid = tuple(float(x) for x in args.dt_grid.split(",") if x.strip())
+        values = [float(x) for x in args.dt_grid.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"--dt-grid: {exc}") from exc
+    grid = tuple(storage_time(f"--dt-grid[{i}]", x) for i, x in enumerate(values))
     if len(grid) < 3:
         raise ConfigError("--dt-grid needs at least 3 storage times")
     out = run_sweep(cfg, args.out, dt_grid_us=grid, method=args.method)

@@ -53,6 +53,14 @@ def _as_number(path: str, value) -> float:
     return float(value)
 
 
+def storage_time(path: str, value) -> float:
+    """A storage time in microseconds: a finite number >= 0."""
+    dt_us = _as_number(path, value)
+    if dt_us < 0.0:
+        raise ConfigError(f"{path} must be >= 0, got {dt_us!r}")
+    return dt_us
+
+
 def _parse_section(name: str, defaults: dict, override: dict):
     if not isinstance(override, dict):
         raise ConfigError(f"{name}: expected an object")
@@ -104,9 +112,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         name: _parse_section(name, defaults.get(name, {}), data.get(name, {}))
         for name in _SECTIONS
     }
-    dt_us = _as_number("dt_us", data.get("dt_us", defaults["dt_us"]))
-    if dt_us < 0.0:
-        raise ConfigError(f"dt_us must be >= 0, got {dt_us!r}")
+    dt_us = storage_time("dt_us", data.get("dt_us", defaults["dt_us"]))
     settings = _parse_settings(data.get("settings", defaults["settings"]))
 
     seed = data.get("seed", defaults["seed"])

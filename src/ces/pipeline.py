@@ -166,6 +166,8 @@ def run_tomo(
     ``dataset`` may carry pre-recorded counts (e.g. read from CSV); when
     omitted the dataset is simulated from the configured state.
     """
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
     if dataset is None:
@@ -187,6 +189,7 @@ def run_tomo(
             "converged": fit.converged,
             "min_eigenvalue": fit.min_eigenvalue,
             "psd_ok": fit.psd_ok,
+            "certificate_gap": fit.certificate_gap,
         },
     }
     if fit.psd_ok:

@@ -4,11 +4,13 @@ Two estimators are provided.  Linear inversion solves the measurement
 equations tr(rho Pi_k) = f_k for the 16 real parameters of a Hermitian,
 trace-one matrix; it recovers the state exactly from exact frequencies but
 can leave the physical set on noisy data (flagged, never hidden).  The
-maximum-likelihood estimator parameterizes rho = T^dag T / tr(T^dag T) with
-a lower-triangular T (4 real diagonal + 6 complex off-diagonal entries), so
-every iterate is Hermitian, positive semidefinite and trace-one by
-construction, and maximizes the multinomial log-likelihood with an analytic
-gradient.
+maximum-likelihood estimator runs the RrhoR fixed-point iteration
+(Rehacek et al., PRA 75, 042108 (2007)), whose iterates are Hermitian,
+positive semidefinite and trace-one by construction.  Because the
+multinomial log-likelihood is concave, lambda_max(R) - N bounds how far an
+iterate is below the maximum (Glancy, Knill, Girard, NJP 14, 095017
+(2012)); the fit stops on that certificate.  Many count tables (the
+bootstrap resamples) are fitted as one batch.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors (36 total).  Error bars on derived quantities come from
@@ -41,6 +43,10 @@ from .qcore import PAULI_PRODUCTS, DensityMatrix, require_valid_density, tensor
 from .rng import make_stream
 
 _PROB_FLOOR = 1e-12
+#: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
+#: N being its total count: a log-likelihood within that of the maximum.
+GAP_TOL = 1e-8
+_MAX_ITER = 10_000
 _CANONICAL_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
 
 # Outcome order within a basis pair matches CountRecord cells.
@@ -57,6 +63,7 @@ class ReconstructionResult:
     converged: bool
     method: str
     min_eigenvalue: float
+    certificate_gap: float | None  # MLE only: lambda_max(R) - N, see _fit
 
     @property
     def psd_ok(self) -> bool:
@@ -76,17 +83,15 @@ _PAIR_PROJECTORS = {pair: _pair_projectors(*pair) for pair in _CANONICAL_PAIRS}
 
 
 def _design(dataset: TomographyDataset, require_counts: bool):
-    """Flatten a dataset into projectors, counts, and per-basis frequencies.
+    """Flatten a dataset into its (K, 4, 4) projectors and (K,) counts.
 
     Bases with zero total counts are skipped (the caller decides whether
     that is acceptable).
     """
     projectors: list[np.ndarray] = []
     counts: list[np.ndarray] = []
-    freqs: list[np.ndarray] = []
     for basis_a, basis_b, rec in dataset.records:
-        total = rec.total
-        if total <= 0:
+        if rec.total <= 0:
             if require_counts:
                 raise DataError(f"basis pair ({basis_a}, {basis_b}) has zero coincidences")
             continue
@@ -97,12 +102,51 @@ def _design(dataset: TomographyDataset, require_counts: bool):
                 f"unknown basis pair ({basis_a!r}, {basis_b!r}), "
                 f"expected labels from {BASIS_LABELS}"
             ) from None
-        cells = rec.counts().astype(float)
-        counts.append(cells)
-        freqs.append(cells / float(total))
+        counts.append(rec.counts().astype(float))
     if not projectors:
         raise DataError("dataset contains no coincidences")
-    return np.concatenate(projectors), np.concatenate(counts), np.concatenate(freqs)
+    return np.concatenate(projectors), np.concatenate(counts)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Real view (..., 32) of 4x4 complex matrices, real and imaginary parts interleaved."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape[:-2], 32)
+
+
+def _probabilities(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(rho Pi_k), shape (..., K) for rho of shape (..., 4, 4).
+
+    For Hermitian Pi_k, tr(rho Pi_k) = sum_ij Re(rho_ij conj(Pi_k,ij)): one
+    real matrix product of the flattened matrices.
+    """
+    return _flat(rho) @ _flat(projectors).T
+
+
+def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
+    probs = np.clip(_probabilities(projectors, rho), _PROB_FLOOR, None)
+    return float(np.sum(counts * np.log(probs)))
+
+
+def _linear_states(projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Least-squares Hermitian, trace-one matrices, one per row of a (B, K) table.
+
+    Each row's counts become per-basis frequencies (bases are consecutive
+    blocks of four cells); all rows are solved by one ``lstsq`` call.
+    """
+    totals = counts.reshape(len(counts), -1, 4).sum(axis=2)
+    freqs = counts / np.repeat(totals, 4, axis=1)
+    # rho = (1/4) sum_mn c_mn sigma_m x sigma_n with c_00 = 1 fixed by trace.
+    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
+    design = coeffs[:, 1:]
+    if np.linalg.matrix_rank(design) < 15:
+        raise DataError(
+            "tomography design matrix is rank-deficient; the basis set does "
+            "not determine the state"
+        )
+    c, *_ = np.linalg.lstsq(design, (freqs - coeffs[:, 0]).T, rcond=None)
+    c = np.vstack([np.ones(len(counts)), c])
+    return np.einsum("mb,mij->bij", c, PAULI_PRODUCTS) / 4.0
 
 
 def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
@@ -112,90 +156,64 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
     counts may give a non-positive matrix, reported via min_eigenvalue and
     psd_ok rather than corrected.
     """
-    projectors, counts, freqs = _design(dataset, require_counts=False)
-    # rho = (1/4) sum_mn c_mn sigma_m x sigma_n with c_00 = 1 fixed by trace.
-    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
-    rhs = freqs - coeffs[:, 0]
-    design = coeffs[:, 1:]
-    if np.linalg.matrix_rank(design) < 15:
-        raise DataError(
-            "tomography design matrix is rank-deficient; the basis set does "
-            "not determine the state"
-        )
-    c, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    mat = np.einsum("m,mij->ij", np.append(1.0, c), PAULI_PRODUCTS) / 4.0
-    min_eig = float(np.min(np.linalg.eigvalsh(mat)))
-    probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), _PROB_FLOOR, None)
-    log_like = float(np.sum(counts * np.log(probs)))
+    projectors, counts = _design(dataset, require_counts=False)
+    mat = _linear_states(projectors, counts[None])[0]
     return ReconstructionResult(
         rho=DensityMatrix(mat),
-        log_likelihood=log_like,
+        log_likelihood=_log_likelihood(projectors, counts, mat),
         iterations=0,
         converged=True,
         method="linear",
-        min_eigenvalue=min_eig,
+        min_eigenvalue=float(np.min(np.linalg.eigvalsh(mat))),
+        certificate_gap=None,
     )
 
 
 def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize to unit trace."""
-    sym = 0.5 * (mat + mat.conj().T)
+    """Clip negative eigenvalues and renormalize to unit trace.
+
+    Works on one matrix or on a stack of them (last two axes).
+    """
+    sym = 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
     w, v = np.linalg.eigh(sym)
     w = np.clip(w, floor, None)
-    out = (v * w) @ v.conj().T
-    return out / np.trace(out)
+    out = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return out / np.trace(out, axis1=-2, axis2=-1)[..., None, None]
 
 
-# Lower-triangular parameter layout: 4 real diagonal entries followed by
-# (re, im) pairs for the strictly-lower entries in row-major order.
-_LOWER_INDICES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
+    """Batched maximum-likelihood fit of every row of a (B, K) count table.
 
-
-def _t_from_params(t: np.ndarray) -> np.ndarray:
-    mat = np.zeros((4, 4), dtype=complex)
-    mat[np.diag_indices(4)] = t[:4]
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        mat[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
-    return mat
-
-
-def _params_from_t(mat: np.ndarray) -> np.ndarray:
-    t = np.zeros(16)
-    t[:4] = np.real(np.diag(mat))
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        t[4 + 2 * k] = mat[r, c].real
-        t[5 + 2 * k] = mat[r, c].imag
-    return t
-
-
-def _lower_factor(rho: np.ndarray) -> np.ndarray:
-    """Lower-triangular T with T^dag T = rho (for positive-definite rho)."""
-    flip = np.eye(4)[::-1]
-    chol = np.linalg.cholesky(flip @ rho @ flip)
-    upper = flip @ chol @ flip
-    return upper.conj().T
-
-
-def _neg_log_likelihood_and_grad(t: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
-    tmat = _t_from_params(t)
-    gram = tmat.conj().T @ tmat
-    norm = float(np.real(np.trace(gram)))
-    rho = gram / norm
-    probs = np.real(np.einsum("kij,ji->k", projectors, rho))
-    clipped = probs < _PROB_FLOOR
-    safe = np.where(clipped, _PROB_FLOOR, probs)
-    value = -float(np.sum(counts * np.log(safe)))
-
-    weights = np.where(clipped, 0.0, counts / safe)
-    g_op = np.einsum("k,kij->ij", weights, projectors)
-    scale = float(np.real(np.trace(rho @ g_op)))
-    w_mat = ((g_op - scale * np.eye(4)) @ tmat.conj().T) / norm
-    grad = np.zeros(16)
-    grad[:4] = 2.0 * np.real(np.diag(w_mat))
-    for k, (r, c) in enumerate(_LOWER_INDICES):
-        grad[4 + 2 * k] = 2.0 * w_mat[c, r].real
-        grad[5 + 2 * k] = -2.0 * w_mat[c, r].imag
-    return value, -grad
+    Starts each row from the PSD projection of its linear-inversion
+    estimate, lightly mixed with the identity so that every probability is
+    positive, and iterates rho <- R rho R / tr(R rho R) with
+    R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add nothing), which
+    keeps rho positive and trace-one.  The log-likelihood is concave, so
+    gap = lambda_max(R) - N bounds how far a row's log-likelihood is below
+    the maximum; a row stops once gap <= GAP_TOL * N, or after max_iter
+    steps.  Returns rho (B, 4, 4), the steps taken and the final gap of
+    each row.
+    """
+    rho = 0.999999 * project_psd(_linear_states(projectors, counts)) + 1e-6 * np.eye(4) / 4.0
+    flat = _flat(projectors)
+    tol = GAP_TOL * counts.sum(axis=1)
+    iterations = np.zeros(len(counts), dtype=int)
+    gap = np.empty(len(counts))
+    active = np.arange(len(counts))
+    for step in range(max_iter + 1):
+        n = counts[active]
+        probs = _probabilities(projectors, rho[active])
+        weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
+        r_op = (weights @ flat).view(complex).reshape(-1, 4, 4)
+        gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
+        iterations[active] = step
+        keep = gap[active] > tol[active]
+        if step == max_iter or not keep.any():
+            break
+        active, r_op = active[keep], r_op[keep]
+        new = r_op @ rho[active] @ r_op
+        rho[active] = new / np.einsum("bii->b", new).real[:, None, None]
+    return rho, iterations, gap
 
 
 def _require_full_coverage(dataset: TomographyDataset) -> None:
@@ -208,46 +226,27 @@ def _require_full_coverage(dataset: TomographyDataset) -> None:
 
 
 def mle_reconstruct(
-    dataset: TomographyDataset,
-    max_iter: int = 10_000,
-    gtol: float = 1e-8,
-    ftol: float = 1e-12,
+    dataset: TomographyDataset, max_iter: int = _MAX_ITER
 ) -> ReconstructionResult:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    Requires all nine basis pairs with nonzero coincidences.  Starts from
-    the PSD projection of the linear-inversion estimate and ascends the
-    multinomial log-likelihood until the gradient norm or the relative
-    likelihood change drops below tolerance; if the iteration cap is hit
-    the best iterate is returned with converged=False.
+    Requires all nine basis pairs with nonzero coincidences.  Runs the RrhoR
+    fit of ``_fit`` for at most ``max_iter`` steps; ``certificate_gap`` is
+    the bound lambda_max(R) - N on the log-likelihood still missing, and
+    ``converged`` means it is at most GAP_TOL * N.
     """
     _require_full_coverage(dataset)
-    projectors, counts, _ = _design(dataset, require_counts=True)
-
-    start = project_psd(linear_inversion(dataset).rho.matrix)
-    start = 0.999999 * start + 1e-6 * np.eye(4) / 4.0  # keep the factor full-rank
-    t0 = _params_from_t(_lower_factor(start))
-
-    from scipy.optimize import minimize  # lazy: importing it costs ~0.5 s
-
-    res = minimize(
-        _neg_log_likelihood_and_grad,
-        t0,
-        args=(projectors, counts),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 10 * max_iter, "gtol": gtol, "ftol": ftol},
-    )
-    tmat = _t_from_params(res.x)
-    gram = tmat.conj().T @ tmat
-    rho = gram / np.real(np.trace(gram))
+    projectors, counts = _design(dataset, require_counts=True)
+    rho, iterations, gap = _fit(projectors, counts[None], max_iter)
+    mat = rho[0]
     return ReconstructionResult(
-        rho=DensityMatrix(rho),
-        log_likelihood=-float(res.fun),
-        iterations=int(res.nit),
-        converged=bool(res.success),
+        rho=DensityMatrix(mat),
+        log_likelihood=_log_likelihood(projectors, counts, mat),
+        iterations=int(iterations[0]),
+        converged=bool(gap[0] <= GAP_TOL * counts.sum()),
         method="mle",
-        min_eigenvalue=float(np.min(np.linalg.eigvalsh(rho))),
+        min_eigenvalue=float(np.min(np.linalg.eigvalsh(mat))),
+        certificate_gap=float(gap[0]),
     )
 
 
@@ -259,8 +258,7 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
     mat = require_valid_density(rho)
     records = []
     for pair, projectors in _PAIR_PROJECTORS.items():
-        probs = np.real(np.einsum("kij,ji->k", projectors, mat))
-        cells = [max(0.0, total_per_basis * float(p)) for p in probs]
+        cells = [max(0.0, total_per_basis * float(p)) for p in _probabilities(projectors, mat)]
         rec = CountRecord(
             setting=MeasurementSetting(0.0, 0.0),
             n_uu=cells[0],
@@ -288,63 +286,42 @@ class BootstrapErrors:
 def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) -> BootstrapErrors:
     """Multinomial bootstrap over per-basis counts, re-fitting with MLE.
 
-    Each resample runs on its own random substream keyed by the resample
-    index, so results do not depend on evaluation order.  Resamples whose
-    reconstruction fails or does not converge, or whose S_max certificate
-    fails, are skipped and counted in ``n_failed``.
+    Resample r redraws every basis's counts from its observed frequencies
+    on its own random substream keyed by r, so results do not depend on
+    evaluation order.  All resamples form one count table that a single
+    batched ``_fit`` reconstructs.  Resamples whose fit misses the
+    certificate tolerance, or whose derived figures fail (e.g. the S_max
+    certificate), are skipped and counted in ``n_failed``.
     """
     if n_resamples < 100:
         raise DataError(f"need at least 100 resamples, got {n_resamples}")
     _require_full_coverage(dataset)
-
-    totals = []
-    prob_rows = []
-    for _, _, rec in dataset.records:
-        total = int(round(rec.total))
-        if total <= 0:
-            raise DataError("cannot bootstrap a basis with zero coincidences")
-        totals.append(total)
-        prob_rows.append(rec.counts().astype(float) / float(rec.total))
+    projectors, counts = _design(dataset, require_counts=True)
+    cells = counts.reshape(-1, 4)
+    probs = cells / cells.sum(axis=1, keepdims=True)
+    totals = np.rint(cells.sum(axis=1)).astype(np.int64)
+    table = np.array(
+        [make_stream(seed, (r,)).multinomial(totals, probs) for r in range(n_resamples)],
+        dtype=float,
+    ).reshape(n_resamples, -1)
+    rho, _, gap = _fit(projectors, table, _MAX_ITER)
+    converged = gap <= GAP_TOL * table.sum(axis=1)
 
     samples: list[tuple[float, float, float, float, float]] = []
-    n_failed = 0
-    for r in range(n_resamples):
-        rng = make_stream(seed, (r,))
-        records = []
-        for (basis_a, basis_b, rec), total, probs in zip(dataset.records, totals, prob_rows):
-            cells = rng.multinomial(total, probs)
-            records.append(
-                (
-                    basis_a,
-                    basis_b,
-                    CountRecord(
-                        setting=rec.setting,
-                        n_uu=int(cells[0]),
-                        n_ud=int(cells[1]),
-                        n_du=int(cells[2]),
-                        n_dd=int(cells[3]),
-                        n_discarded=rec.n_discarded,
-                    ),
-                )
-            )
+    for mat in rho[converged]:
         try:
-            fit = mle_reconstruct(TomographyDataset(records=tuple(records)))
-            if not fit.converged:
-                n_failed += 1
-                continue
-            rho = fit.rho
-            _, e_n = log_negativity(rho)
+            _, e_n = log_negativity(mat)
             samples.append(
                 (
-                    fidelity_singlet(rho),
-                    concurrence(rho),
-                    entanglement_of_formation(rho),
+                    fidelity_singlet(mat),
+                    concurrence(mat),
+                    entanglement_of_formation(mat),
                     e_n,
-                    max_chsh_from_state(rho).s_value,
+                    max_chsh_from_state(mat).s_value,
                 )
             )
         except (DataError, ValidationError):
-            n_failed += 1
+            pass
     if len(samples) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")
     arr = np.array(samples)
@@ -356,5 +333,5 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
         sigma_log_negativity=float(sig[3]),
         sigma_s_max=float(sig[4]),
         n_resamples=n_resamples,
-        n_failed=n_failed,
+        n_failed=n_resamples - len(samples),
     )

@@ -23,6 +23,7 @@ from ces.config import (
 )
 from ces.errors import ConfigError
 from ces.pipeline import run_bell, run_rates, run_tomo
+from ces.tomography import GAP_TOL
 
 
 class TestLoadConfig:
@@ -188,6 +189,24 @@ class TestCliExitCodes:
         cfg.write_text('{"dt_us": NaN, "n_sequences": 1000}')
         assert cli.main(["tomo", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("grid", ["-1,2,4", "nan,2,4", "inf,2,4"])
+    def test_bad_dt_grid_is_2(self, tmp_path, capsys, grid):
+        code = cli.main(
+            ["sweep", "--trials", "2000", f"--dt-grid={grid}", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "--dt-grid[0]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_iter_below_one_is_2(self, tmp_path, capsys, cap):
+        code = cli.main(
+            ["tomo", "--trials", "2000", "--max-iter", cap, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "max_iter" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_data_error_is_3(self, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("dt_us,value,kind,sigma\n0.8,0.4,N,\n2.0,0.35,N,\n")
@@ -225,6 +244,9 @@ class TestCliExitCodes:
         assert code == 4
         # Outputs are still written for inspection.
         assert (tmp_path / "o" / "reconstruction.json").exists()
+        fit = json.loads((tmp_path / "o" / "reconstruction.json").read_text())["reconstruction"]
+        assert fit["iterations"] == 1 and not fit["converged"]
+        assert fit["certificate_gap"] > 0.0
 
     def test_bell_from_counts_csv(self, tmp_path, capsys):
         cfg = _fast_cfg()
@@ -341,6 +363,13 @@ class TestCliExitCodes:
         assert code == 0
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["metrics"]["concurrence"] == pytest.approx(0.8, abs=0.03)
+        gap = payload["reconstruction"]["certificate_gap"]
+        assert 0.0 <= gap <= GAP_TOL * ds.total_coincidences()
+
+        code = cli.main(["tomo", "--data", str(csv_path), "--method", "linear", "--out", str(out)])
+        assert code == 0
+        payload = json.loads((out / "reconstruction.json").read_text())
+        assert payload["reconstruction"]["certificate_gap"] is None
 
 
 @pytest.mark.parametrize(
@@ -348,14 +377,20 @@ class TestCliExitCodes:
     [
         "pass",
         "ces.measures.report(ces.qcore.DensityMatrix.from_ket(ces.qcore.SINGLET_KET))",
+        "ces.pipeline.run_tomo(ces.config.config_from_dict(dict(n_sequences=20000)), "
+        "out, bootstrap=100)",
     ],
-    ids=["import", "measures_report"],
+    ids=["import", "measures_report", "tomo_bootstrap"],
 )
-def test_import_leaves_scipy_optimize_unloaded(statement):
-    # Only the fitting routines need scipy.optimize; starting any command
-    # (ces bell, ces rates) or running ces measures must not pay for it.
+def test_import_leaves_scipy_optimize_unloaded(statement, tmp_path):
+    # Only the lifetime fit needs scipy.optimize; starting any command
+    # (ces bell, ces rates), running ces measures or a tomography run with
+    # its bootstrap must not pay for it.
     src = str(Path(ces.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = f"import sys, ces, ces.cli; {statement}; sys.exit('scipy.optimize' in sys.modules)"
+    code = (
+        f"import sys, ces, ces.cli; out = {str(tmp_path)!r}; {statement}; "
+        "sys.exit('scipy.optimize' in sys.modules)"
+    )
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ces import tomography
+from ces.config import load_config
 from ces.detection import (
     CountRecord,
     DetectorParams,
@@ -14,14 +16,15 @@ from ces.detection import (
     TomographyDataset,
     simulate_tomography_dataset,
 )
-from ces import tomography
 from ces.errors import DataError, ValidationError
-from ces.measures import fidelity_singlet
+from ces.measures import fidelity_singlet, log_negativity
+from ces.protocol import final_state
 from ces.qcore import trace_distance, validate_density
+from ces.rng import derive_seed, make_stream
 from ces.tomography import (
-    _lower_factor,
-    _neg_log_likelihood_and_grad,
-    _params_from_t,
+    GAP_TOL,
+    _design,
+    _linear_states,
     bootstrap_errors,
     exact_dataset,
     linear_inversion,
@@ -31,6 +34,144 @@ from ces.tomography import (
 from conftest import dephased_singlet, random_density, random_unitary, singlet_dm
 
 IDEAL = DetectorParams()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
+
+
+# The former maximum-likelihood fit, kept as the oracle for the RrhoR fit:
+# rho = T^dag T / tr(T^dag T) with a lower-triangular T, maximized by scipy
+# L-BFGS with an analytic gradient from the same start.
+
+# Lower-triangular parameter layout: 4 real diagonal entries followed by
+# (re, im) pairs for the strictly-lower entries in row-major order.
+_LOWER_INDICES = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+
+
+def _t_from_params(t: np.ndarray) -> np.ndarray:
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[np.diag_indices(4)] = t[:4]
+    for k, (r, c) in enumerate(_LOWER_INDICES):
+        mat[r, c] = t[4 + 2 * k] + 1j * t[5 + 2 * k]
+    return mat
+
+
+def _params_from_t(mat: np.ndarray) -> np.ndarray:
+    t = np.zeros(16)
+    t[:4] = np.real(np.diag(mat))
+    for k, (r, c) in enumerate(_LOWER_INDICES):
+        t[4 + 2 * k] = mat[r, c].real
+        t[5 + 2 * k] = mat[r, c].imag
+    return t
+
+
+def _lower_factor(rho: np.ndarray) -> np.ndarray:
+    """Lower-triangular T with T^dag T = rho (for positive-definite rho)."""
+    flip = np.eye(4)[::-1]
+    chol = np.linalg.cholesky(flip @ rho @ flip)
+    upper = flip @ chol @ flip
+    return upper.conj().T
+
+
+def _neg_log_likelihood_and_grad(t: np.ndarray, projectors: np.ndarray, counts: np.ndarray):
+    tmat = _t_from_params(t)
+    gram = tmat.conj().T @ tmat
+    norm = float(np.real(np.trace(gram)))
+    rho = gram / norm
+    probs = np.real(np.einsum("kij,ji->k", projectors, rho))
+    clipped = probs < 1e-12
+    safe = np.where(clipped, 1e-12, probs)
+    value = -float(np.sum(counts * np.log(safe)))
+
+    weights = np.where(clipped, 0.0, counts / safe)
+    g_op = np.einsum("k,kij->ij", weights, projectors)
+    scale = float(np.real(np.trace(rho @ g_op)))
+    w_mat = ((g_op - scale * np.eye(4)) @ tmat.conj().T) / norm
+    grad = np.zeros(16)
+    grad[:4] = 2.0 * np.real(np.diag(w_mat))
+    for k, (r, c) in enumerate(_LOWER_INDICES):
+        grad[4 + 2 * k] = 2.0 * w_mat[c, r].real
+        grad[5 + 2 * k] = -2.0 * w_mat[c, r].imag
+    return value, -grad
+
+
+def lbfgs_fit(projectors, counts, max_iter=10_000, gtol=1e-8, ftol=1e-12):
+    """Oracle MLE: returns (rho, log_likelihood, converged)."""
+    from scipy.optimize import minimize
+
+    start = project_psd(_linear_states(projectors, counts[None])[0])
+    start = 0.999999 * start + 1e-6 * np.eye(4) / 4.0  # keep the factor full-rank
+    res = minimize(
+        _neg_log_likelihood_and_grad,
+        _params_from_t(_lower_factor(start)),
+        args=(projectors, counts),
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": max_iter, "maxfun": 10 * max_iter, "gtol": gtol, "ftol": ftol},
+    )
+    tmat = _t_from_params(res.x)
+    gram = tmat.conj().T @ tmat
+    return gram / np.real(np.trace(gram)), -float(res.fun), bool(res.success)
+
+
+def log_likelihood(projectors, counts, rho) -> float:
+    probs = np.real(np.einsum("kij,ji->k", projectors, rho))
+    return float(np.sum(counts[counts > 0] * np.log(probs[counts > 0])))
+
+
+def recomputed_gap(projectors, counts, rho) -> float:
+    """lambda_max(sum_k n_k Pi_k / p_k) - N, from the fitted state alone."""
+    probs = np.real(np.einsum("kij,ji->k", projectors, rho))
+    used = counts > 0
+    r_op = np.einsum("k,kij->ij", counts[used] / probs[used], projectors[used])
+    return float(np.linalg.eigvalsh(r_op)[-1] - counts.sum())
+
+
+def dataset_from_row(template: TomographyDataset, row: np.ndarray) -> TomographyDataset:
+    cells = row.reshape(-1, 4).astype(int)
+    return TomographyDataset(
+        records=tuple(
+            (a, b, CountRecord(rec.setting, *(int(x) for x in c), n_discarded=rec.n_discarded))
+            for (a, b, rec), c in zip(template.records, cells)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def calibrated_bootstrap():
+    """A bootstrap of the calibrated tomography run, with the batched fit's
+    count table and result captured on the way."""
+    cfg = load_config(CONFIGS / "calibrated.json")
+    dataset = simulate_tomography_dataset(
+        final_state(cfg.noise, cfg.dt_us), cfg.n_sequences, cfg.detector,
+        derive_seed(cfg.seed, 1000),
+    )
+    captured = {}
+    real_fit = tomography._fit
+
+    def spy(projectors, counts, max_iter):
+        result = real_fit(projectors, counts, max_iter)
+        captured.update(projectors=projectors, table=counts, result=result)
+        return result
+
+    seed = derive_seed(cfg.seed, 2000)
+    tomography._fit = spy
+    try:
+        errs = bootstrap_errors(dataset, 100, seed)
+    finally:
+        tomography._fit = real_fit
+    return dataset, seed, errs, captured
+
+
+@pytest.fixture(scope="module")
+def sweep_datasets():
+    cfg = load_config(CONFIGS / "sweep.json")
+    return [
+        simulate_tomography_dataset(
+            final_state(cfg.noise, dt), cfg.n_sequences, cfg.detector,
+            derive_seed(cfg.seed, 3000 + i),
+        )
+        for i, dt in enumerate(SWEEP_GRID_US)
+    ]
 
 
 class TestLinearInversion:
@@ -107,9 +248,7 @@ class TestMleReconstruct:
     def test_gradient_matches_finite_differences(self, rng):
         # Oracle for the optimizer plumbing: central finite differences.
         ds = simulate_tomography_dataset(dephased_singlet(0.7), 5_000, IDEAL, seed=29)
-        from ces.tomography import _design
-
-        projectors, counts, _ = _design(ds, require_counts=True)
+        projectors, counts = _design(ds, require_counts=True)
         t0 = _params_from_t(_lower_factor(project_psd(random_density(rng, 4)) + 1e-3 * np.eye(4)))
         _, grad = _neg_log_likelihood_and_grad(t0, projectors, counts)
         eps = 1e-6
@@ -134,11 +273,9 @@ class TestOracleEquivalence:
             assert trace_distance(ml.rho, li.rho) < 1e-6
 
     def test_likelihood_at_optimum_dominates_projected_linear(self):
-        from ces.tomography import _design
-
         for seed in (31, 37, 41):
             ds = simulate_tomography_dataset(dephased_singlet(0.85), 3_000, IDEAL, seed=seed)
-            projectors, counts, _ = _design(ds, require_counts=True)
+            projectors, counts = _design(ds, require_counts=True)
 
             def log_like(mat):
                 probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), 1e-12, None)
@@ -147,6 +284,53 @@ class TestOracleEquivalence:
             li_projected = project_psd(linear_inversion(ds).rho.matrix)
             ml = mle_reconstruct(ds)
             assert ml.log_likelihood >= log_like(li_projected) - 1e-9
+
+
+    def test_matches_lbfgs_on_calibrated_resamples(self, calibrated_bootstrap):
+        *_, captured = calibrated_bootstrap
+        projectors, table = captured["projectors"], captured["table"]
+        rho, _, gap = captured["result"]
+        for r in range(25):
+            counts = table[r]
+            oracle_rho, oracle_ll, oracle_ok = lbfgs_fit(projectors, counts)
+            assert oracle_ok
+            assert gap[r] <= GAP_TOL * counts.sum()
+            assert log_likelihood(projectors, counts, rho[r]) >= oracle_ll - GAP_TOL * counts.sum()
+            assert abs(fidelity_singlet(rho[r]) - fidelity_singlet(oracle_rho)) <= 1e-5
+            assert abs(log_negativity(rho[r])[0] - log_negativity(oracle_rho)[0]) <= 1e-5
+
+    def test_matches_lbfgs_at_every_sweep_time(self, sweep_datasets):
+        for ds in sweep_datasets:
+            projectors, counts = _design(ds, require_counts=True)
+            fit = mle_reconstruct(ds)
+            oracle_rho, oracle_ll, oracle_ok = lbfgs_fit(projectors, counts)
+            assert fit.converged and oracle_ok
+            assert fit.log_likelihood >= oracle_ll - GAP_TOL * counts.sum()
+            assert abs(fidelity_singlet(fit.rho) - fidelity_singlet(oracle_rho)) <= 1e-5
+            assert abs(log_negativity(fit.rho)[0] - log_negativity(oracle_rho)[0]) <= 1e-5
+
+    def test_certificate_holds_for_returned_states(self, calibrated_bootstrap, sweep_datasets):
+        *_, captured = calibrated_bootstrap
+        projectors, table = captured["projectors"], captured["table"]
+        rho, _, gap = captured["result"]
+        assert np.all(gap <= GAP_TOL * table.sum(axis=1))
+        for counts, mat in zip(table, rho):
+            assert recomputed_gap(projectors, counts, mat) <= GAP_TOL * counts.sum()
+        for ds in sweep_datasets:
+            projectors, counts = _design(ds, require_counts=True)
+            fit = mle_reconstruct(ds)
+            assert fit.converged
+            gap = recomputed_gap(projectors, counts, fit.rho.matrix)
+            assert gap <= GAP_TOL * counts.sum()
+            assert gap == pytest.approx(fit.certificate_gap, rel=1e-6, abs=1e-9 * counts.sum())
+
+    def test_rank_three_state_on_the_boundary(self, rng):
+        for _ in range(5):
+            rho = random_density(rng, 4, rank=3)
+            fit = mle_reconstruct(exact_dataset(rho))
+            assert fit.converged
+            assert fit.min_eigenvalue >= -1e-9
+            assert trace_distance(fit.rho, rho) < 1e-6
 
 
 class TestBasisCovariance:
@@ -229,20 +413,21 @@ class TestBootstrap:
         assert sigma_large < sigma_small
 
     def test_unconverged_fits_counted_as_failed(self, dataset, monkeypatch):
-        fit = mle_reconstruct(dataset)
+        real_fit = tomography._fit
         calls = []
 
-        def every_fourth_unconverged(resampled):
-            calls.append(resampled)
-            return dataclasses.replace(fit, converged=len(calls) % 4 != 0)
+        def every_fourth_unconverged(projectors, counts, max_iter):
+            calls.append(counts)
+            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+            gap[3::4] = np.inf
+            return rho, iterations, gap
 
-        monkeypatch.setattr(tomography, "mle_reconstruct", every_fourth_unconverged)
+        monkeypatch.setattr(tomography, "_fit", every_fourth_unconverged)
         errs = bootstrap_errors(dataset, 100, seed=53)
-        assert len(calls) == 100
+        assert len(calls) == 1 and calls[0].shape == (100, 36)
         assert errs.n_failed == 25
 
     def test_failed_certificate_skips_only_its_resample(self, dataset, monkeypatch):
-        fit = mle_reconstruct(dataset)
         real_max_chsh = tomography.max_chsh_from_state
         calls = []
 
@@ -252,11 +437,25 @@ class TestBootstrap:
                 raise ValidationError("angle search missed the certificate")
             return real_max_chsh(rho)
 
-        monkeypatch.setattr(tomography, "mle_reconstruct", lambda resampled: fit)
         monkeypatch.setattr(tomography, "max_chsh_from_state", every_fifth_fails)
         errs = bootstrap_errors(dataset, 100, seed=53)
         assert len(calls) == 100
         assert errs.n_failed == 20
+
+    def test_resamples_are_per_basis_draws_on_keyed_streams(self, calibrated_bootstrap):
+        dataset, seed, _, captured = calibrated_bootstrap
+        for r in (0, 1, 57, 99):
+            rng = make_stream(seed, (r,))
+            draws = [rng.multinomial(int(rec.total), rec.counts() / rec.total)
+                     for _, _, rec in dataset.records]
+            np.testing.assert_array_equal(captured["table"][r], np.concatenate(draws))
+
+    def test_batch_matches_single_fits(self, calibrated_bootstrap):
+        dataset, _, _, captured = calibrated_bootstrap
+        rho = captured["result"][0]
+        for r in (0, 1, 57, 99):
+            single = mle_reconstruct(dataset_from_row(dataset, captured["table"][r]))
+            np.testing.assert_allclose(single.rho.matrix, rho[r], rtol=0, atol=1e-12)
 
     def test_too_few_resamples_rejected(self, dataset):
         with pytest.raises(DataError):
