@@ -34,6 +34,7 @@ from .pipeline import (
     run_sweep,
     run_tomo,
 )
+from .tomography import MAX_ITER
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mle", "linear"], default="mle")
     p.add_argument("--bootstrap", type=int, default=0, metavar="N", help="bootstrap resamples")
     p.add_argument(
-        "--max-iter", type=int, default=10_000, help="cap on MLE (R rho R) iterations, at least 1"
+        "--max-iter", type=int, default=MAX_ITER, help="cap on MLE (R rho R) iterations, at least 1"
     )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")
@@ -188,8 +189,8 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--dt-grid: {exc}") from exc
     grid = tuple(storage_time(f"--dt-grid[{i}]", x) for i, x in enumerate(values))
-    if len(grid) < 3:
-        raise ConfigError("--dt-grid needs at least 3 storage times")
+    if len(grid) < 3 or len(set(grid)) < 2:
+        raise ConfigError("--dt-grid needs at least 3 storage times, 2 of them distinct")
     out = run_sweep(cfg, args.out, dt_grid_us=grid, method=args.method)
     life = out["fit"]
     print(

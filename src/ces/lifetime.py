@@ -7,7 +7,6 @@ exactly via N = (2^EN - 1)/2 before fitting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +15,8 @@ from .errors import DataError
 
 KIND_NEGATIVITY = "N"
 KIND_LOG_NEGATIVITY = "EN"
+#: Points of the log-spaced tau scan that brackets the least-squares minimum.
+_SCAN_POINTS = 512
 
 
 @dataclass(frozen=True)
@@ -46,25 +47,23 @@ def _to_negativity(values: np.ndarray, kind) -> np.ndarray:
     return out
 
 
-def _initial_guess(dt: np.ndarray, n: np.ndarray) -> tuple[float, float]:
-    n0 = float(max(n.max(), 1e-6))
-    half = n0 / 2.0
-    below = np.nonzero(n <= half)[0]
-    if below.size:
-        dt_half = float(max(dt[below[0]], 1e-6))
-        tau = dt_half / math.sqrt(math.log(2.0))
-    else:
-        tau = float(max(dt.max(), 1.0)) * 2.0
-    return n0, tau
-
-
 def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit:
-    """Weighted nonlinear least squares of the Gaussian decay model.
+    """Weighted least squares of the Gaussian decay model, with N0 profiled out.
+
+    For a fixed tau the model is linear in N0, so N0(tau) has a closed form
+    (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)). The residual sum is scanned on a log-spaced tau grid, and
+    dRSS/dtau = 0 is bisected between the neighbours of the best grid point.
+    ``converged`` means that interior stationary point was found; it is false
+    when RSS still falls at the grid's end, 10^3 times the longest storage
+    time, because the data show no decay, or when RSS has no minimum that
+    the storage times resolve.
 
     Parameters
     ----------
     dt_us, values
-        Storage times (microseconds, >= 0) and the series values.
+        Storage times (microseconds, >= 0, at least two distinct) and the
+        series values.
     kind
         'N' for negativity or 'EN' for logarithmic negativity, scalar or
         per-point.
@@ -77,52 +76,53 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         raise DataError("dt_us and values must be 1-D arrays of equal length")
     if dt.size < 3:
         raise DataError(f"need at least 3 points to fit, got {dt.size}")
+    for name, column in (("dt_us", dt), ("value", vals)):
+        if not np.all(np.isfinite(column)):
+            raise DataError(f"{name} must be finite")
     if np.any(dt < 0.0):
         raise DataError("storage times must be >= 0")
+    if np.ptp(dt) == 0.0:
+        raise DataError("need at least two distinct storage times, one of them > 0")
     n = _to_negativity(vals, kind)
     if sigma is not None:
         w = np.asarray(sigma, dtype=float)
-        if w.shape != dt.shape or np.any(w <= 0.0):
-            raise DataError("sigma must match the data shape and be positive")
+        if w.shape != dt.shape or not np.all(np.isfinite(w) & (w > 0.0)):
+            raise DataError("sigma must match the data shape and be finite and positive")
     else:
         w = np.ones_like(dt)
 
-    def residuals(params):
-        n0, tau = params
-        return (n0 * np.exp(-((dt / tau) ** 2)) - n) / w
+    def profile(tau):
+        """N0(tau), the weighted residuals and their Jacobian in (N0, tau)."""
+        tau = np.asarray(tau)[..., None]
+        g = np.exp(-((dt / tau) ** 2)) / w
+        n0 = np.sum(g * n / w, axis=-1, keepdims=True) / np.sum(g * g, axis=-1, keepdims=True)
+        jac = np.stack([g, n0 * g * (2.0 * dt**2 / tau**3)], axis=-1)
+        return n0[..., 0], n0 * g - n / w, jac
 
-    def jacobian(params):
-        n0, tau = params
-        decay = np.exp(-((dt / tau) ** 2))
-        d_n0 = decay / w
-        d_tau = n0 * decay * (2.0 * dt**2 / tau**3) / w
-        return np.column_stack([d_n0, d_tau])
-
-    from scipy.optimize import least_squares  # lazy: importing it costs ~0.5 s
-
-    res = least_squares(
-        residuals,
-        x0=np.array(_initial_guess(dt, n)),
-        jac=jacobian,
-        xtol=1e-14,
-        ftol=1e-14,
-        gtol=1e-14,
-        max_nfev=2000,
-    )
-    n0, tau = (float(x) for x in res.x)
-    dof = max(1, dt.size - 2)
-    jtj = res.jac.T @ res.jac
+    # The sign of dRSS/dtau is that of residuals . d(residuals)/dtau.
+    taus = np.geomspace(dt[dt > 0.0].min() / 10.0, 1e3 * dt.max(), _SCAN_POINTS)
+    _, res, jac = profile(taus)
+    slope = np.sum(res * jac[..., 1], axis=-1)
+    k = int(np.argmin(np.sum(res * res, axis=-1)))
+    converged = bool(0 < k < taus.size - 1 and slope[k - 1] < 0.0 < slope[k + 1])
+    lo, hi = (taus[k - 1], taus[k + 1]) if converged else (taus[k], taus[k])
+    tau = 0.5 * (lo + hi)
+    while lo < tau < hi:
+        _, res, jac = profile(tau)
+        lo, hi = (tau, hi) if res @ jac[:, 1] < 0.0 else (lo, tau)
+        tau = 0.5 * (lo + hi)
+    n0, res, jac = profile(tau)
     try:
-        cov = np.linalg.inv(jtj)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
     if sigma is None:
-        cov = cov * float(res.fun @ res.fun) / dof
-    residual_rms = float(np.sqrt(np.mean((n0 * np.exp(-((dt / tau) ** 2)) - n) ** 2)))
+        cov = cov * float(res @ res) / max(1, dt.size - 2)
+    residual_rms = float(np.sqrt(np.mean((res * w) ** 2)))
     return LifetimeFit(
-        n0=n0,
-        tau_e_us=abs(tau),
+        n0=float(n0),
+        tau_e_us=float(tau),
         covariance=cov,
         residual_rms=residual_rms,
-        converged=bool(res.success),
+        converged=converged,
     )

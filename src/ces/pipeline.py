@@ -29,7 +29,7 @@ from .lifetime import fit_lifetime
 from .measures import log_negativity, report
 from .protocol import final_state, rate_budget
 from .rng import derive_seed
-from .tomography import bootstrap_errors, linear_inversion, mle_reconstruct
+from .tomography import MAX_ITER, bootstrap_errors, linear_inversion, mle_reconstruct
 
 DEFAULT_SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
@@ -136,11 +136,11 @@ def bell_payload(result, records) -> dict:
             {
                 "alpha_deg": rec.setting.alpha_deg,
                 "beta_deg": rec.setting.beta_deg,
-                "E": correlation_from_counts(rec).value,
-                "std_err": correlation_from_counts(rec).std_err,
+                "E": corr.value,
+                "std_err": corr.std_err,
                 "n": int(rec.total),
             }
-            for rec in records
+            for rec, corr in zip(records, map(correlation_from_counts, records))
         ],
     }
 
@@ -158,7 +158,7 @@ def run_tomo(
     out_dir,
     method: str = "mle",
     bootstrap: int = 0,
-    max_iter: int = 10_000,
+    max_iter: int = MAX_ITER,
     dataset=None,
 ) -> dict:
     """Nine-basis tomography pipeline ending in a reconstruction report.
@@ -220,7 +220,7 @@ def run_sweep(
         dataset = simulate_tomography_dataset(
             rho_true, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, 3000 + i)
         )
-        fit = _reconstruct(dataset, method, 10_000)
+        fit = _reconstruct(dataset, method, MAX_ITER)
         negativity, _ = log_negativity(fit.rho)
         rows.append((float(dt_us), negativity, "N", None))
 

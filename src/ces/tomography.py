@@ -46,7 +46,8 @@ _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
 #: N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
-_MAX_ITER = 10_000
+#: Default cap on RrhoR steps per MLE fit.
+MAX_ITER = 10_000
 _CANONICAL_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
 
 # Outcome order within a basis pair matches CountRecord cells.
@@ -226,7 +227,7 @@ def _require_full_coverage(dataset: TomographyDataset) -> None:
 
 
 def mle_reconstruct(
-    dataset: TomographyDataset, max_iter: int = _MAX_ITER
+    dataset: TomographyDataset, max_iter: int = MAX_ITER
 ) -> ReconstructionResult:
     """Maximum-likelihood reconstruction over physical density matrices.
 
@@ -304,7 +305,7 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
         [make_stream(seed, (r,)).multinomial(totals, probs) for r in range(n_resamples)],
         dtype=float,
     ).reshape(n_resamples, -1)
-    rho, _, gap = _fit(projectors, table, _MAX_ITER)
+    rho, _, gap = _fit(projectors, table, MAX_ITER)
     converged = gap <= GAP_TOL * table.sum(axis=1)
 
     samples: list[tuple[float, float, float, float, float]] = []

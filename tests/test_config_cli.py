@@ -198,6 +198,15 @@ class TestCliExitCodes:
         assert "--dt-grid[0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid", ["2,4", "1,1,1", "0,0,0"])
+    def test_dt_grid_without_two_distinct_times_is_2(self, tmp_path, capsys, grid):
+        code = cli.main(
+            ["sweep", "--trials", "2000", f"--dt-grid={grid}", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "--dt-grid needs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_max_iter_below_one_is_2(self, tmp_path, capsys, cap):
         code = cli.main(
@@ -212,6 +221,16 @@ class TestCliExitCodes:
         series.write_text("dt_us,value,kind,sigma\n0.8,0.4,N,\n2.0,0.35,N,\n")
         code = cli.main(["fit", str(series)])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        ("column", "row"),
+        [("dt_us", "nan,0.3,N,0.01"), ("value", "4.0,inf,N,0.01"), ("sigma", "4.0,0.3,N,nan")],
+    )
+    def test_non_finite_series_is_3(self, tmp_path, capsys, column, row):
+        series = tmp_path / "series.csv"
+        series.write_text(f"dt_us,value,kind,sigma\n0.8,0.4,N,0.01\n2.0,0.35,N,0.01\n{row}\n")
+        assert cli.main(["fit", str(series)]) == 3
+        assert column in capsys.readouterr().err
 
     def test_missing_input_file_is_3(self, tmp_path):
         assert cli.main(["fit", str(tmp_path / "missing.csv")]) == 3
@@ -247,6 +266,14 @@ class TestCliExitCodes:
         fit = json.loads((tmp_path / "o" / "reconstruction.json").read_text())["reconstruction"]
         assert fit["iterations"] == 1 and not fit["converged"]
         assert fit["certificate_gap"] > 0.0
+
+    def test_fit_without_decay_is_4(self, tmp_path):
+        series = tmp_path / "series.csv"
+        rows = "".join(f"{dt},{0.1 + 0.01 * dt!r},N,\n" for dt in (0.8, 2.0, 4.0, 6.0))
+        series.write_text("dt_us,value,kind,sigma\n" + rows)
+        assert cli.main(["fit", str(series), "--out", str(tmp_path / "o")]) == 4
+        payload = json.loads((tmp_path / "o" / "lifetime_fit.json").read_text())
+        assert payload["converged"] is False
 
     def test_bell_from_counts_csv(self, tmp_path, capsys):
         cfg = _fast_cfg()
@@ -372,6 +399,9 @@ class TestCliExitCodes:
         assert payload["reconstruction"]["certificate_gap"] is None
 
 
+_SERIES_CSV = "dt_us,value,kind,sigma\n0.8,0.39,N,\n2.0,0.35,N,\n4.0,0.23,N,\n6.0,0.08,N,\n"
+
+
 @pytest.mark.parametrize(
     "statement",
     [
@@ -379,18 +409,22 @@ class TestCliExitCodes:
         "ces.measures.report(ces.qcore.DensityMatrix.from_ket(ces.qcore.SINGLET_KET))",
         "ces.pipeline.run_tomo(ces.config.config_from_dict(dict(n_sequences=20000)), "
         "out, bootstrap=100)",
+        "assert ces.pipeline.run_sweep(ces.config.config_from_dict(dict(n_sequences=20000)), "
+        "out)['fit'].converged",
+        f"import pathlib; p = out + '/series.csv'; pathlib.Path(p).write_text({_SERIES_CSV!r}); "
+        "assert ces.cli.main(['fit', p]) == 0",
     ],
-    ids=["import", "measures_report", "tomo_bootstrap"],
+    ids=["import", "measures_report", "tomo_bootstrap", "sweep", "fit"],
 )
-def test_import_leaves_scipy_optimize_unloaded(statement, tmp_path):
-    # Only the lifetime fit needs scipy.optimize; starting any command
-    # (ces bell, ces rates), running ces measures or a tomography run with
-    # its bootstrap must not pay for it.
+def test_run_modes_load_no_scipy(statement, tmp_path):
+    # numpy is the only runtime dependency: starting any command, and
+    # running ces measures, a tomography with its bootstrap, a sweep or a
+    # lifetime fit, must load no scipy module.
     src = str(Path(ces.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (
         f"import sys, ces, ces.cli; out = {str(tmp_path)!r}; {statement}; "
-        "sys.exit('scipy.optimize' in sys.modules)"
+        "sys.exit(any(m.partition('.')[0] == 'scipy' for m in sys.modules))"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0
