@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import CountRecord, MeasurementSetting, outcome_probabilities
 from .errors import ConfigError, DataError, ValidationError
-from .qcore import correlation_matrix, require_valid_density
+from .qcore import correlation_matrix, require_valid_density, unstack
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -76,6 +76,17 @@ def _pick_record(records, alpha: float, beta: float) -> CountRecord:
     raise ConfigError(f"no count record for setting ({alpha} deg, {beta} deg)")
 
 
+def chsh_quad(settings) -> tuple[float, float, float, float] | None:
+    """(alpha, alpha', beta, beta') of four settings filling a 2x2 grid once
+    each, or None when the settings do not."""
+    alphas = sorted({s.alpha_deg for s in settings})
+    betas = sorted({s.beta_deg for s in settings})
+    cells = {(s.alpha_deg, s.beta_deg) for s in settings}
+    if len(alphas) != 2 or len(betas) != 2 or len(cells) != 4 or len(settings) != 4:
+        return None
+    return alphas[0], alphas[1], betas[0], betas[1]
+
+
 def chsh_from_counts(records, settings: tuple[float, float, float, float]) -> BellResult:
     """CHSH S from four records covering the (alpha, alpha') x (beta, beta') grid.
 
@@ -127,14 +138,26 @@ def _plane_chsh(s1: float, s2: float, th_a: float, th_ap: float):
     return s, th_b, th_bp
 
 
+def _principal_values(rho) -> np.ndarray:
+    """Singular values s1 >= s2 >= s3 of the correlation matrix (stacks too)."""
+    return np.linalg.svd(correlation_matrix(require_valid_density(rho)), compute_uv=False)
+
+
+def s_max(rho) -> float:
+    """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one state or a stack
+    (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson bound."""
+    s = _principal_values(rho)
+    value = 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
+    return unstack(np.minimum(value, TSIRELSON_BOUND + 1e-12))
+
+
 def max_chsh_from_state(rho) -> BellResult:
     """State-optimal CHSH value and a setting quad that attains it.
 
-    The value is the closed form 2 sqrt(u1 + u2) (Horodecki et al., PLA 200,
-    340 (1995)).  The quad puts the first arm at plane angles 0 and pi/2 and
-    the second arm along v(a') + v(a) and v(a') - v(a) (see
-    :func:`_plane_chsh`); the S it achieves is checked against the closed
-    form to 1e-6.
+    The value is :func:`s_max`.  The quad puts the first arm at plane
+    angles 0 and pi/2 and the second arm along v(a') + v(a) and
+    v(a') - v(a) (see :func:`_plane_chsh`); the S it achieves is checked
+    against the closed form to 1e-6.
 
     The returned angles are half the Bloch angles in the principal
     correlation plane, measured from the first principal axis, so they are
@@ -142,20 +165,17 @@ def max_chsh_from_state(rho) -> BellResult:
     (singlet, Werner states), where every plane is principal, is the quad
     the polarizer quad (0, 45, 22.5, 67.5) degrees.
     """
-    mat = require_valid_density(rho)
-    svals = np.linalg.svd(correlation_matrix(mat), compute_uv=False)
-    s1, s2 = float(svals[0]), float(svals[1])
-    s_max = 2.0 * math.sqrt(s1 * s1 + s2 * s2)
-
+    value = s_max(rho)
+    s1, s2, _ = (float(x) for x in _principal_values(rho))
     th_a, th_ap = 0.0, 0.5 * math.pi
     s_achieved, th_b, th_bp = _plane_chsh(s1, s2, th_a, th_ap)
-    if abs(s_achieved - s_max) > 1e-6:
+    if abs(s_achieved - value) > 1e-6:
         raise ValidationError(
-            f"closed-form settings reach S = {s_achieved}, certificate is {s_max}"
+            f"closed-form settings reach S = {s_achieved}, certificate is {value}"
         )
 
     def to_analyzer(th: float) -> float:
         return (math.degrees(th) / 2.0) % 180.0
 
     settings = (to_analyzer(th_a), to_analyzer(th_ap), to_analyzer(th_b), to_analyzer(th_bp))
-    return BellResult(s_value=min(s_max, TSIRELSON_BOUND + 1e-12), std_err=0.0, settings=settings)
+    return BellResult(s_value=value, std_err=0.0, settings=settings)

@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bell import chsh_from_counts
+from .bell import chsh_from_counts, chsh_quad
 from .config import ExperimentConfig, config_from_dict, load_config, storage_time
 from .errors import ConfigError, DataError, DimensionError, ValidationError
 from .fileio import (
@@ -117,11 +117,10 @@ def _cmd_bell(args) -> int:
     cfg = _config_from_args(args)
     if args.data:
         records = read_counts_csv(args.data)
-        alphas = sorted({r.setting.alpha_deg for r in records})
-        betas = sorted({r.setting.beta_deg for r in records})
-        if len(alphas) != 2 or len(betas) != 2:
-            raise DataError(f"{args.data}: counts must cover a 2x2 setting grid")
-        result = chsh_from_counts(records, (alphas[0], alphas[1], betas[0], betas[1]))
+        quad = chsh_quad([r.setting for r in records])
+        if quad is None:
+            raise DataError(f"{args.data}: counts need one record per setting of a 2x2 grid")
+        result = chsh_from_counts(records, quad)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         write_json(out_dir / "bell.json", bell_payload(result, records))

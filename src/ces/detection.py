@@ -56,7 +56,7 @@ from .qcore import (
     KET_L,
     KET_R,
     KET_V,
-    as_matrix,
+    born_probabilities,
     require_valid_density,
     tensor,
 )
@@ -183,25 +183,21 @@ def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, floa
     return tuple(float(x) for x in table.reshape(-1))
 
 
+def pair_projectors(projs_1, projs_2) -> np.ndarray:
+    """Read-only (4, 4, 4) block of P_i x Q_j in (uu, ud, du, dd) order, the
+    CountRecord cell order, for photon 1 analyzed by projs_1."""
+    block = np.array([tensor(p, q) for p in projs_1 for q in projs_2])
+    block.setflags(write=False)
+    return block
+
+
 def _joint_table(mat: np.ndarray, projs_1, projs_2) -> np.ndarray:
     """2x2 table of tr(rho (P_i x Q_j)), clipped to non-negative."""
-    table = np.empty((2, 2))
-    for i, j in product(range(2), range(2)):
-        table[i, j] = float(np.real(np.trace(mat @ tensor(projs_1[i], projs_2[j]))))
-    table = np.clip(table, 0.0, None)
+    table = np.clip(born_probabilities(pair_projectors(projs_1, projs_2), mat), 0.0, None)
     total = table.sum()
     if not math.isclose(total, 1.0, abs_tol=1e-8):
         raise ValidationError(f"outcome probabilities sum to {total}, expected 1")
-    return table / total
-
-
-def _marginal(mat: np.ndarray, projs) -> np.ndarray:
-    """Photon-1 port marginal tr(rho (P_j x I))."""
-    m = np.array(
-        [float(np.real(np.trace(mat @ tensor(projs[j], IDENTITY_2)))) for j in range(2)]
-    )
-    m = np.clip(m, 0.0, None)
-    return m / m.sum()
+    return (table / total).reshape(2, 2)
 
 
 def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams) -> np.ndarray:
@@ -210,7 +206,9 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
     Sums the event model over its branches: each different-arm assignment
     (probability 1/4), photon 2 inside the window either clean or
     late-depolarized, both photons detected, and each recorded port mixed
-    with a uniform one by a dark count.
+    with a uniform one by a dark count.  Both analyzers' port projectors
+    sum to the identity, so photon 1's marginal is a row sum of the joint
+    table.
     """
     late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
     clean = det.window_fraction - late
@@ -218,8 +216,8 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
 
     def photon_table(projs_1, projs_2):
         """Recorded (j1, j2) probabilities with photon 1 analyzed by projs_1."""
-        table = clean * _joint_table(mat, projs_1, projs_2)
-        table += late * np.outer(_marginal(mat, projs_1), [0.5, 0.5])
+        joint = _joint_table(mat, projs_1, projs_2)
+        table = clean * joint + late * np.outer(joint.sum(axis=1), [0.5, 0.5])
         return dark @ table @ dark
 
     # With photon 1 at arm B the arm-indexed cell (port_a, port_b) is (j2, j1).

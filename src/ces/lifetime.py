@@ -83,7 +83,10 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         raise DataError("storage times must be >= 0")
     if np.ptp(dt) == 0.0:
         raise DataError("need at least two distinct storage times, one of them > 0")
-    n = _to_negativity(vals, kind)
+    with np.errstate(over="ignore"):
+        n = _to_negativity(vals, kind)
+    if not np.all(np.isfinite(n)):
+        raise DataError("value: an EN entry overflows when converted to negativity")
     if sigma is not None:
         w = np.asarray(sigma, dtype=float)
         if w.shape != dt.shape or not np.all(np.isfinite(w) & (w > 0.0)):

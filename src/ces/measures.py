@@ -1,4 +1,8 @@
-"""Entanglement figures of merit for two-qubit density matrices."""
+"""Entanglement figures of merit for two-qubit density matrices.
+
+Every function takes one state, shape (4, 4), or a stack of states, shape
+(B, 4, 4).  One state gives Python floats; a stack gives arrays over it.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import max_chsh_from_state
+from .bell import s_max
 from .qcore import (
     SINGLET_KET,
     partial_transpose,
     require_valid_density,
     tensor,
+    unstack,
 )
 
 # Spin-flip Pauli for the concurrence: the standard y matrix written in the
@@ -20,11 +25,16 @@ from .qcore import (
 # (This is not the same operator as the polarization-frame sigma_y, whose
 # eigenbasis R/L coincides with the computational one.)
 _FLIP_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SPIN_FLIP = tensor(_FLIP_Y, _FLIP_Y)
+
+# math.log2 elementwise: numpy's SIMD log2 can differ from the C library's in
+# the last bit, depending on the CPU features numpy dispatches to.
+_log2 = np.vectorize(math.log2, otypes=[float])
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """All measures evaluated on the same state."""
+    """All measures evaluated on the same state (or arrays over a stack)."""
 
     fidelity_singlet: float
     concurrence: float
@@ -37,8 +47,7 @@ class EntanglementReport:
 def fidelity_singlet(rho) -> float:
     """Overlap <Psi-|rho|Psi-> with the two-photon singlet."""
     mat = require_valid_density(rho)
-    value = float(np.real(SINGLET_KET.conj() @ mat @ SINGLET_KET))
-    return min(max(value, 0.0), 1.0)
+    return unstack(np.clip(np.real(SINGLET_KET.conj() @ mat @ SINGLET_KET), 0.0, 1.0))
 
 
 def concurrence(rho) -> float:
@@ -51,17 +60,10 @@ def concurrence(rho) -> float:
     which avoids square-rooting noisy zero eigenvalues of the product.
     """
     mat = require_valid_density(rho)
-    flip = tensor(_FLIP_Y, _FLIP_Y)
     w, v = np.linalg.eigh(mat)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lams = np.linalg.svd(root @ flip @ root.conj(), compute_uv=False)
-    return float(max(0.0, lams[0] - lams[1] - lams[2] - lams[3]))
-
-
-def _binary_entropy(x: float) -> float:
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    lams = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+    return unstack(np.maximum(0.0, lams[..., 0] - lams[..., 1] - lams[..., 2] - lams[..., 3]))
 
 
 def entanglement_of_formation(rho) -> float:
@@ -69,9 +71,13 @@ def entanglement_of_formation(rho) -> float:
     return eof_from_concurrence(concurrence(rho))
 
 
-def eof_from_concurrence(c: float) -> float:
-    c = min(max(c, 0.0), 1.0)
-    return _binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+def eof_from_concurrence(c) -> float:
+    """E_F from the concurrence: the binary entropy h(x) at x = (1 + sqrt(1 - C^2))/2."""
+    c = np.clip(c, 0.0, 1.0)
+    x = 0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c)))
+    zero = x >= 1.0  # C = 0: h(1) = 0, but log2(1 - x) is undefined there
+    y = np.where(zero, 0.5, 1.0 - x)
+    return unstack(np.where(zero, 0.0, -x * _log2(x) - y * _log2(y)))
 
 
 def log_negativity(rho) -> tuple[float, float]:
@@ -82,18 +88,19 @@ def log_negativity(rho) -> tuple[float, float]:
     """
     mat = require_valid_density(rho)
     eigs = np.linalg.eigvalsh(partial_transpose(mat, 1))
-    negativity = float(-np.sum(eigs[eigs < 0.0]))
-    return negativity, math.log2(2.0 * negativity + 1.0)
+    negativity = -np.sum(np.minimum(eigs, 0.0), axis=-1)
+    return unstack(negativity), unstack(_log2(2.0 * negativity + 1.0))
 
 
 def report(rho) -> EntanglementReport:
     """Evaluate every measure, including the inferred CHSH maximum."""
+    c = concurrence(rho)
     negativity, e_n = log_negativity(rho)
     return EntanglementReport(
         fidelity_singlet=fidelity_singlet(rho),
-        concurrence=concurrence(rho),
-        eof=entanglement_of_formation(rho),
+        concurrence=c,
+        eof=eof_from_concurrence(c),
         negativity=negativity,
         log_negativity=e_n,
-        s_max=max_chsh_from_state(rho).s_value,
+        s_max=s_max(rho),
     )

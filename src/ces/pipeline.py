@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bell import analytic_chsh, chsh_from_counts, correlation_from_counts
+from .bell import analytic_chsh, chsh_from_counts, chsh_quad, correlation_from_counts
 from .config import ExperimentConfig, config_hash
 from .detection import simulate_counts, simulate_tomography_dataset
 from .errors import ConfigError
@@ -76,17 +76,6 @@ def _prepare_out(out_dir) -> Path:
     return path
 
 
-def _chsh_quad(cfg: ExperimentConfig) -> tuple[float, float, float, float]:
-    """Derive (alpha, alpha', beta, beta') from the configured settings."""
-    alphas = sorted({s.alpha_deg for s in cfg.settings})
-    betas = sorted({s.beta_deg for s in cfg.settings})
-    if len(alphas) != 2 or len(betas) != 2 or len(cfg.settings) != 4:
-        raise ConfigError(
-            "bell mode needs exactly 4 settings forming a 2x2 (alpha, beta) grid"
-        )
-    return alphas[0], alphas[1], betas[0], betas[1]
-
-
 def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     """Simulate coincidence counts at every configured setting."""
     out = _prepare_out(out_dir)
@@ -107,7 +96,9 @@ def run_bell(cfg: ExperimentConfig, out_dir) -> dict:
     """Full Bell-test pipeline: state, counts at 4 settings, CHSH JSON."""
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
-    quad = _chsh_quad(cfg)
+    quad = chsh_quad(cfg.settings)
+    if quad is None:
+        raise ConfigError("bell mode needs 4 settings, one per cell of a 2x2 (alpha, beta) grid")
     rho = final_state(cfg.noise, cfg.dt_us)
     records = [
         simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))

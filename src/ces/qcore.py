@@ -166,15 +166,21 @@ class DensityMatrix:
 
 
 def as_matrix(rho) -> np.ndarray:
-    """Coerce a DensityMatrix, StateVector, or array into a square ndarray."""
+    """Coerce a DensityMatrix, StateVector, or array into a square ndarray,
+    or a stack of them (shape (..., n, n))."""
     if isinstance(rho, DensityMatrix):
         return rho.matrix
     if isinstance(rho, StateVector):
         return rho.density().matrix
     arr = np.asarray(rho, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {arr.shape}")
     return arr
+
+
+def unstack(values):
+    """A Python scalar for the 0-d result of one state; a stack's array as is."""
+    return values.item() if np.ndim(values) == 0 else values
 
 
 def tensor(a, b) -> np.ndarray:
@@ -184,23 +190,20 @@ def tensor(a, b) -> np.ndarray:
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit operator.
+    """Transpose one tensor factor of a two-qubit operator or of a stack of them.
 
     The result is Hermitian and trace-preserving but may be non-positive;
     its negative eigenvalues feed the negativity.  Only dim-4 (qubit x qubit)
     operators are supported.
     """
     mat = as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise DimensionError(f"partial transpose requires a 4x4 matrix, got {mat.shape}")
+    if mat.shape[-2:] != (4, 4):
+        raise DimensionError(f"partial transpose requires 4x4 matrices, got {mat.shape}")
     if subsystem not in (0, 1):
         raise DimensionError(f"subsystem must be 0 or 1, got {subsystem}")
-    blocks = mat.reshape(2, 2, 2, 2)  # (row A, row B, col A, col B)
-    if subsystem == 0:
-        out = blocks.transpose(2, 1, 0, 3)
-    else:
-        out = blocks.transpose(0, 3, 2, 1)
-    return out.reshape(4, 4)
+    blocks = mat.reshape(*mat.shape[:-2], 2, 2, 2, 2)  # (row A, row B, col A, col B)
+    out = blocks.swapaxes(-4, -2) if subsystem == 0 else blocks.swapaxes(-3, -1)
+    return out.reshape(mat.shape)
 
 
 def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
@@ -209,10 +212,9 @@ def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] = (2, 2)) ->
     ``dims`` gives the (dim A, dim B) factorization; two qubits by default.
     """
     mat = as_matrix(rho)
-    d = mat.shape[0]
     da, db = dims
-    if da * db != d:
-        raise DimensionError(f"split {dims} does not factor dim {d}")
+    if mat.shape != (da * db, da * db):
+        raise DimensionError(f"split {dims} does not factor shape {mat.shape}")
     if traced_subsystem not in (0, 1):
         raise DimensionError(f"traced_subsystem must be 0 or 1, got {traced_subsystem}")
     blocks = mat.reshape(da, db, da, db)
@@ -225,7 +227,8 @@ def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] = (2, 2)) ->
 
 @dataclass(frozen=True)
 class DensityDiagnostics:
-    """Report produced by :func:`validate_density`."""
+    """Report produced by :func:`validate_density`: scalars for one matrix,
+    arrays over a stack."""
 
     hermiticity_defect: float
     trace_defect: float
@@ -236,7 +239,7 @@ class DensityDiagnostics:
 
     @property
     def passed(self) -> bool:
-        return self.hermitian_ok and self.trace_ok and self.psd_ok
+        return self.hermitian_ok & self.trace_ok & self.psd_ok
 
     def describe(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -248,14 +251,15 @@ class DensityDiagnostics:
 
 
 def validate_density(rho) -> DensityDiagnostics:
-    """Diagnose how far a matrix is from being a valid density operator."""
+    """Diagnose how far a matrix (or each of a stack) is from being a valid
+    density operator."""
     mat = as_matrix(rho)
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    tr = float(abs(np.trace(mat) - 1.0))
+    adjoint = np.swapaxes(mat.conj(), -1, -2)
+    herm = unstack(np.max(np.abs(mat - adjoint), axis=(-2, -1)))
+    tr = unstack(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0))
     # Eigenvalues of the Hermitian part; for near-Hermitian input this is the
     # spectrum up to the reported defect.
-    sym = 0.5 * (mat + mat.conj().T)
-    min_eig = float(np.min(np.linalg.eigvalsh(sym)))
+    min_eig = unstack(np.min(np.linalg.eigvalsh(0.5 * (mat + adjoint)), axis=-1))
     return DensityDiagnostics(
         hermiticity_defect=herm,
         trace_defect=tr,
@@ -267,28 +271,48 @@ def validate_density(rho) -> DensityDiagnostics:
 
 
 def require_valid_density(rho) -> np.ndarray:
-    """Return the underlying matrix, raising ValidationError if unphysical."""
-    diag = validate_density(rho)
-    if not diag.passed:
-        raise ValidationError(f"invalid density matrix ({diag.describe()})")
-    return as_matrix(rho)
+    """Return the underlying matrix or stack, raising ValidationError if any
+    matrix is unphysical (a stack's message names the first failing row)."""
+    mat = as_matrix(rho)
+    passed = np.reshape(validate_density(mat).passed, -1)
+    if not passed.all():
+        row = int(np.argmin(passed))
+        where = "" if mat.ndim == 2 else f" at row {row}"
+        diag = validate_density(mat.reshape(-1, *mat.shape[-2:])[row])
+        raise ValidationError(f"invalid density matrix{where} ({diag.describe()})")
+    return mat
 
 
 def trace_distance(a, b) -> float:
-    """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices."""
+    """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices (or stacks)."""
     diff = as_matrix(a) - as_matrix(b)
-    eigs = np.linalg.eigvalsh(0.5 * (diff + diff.conj().T))
-    return float(0.5 * np.sum(np.abs(eigs)))
+    eigs = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff.conj(), -1, -2)))
+    return unstack(0.5 * np.sum(np.abs(eigs), axis=-1))
 
 
 def correlation_matrix(rho) -> np.ndarray:
     """3x3 two-qubit correlation matrix T_kl = tr(rho sigma_k x sigma_l).
 
     Pauli axes follow the polarization Bloch frame (x = D/A, y = R/L,
-    z = H/V).
+    z = H/V).  A stack of states gives a stack of matrices.
     """
     mat = as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise DimensionError(f"correlation matrix requires a 4x4 state, got {mat.shape}")
-    expectations = np.real(np.einsum("mij,ji->m", PAULI_PRODUCTS, mat)).reshape(4, 4)
-    return expectations[1:, 1:]
+    if mat.shape[-2:] != (4, 4):
+        raise DimensionError(f"correlation matrix requires 4x4 states, got {mat.shape}")
+    expectations = np.real(np.einsum("mij,...ji->...m", PAULI_PRODUCTS, mat))
+    return expectations.reshape(*mat.shape[:-2], 4, 4)[..., 1:, 1:]
+
+
+def flatten_real(a: np.ndarray) -> np.ndarray:
+    """Real view (..., 32) of 4x4 complex matrices, real and imaginary parts interleaved."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    return a.view(float).reshape(*a.shape[:-2], 32)
+
+
+def born_probabilities(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born probabilities tr(rho Pi_k), shape (..., K) for rho of shape (..., 4, 4).
+
+    For Hermitian Pi_k, tr(rho Pi_k) = sum_ij Re(rho_ij conj(Pi_k,ij)): one
+    real matrix product of the flattened matrices.
+    """
+    return flatten_real(rho) @ flatten_real(projectors).T

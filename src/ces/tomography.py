@@ -14,32 +14,37 @@ bootstrap resamples) are fitted as one batch.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors (36 total).  Error bars on derived quantities come from
-multinomial bootstrap resampling of the per-basis counts.
+multinomial bootstrap resampling of the per-basis counts: the resamples
+are fitted as one batch, and one ``measures.report`` call evaluates the
+figures on the stack of kept states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
 
-from .bell import max_chsh_from_state
 from .detection import (
     BASIS_LABELS,
     CountRecord,
     MeasurementSetting,
     TomographyDataset,
     basis_projectors,
+    pair_projectors,
 )
-from .errors import DataError, ValidationError
-from .measures import (
-    concurrence,
-    entanglement_of_formation,
-    fidelity_singlet,
-    log_negativity,
+from .errors import DataError
+from .measures import report
+from .qcore import (
+    MIN_EIGENVALUE_TOL,
+    PAULI_PRODUCTS,
+    DensityMatrix,
+    born_probabilities,
+    flatten_real,
+    require_valid_density,
+    validate_density,
 )
-from .qcore import PAULI_PRODUCTS, DensityMatrix, require_valid_density, tensor
 from .rng import make_stream
 
 _PROB_FLOOR = 1e-12
@@ -49,9 +54,6 @@ GAP_TOL = 1e-8
 #: Default cap on RrhoR steps per MLE fit.
 MAX_ITER = 10_000
 _CANONICAL_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
-
-# Outcome order within a basis pair matches CountRecord cells.
-_OUTCOME_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -68,19 +70,11 @@ class ReconstructionResult:
 
     @property
     def psd_ok(self) -> bool:
-        return self.min_eigenvalue >= -1e-9
-
-
-def _pair_projectors(basis_a: str, basis_b: str) -> np.ndarray:
-    pa = basis_projectors(basis_a)
-    pb = basis_projectors(basis_b)
-    block = np.array([tensor(pa[i], pb[j]) for i, j in _OUTCOME_ORDER])
-    block.setflags(write=False)
-    return block
+        return self.min_eigenvalue >= MIN_EIGENVALUE_TOL
 
 
 # (4, 4, 4) port-projector block of each of the nine basis pairs, built once.
-_PAIR_PROJECTORS = {pair: _pair_projectors(*pair) for pair in _CANONICAL_PAIRS}
+_PAIR_PROJECTORS = {p: pair_projectors(*map(basis_projectors, p)) for p in _CANONICAL_PAIRS}
 
 
 def _design(dataset: TomographyDataset, require_counts: bool):
@@ -109,23 +103,8 @@ def _design(dataset: TomographyDataset, require_counts: bool):
     return np.concatenate(projectors), np.concatenate(counts)
 
 
-def _flat(a: np.ndarray) -> np.ndarray:
-    """Real view (..., 32) of 4x4 complex matrices, real and imaginary parts interleaved."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    return a.view(float).reshape(*a.shape[:-2], 32)
-
-
-def _probabilities(projectors: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Born probabilities tr(rho Pi_k), shape (..., K) for rho of shape (..., 4, 4).
-
-    For Hermitian Pi_k, tr(rho Pi_k) = sum_ij Re(rho_ij conj(Pi_k,ij)): one
-    real matrix product of the flattened matrices.
-    """
-    return _flat(rho) @ _flat(projectors).T
-
-
 def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
-    probs = np.clip(_probabilities(projectors, rho), _PROB_FLOOR, None)
+    probs = np.clip(born_probabilities(projectors, rho), _PROB_FLOOR, None)
     return float(np.sum(counts * np.log(probs)))
 
 
@@ -196,14 +175,14 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     each row.
     """
     rho = 0.999999 * project_psd(_linear_states(projectors, counts)) + 1e-6 * np.eye(4) / 4.0
-    flat = _flat(projectors)
+    flat = flatten_real(projectors)
     tol = GAP_TOL * counts.sum(axis=1)
     iterations = np.zeros(len(counts), dtype=int)
     gap = np.empty(len(counts))
     active = np.arange(len(counts))
     for step in range(max_iter + 1):
         n = counts[active]
-        probs = _probabilities(projectors, rho[active])
+        probs = born_probabilities(projectors, rho[active])
         weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
         r_op = (weights @ flat).view(complex).reshape(-1, 4, 4)
         gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
@@ -259,15 +238,8 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
     mat = require_valid_density(rho)
     records = []
     for pair, projectors in _PAIR_PROJECTORS.items():
-        cells = [max(0.0, total_per_basis * float(p)) for p in _probabilities(projectors, mat)]
-        rec = CountRecord(
-            setting=MeasurementSetting(0.0, 0.0),
-            n_uu=cells[0],
-            n_ud=cells[1],
-            n_du=cells[2],
-            n_dd=cells[3],
-        )
-        records.append((*pair, rec))
+        cells = [max(0.0, total_per_basis * float(p)) for p in born_probabilities(projectors, mat)]
+        records.append((*pair, CountRecord(MeasurementSetting(0.0, 0.0), *cells)))
     return TomographyDataset(records=tuple(records))
 
 
@@ -290,9 +262,10 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
     Resample r redraws every basis's counts from its observed frequencies
     on its own random substream keyed by r, so results do not depend on
     evaluation order.  All resamples form one count table that a single
-    batched ``_fit`` reconstructs.  Resamples whose fit misses the
-    certificate tolerance, or whose derived figures fail (e.g. the S_max
-    certificate), are skipped and counted in ``n_failed``.
+    batched ``_fit`` reconstructs.  The resamples whose fit meets the
+    certificate tolerance and is a valid density matrix are kept, and one
+    ``report`` call evaluates the figures on all of them; every other
+    resample is counted in ``n_failed``.
     """
     if n_resamples < 100:
         raise DataError(f"need at least 100 resamples, got {n_resamples}")
@@ -306,33 +279,16 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
         dtype=float,
     ).reshape(n_resamples, -1)
     rho, _, gap = _fit(projectors, table, MAX_ITER)
-    converged = gap <= GAP_TOL * table.sum(axis=1)
-
-    samples: list[tuple[float, float, float, float, float]] = []
-    for mat in rho[converged]:
-        try:
-            _, e_n = log_negativity(mat)
-            samples.append(
-                (
-                    fidelity_singlet(mat),
-                    concurrence(mat),
-                    entanglement_of_formation(mat),
-                    e_n,
-                    max_chsh_from_state(mat).s_value,
-                )
-            )
-        except (DataError, ValidationError):
-            pass
-    if len(samples) < 2:
+    kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
+    if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")
-    arr = np.array(samples)
-    sig = arr.std(axis=0, ddof=1)
+    sigma = {name: float(np.std(v, ddof=1)) for name, v in asdict(report(kept)).items()}
     return BootstrapErrors(
-        sigma_fidelity=float(sig[0]),
-        sigma_concurrence=float(sig[1]),
-        sigma_eof=float(sig[2]),
-        sigma_log_negativity=float(sig[3]),
-        sigma_s_max=float(sig[4]),
+        sigma_fidelity=sigma["fidelity_singlet"],
+        sigma_concurrence=sigma["concurrence"],
+        sigma_eof=sigma["eof"],
+        sigma_log_negativity=sigma["log_negativity"],
+        sigma_s_max=sigma["s_max"],
         n_resamples=n_resamples,
-        n_failed=n_resamples - len(samples),
+        n_failed=n_resamples - len(kept),
     )

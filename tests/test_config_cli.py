@@ -288,6 +288,25 @@ class TestCliExitCodes:
             json.loads((tmp_path / "sim" / "bell.json").read_text())["S"]
         )
 
+    @pytest.mark.parametrize("rows", [slice(0, 3), [0, 1, 2, 3, 3]])
+    def test_bell_csv_without_one_record_per_setting_is_3(self, tmp_path, capsys, rows):
+        run_bell(_fast_cfg(), tmp_path / "sim")
+        header, *records = (tmp_path / "sim" / "counts.csv").read_text().splitlines()
+        csv_path = tmp_path / "counts.csv"
+        picked = records[rows] if isinstance(rows, slice) else [records[i] for i in rows]
+        csv_path.write_text("\n".join([header, *picked]) + "\n")
+        code = cli.main(["bell", "--data", str(csv_path), "--out", str(tmp_path / "an")])
+        assert code == 3
+        assert str(csv_path) in capsys.readouterr().err
+        assert not (tmp_path / "an" / "bell.json").exists()
+
+    def test_log_negativity_overflow_is_3(self, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("dt_us,value,kind,sigma\n0.8,2000,EN,\n2,0.3,EN,\n4,0.2,EN,\n6,0.1,EN,\n")
+        assert cli.main(["fit", str(series), "--out", str(tmp_path / "o")]) == 3
+        assert "value" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "lifetime_fit.json").exists()
+
     def test_measures_subcommand(self, tmp_path, capsys):
         from ces.fileio import write_json
         from ces.qcore import DensityMatrix, SINGLET_KET

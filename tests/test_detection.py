@@ -20,6 +20,7 @@ from ces.detection import (
     analyzer_projectors,
     basis_projectors,
     outcome_probabilities,
+    pair_projectors,
     simulate_counts,
     simulate_tomography_dataset,
 )
@@ -97,6 +98,16 @@ class TestAnalyzerProjectors:
         assert np.real(np.trace(p_up)) == pytest.approx(1.0, abs=1e-12)
         assert np.real(np.trace(p_down)) == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(p_up @ p_down)) <= 1e-12
+
+
+class TestPairProjectors:
+    def test_cells_in_count_record_order(self):
+        projs_1, projs_2 = analyzer_projectors(17.0), basis_projectors("RL")
+        block = pair_projectors(projs_1, projs_2)
+        for cell, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            np.testing.assert_array_equal(block[cell], np.kron(projs_1[i], projs_2[j]))
+        np.testing.assert_allclose(block.sum(axis=0), np.eye(4), atol=1e-15)
+        assert not block.flags.writeable
 
 
 class TestOutcomeProbabilities:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from ces.bell import s_max
+from ces.errors import ValidationError
 from ces.measures import (
     concurrence,
     entanglement_of_formation,
@@ -175,3 +178,42 @@ class TestLocalUnitaryInvariance:
             assert fidelity_singlet(u @ rho @ u.conj().T) == pytest.approx(
                 fidelity_singlet(rho), abs=1e-10
             )
+
+
+class TestStacks:
+    @staticmethod
+    def states(rng) -> np.ndarray:
+        """Random full-rank, rank-deficient, separable and singlet states."""
+        return np.array(
+            [random_density(rng, 4) for _ in range(4)]
+            + [random_density(rng, 4, rank=r) for r in (1, 2, 3)]
+            + [tensor(random_density(rng, 2), random_density(rng, 2)) for _ in range(2)]
+            + [singlet_dm(), werner(0.3), np.eye(4) / 4.0]
+        )
+
+    def test_report_on_stack_matches_per_state(self, rng):
+        stack = self.states(rng)
+        batched = asdict(report(stack))
+        for i, rho in enumerate(stack):
+            for name, value in asdict(report(rho)).items():
+                assert batched[name].shape == (len(stack),)
+                assert batched[name][i] == pytest.approx(value, rel=0, abs=1e-12), (i, name)
+
+    def test_single_state_gives_python_floats(self, rng):
+        rho = random_density(rng, 4)
+        values = [
+            fidelity_singlet(rho),
+            concurrence(rho),
+            entanglement_of_formation(rho),
+            eof_from_concurrence(0.5),
+            *log_negativity(rho),
+            s_max(rho),
+            *asdict(report(rho)).values(),
+        ]
+        assert all(type(v) is float for v in values)
+
+    def test_invalid_row_of_a_stack_is_named(self, rng):
+        stack = self.states(rng)
+        stack[5] *= 1.1
+        with pytest.raises(ValidationError, match="at row 5 .*trace defect 1.00e-01"):
+            report(stack)

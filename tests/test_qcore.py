@@ -12,8 +12,11 @@ from ces.qcore import (
     SINGLET_KET,
     DensityMatrix,
     StateVector,
+    born_probabilities,
+    correlation_matrix,
     partial_trace,
     partial_transpose,
+    require_valid_density,
     tensor,
     trace_distance,
     validate_density,
@@ -174,3 +177,39 @@ class TestDensityMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             DensityMatrix.from_json_dict({"dim": 4, "re": [1.0], "im": [0.0]})
+
+
+class TestStacks:
+    def test_stack_functions_match_per_matrix(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(5)])
+        for i, rho in enumerate(stack):
+            for subsystem in (0, 1):
+                np.testing.assert_array_equal(
+                    partial_transpose(stack, subsystem)[i], partial_transpose(rho, subsystem)
+                )
+            np.testing.assert_allclose(
+                correlation_matrix(stack)[i], correlation_matrix(rho), rtol=0, atol=1e-15
+            )
+            assert trace_distance(stack, stack[::-1])[i] == pytest.approx(
+                trace_distance(rho, stack[::-1][i]), abs=1e-15
+            )
+
+    def test_validate_density_over_a_stack(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(4)])
+        stack[2] *= 0.9
+        diag = validate_density(stack)
+        np.testing.assert_array_equal(diag.passed, [True, True, False, True])
+        assert diag.trace_defect[2] == pytest.approx(0.1, abs=1e-12)
+        with pytest.raises(ValidationError, match="at row 2 "):
+            require_valid_density(stack)
+
+    def test_single_matrix_diagnostics_are_python_scalars(self, rng):
+        diag = validate_density(random_density(rng, 4))
+        assert type(diag.min_eigenvalue) is float and type(diag.passed) is bool
+
+    def test_born_probabilities_are_traces(self, rng):
+        projectors = np.array([random_density(rng, 4) for _ in range(6)])
+        stack = np.array([random_density(rng, 4) for _ in range(3)])
+        expected = np.real(np.einsum("bij,kji->bk", stack, projectors))
+        np.testing.assert_allclose(born_probabilities(projectors, stack), expected, atol=1e-15)
+        np.testing.assert_allclose(born_probabilities(projectors, stack[1]), expected[1], atol=1e-15)

@@ -16,7 +16,7 @@ from ces.detection import (
     TomographyDataset,
     simulate_tomography_dataset,
 )
-from ces.errors import DataError, ValidationError
+from ces.errors import DataError
 from ces.measures import fidelity_singlet, log_negativity
 from ces.protocol import final_state
 from ces.qcore import trace_distance, validate_density
@@ -427,20 +427,24 @@ class TestBootstrap:
         assert len(calls) == 1 and calls[0].shape == (100, 36)
         assert errs.n_failed == 25
 
-    def test_failed_certificate_skips_only_its_resample(self, dataset, monkeypatch):
-        real_max_chsh = tomography.max_chsh_from_state
-        calls = []
+    def test_invalid_fits_fail_the_validity_mask(self, dataset, monkeypatch):
+        real_fit, real_report = tomography._fit, tomography.report
+        reported = []
 
-        def every_fifth_fails(rho):
-            calls.append(rho)
-            if len(calls) % 5 == 0:
-                raise ValidationError("angle search missed the certificate")
-            return real_max_chsh(rho)
+        def every_fifth_invalid(projectors, counts, max_iter):
+            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+            rho[4::5] *= 1.1  # trace 1.1: not a density matrix
+            return rho, iterations, gap
 
-        monkeypatch.setattr(tomography, "max_chsh_from_state", every_fifth_fails)
+        def recording_report(rho):
+            reported.append(rho.shape)
+            return real_report(rho)
+
+        monkeypatch.setattr(tomography, "_fit", every_fifth_invalid)
+        monkeypatch.setattr(tomography, "report", recording_report)
         errs = bootstrap_errors(dataset, 100, seed=53)
-        assert len(calls) == 100
         assert errs.n_failed == 20
+        assert reported == [(80, 4, 4)]
 
     def test_resamples_are_per_basis_draws_on_keyed_streams(self, calibrated_bootstrap):
         dataset, seed, _, captured = calibrated_bootstrap
