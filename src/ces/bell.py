@@ -138,15 +138,19 @@ def _plane_chsh(s1: float, s2: float, th_a: float, th_ap: float):
     return s, th_b, th_bp
 
 
-def _principal_values(rho) -> np.ndarray:
+def _principal_values(mat: np.ndarray) -> np.ndarray:
     """Singular values s1 >= s2 >= s3 of the correlation matrix (stacks too)."""
-    return np.linalg.svd(correlation_matrix(require_valid_density(rho)), compute_uv=False)
+    return np.linalg.svd(correlation_matrix(mat), compute_uv=False)
 
 
 def s_max(rho) -> float:
     """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one state or a stack
     (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson bound."""
-    s = _principal_values(rho)
+    return _s_max(require_valid_density(rho))
+
+
+def _s_max(mat: np.ndarray) -> float:
+    s = _principal_values(mat)
     value = 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
     return unstack(np.minimum(value, TSIRELSON_BOUND + 1e-12))
 
@@ -165,8 +169,9 @@ def max_chsh_from_state(rho) -> BellResult:
     (singlet, Werner states), where every plane is principal, is the quad
     the polarizer quad (0, 45, 22.5, 67.5) degrees.
     """
-    value = s_max(rho)
-    s1, s2, _ = (float(x) for x in _principal_values(rho))
+    mat = require_valid_density(rho)
+    value = _s_max(mat)
+    s1, s2, _ = (float(x) for x in _principal_values(mat))
     th_a, th_ap = 0.0, 0.5 * math.pi
     s_achieved, th_b, th_bp = _plane_chsh(s1, s2, th_a, th_ap)
     if abs(s_achieved - value) > 1e-6:

@@ -71,7 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["mle", "linear"], default="mle")
     p.add_argument("--bootstrap", type=int, default=0, metavar="N", help="bootstrap resamples")
     p.add_argument(
-        "--max-iter", type=int, default=MAX_ITER, help="cap on MLE (R rho R) iterations, at least 1"
+        "--max-iter",
+        type=int,
+        default=MAX_ITER,
+        help="cap on MLE steps, Newton and R rho R together, at least 1",
     )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")
@@ -196,7 +199,10 @@ def _cmd_sweep(args) -> int:
         f"tau_e = {life.tau_e_us:.3f} us, n0 = {life.n0:.4f} "
         f"(wrote {out['fit_file']})"
     )
-    return EXIT_OK if life.converged else EXIT_NO_CONVERGENCE
+    missed = [dt for dt, ok in zip(grid, out["converged"]) if not ok]
+    if missed:
+        print(f"MLE missed the certificate at dt_us = {missed}", file=sys.stderr)
+    return EXIT_OK if life.converged and not missed else EXIT_NO_CONVERGENCE
 
 
 _HANDLERS = {

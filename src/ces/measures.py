@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import s_max
+from .bell import _s_max
 from .qcore import (
     SINGLET_KET,
     partial_transpose,
@@ -46,7 +46,10 @@ class EntanglementReport:
 
 def fidelity_singlet(rho) -> float:
     """Overlap <Psi-|rho|Psi-> with the two-photon singlet."""
-    mat = require_valid_density(rho)
+    return _fidelity_singlet(require_valid_density(rho))
+
+
+def _fidelity_singlet(mat: np.ndarray) -> float:
     return unstack(np.clip(np.real(SINGLET_KET.conj() @ mat @ SINGLET_KET), 0.0, 1.0))
 
 
@@ -59,7 +62,10 @@ def concurrence(rho) -> float:
     evaluated as the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
     which avoids square-rooting noisy zero eigenvalues of the product.
     """
-    mat = require_valid_density(rho)
+    return _concurrence(require_valid_density(rho))
+
+
+def _concurrence(mat: np.ndarray) -> float:
     w, v = np.linalg.eigh(mat)
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     lams = np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
@@ -86,21 +92,28 @@ def log_negativity(rho) -> tuple[float, float]:
     N is the absolute sum of the negative eigenvalues of the partial
     transpose; E_N = log2(2N + 1).
     """
-    mat = require_valid_density(rho)
+    return _log_negativity(require_valid_density(rho))
+
+
+def _log_negativity(mat: np.ndarray) -> tuple[float, float]:
     eigs = np.linalg.eigvalsh(partial_transpose(mat, 1))
     negativity = -np.sum(np.minimum(eigs, 0.0), axis=-1)
     return unstack(negativity), unstack(_log2(2.0 * negativity + 1.0))
 
 
 def report(rho) -> EntanglementReport:
-    """Evaluate every measure, including the inferred CHSH maximum."""
-    c = concurrence(rho)
-    negativity, e_n = log_negativity(rho)
+    """Evaluate every measure, including the inferred CHSH maximum.
+
+    The state or stack is validated once, here.
+    """
+    mat = require_valid_density(rho)
+    c = _concurrence(mat)
+    negativity, e_n = _log_negativity(mat)
     return EntanglementReport(
-        fidelity_singlet=fidelity_singlet(rho),
+        fidelity_singlet=_fidelity_singlet(mat),
         concurrence=c,
         eof=eof_from_concurrence(c),
         negativity=negativity,
         log_negativity=e_n,
-        s_max=s_max(rho),
+        s_max=_s_max(mat),
     )

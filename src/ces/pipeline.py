@@ -202,16 +202,21 @@ def run_sweep(
     dt_grid_us=DEFAULT_SWEEP_GRID_US,
     method: str = "mle",
 ) -> dict:
-    """Tomography over a storage-time grid followed by the lifetime fit."""
+    """Tomography over a storage-time grid followed by the lifetime fit.
+
+    ``converged`` lists, per storage time, whether its reconstruction met
+    the MLE certificate (always true for linear inversion).
+    """
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
-    rows = []
+    rows, converged = [], []
     for i, dt_us in enumerate(dt_grid_us):
         rho_true = final_state(cfg.noise, dt_us)
         dataset = simulate_tomography_dataset(
             rho_true, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, 3000 + i)
         )
         fit = _reconstruct(dataset, method, MAX_ITER)
+        converged.append(fit.converged)
         negativity, _ = log_negativity(fit.rho)
         rows.append((float(dt_us), negativity, "N", None))
 
@@ -226,7 +231,12 @@ def run_sweep(
     write_json(fit_path, lifetime_payload(life))
     manifest.add(fit_path)
     manifest.write(out)
-    return {"series": str(series_path), "fit_file": str(fit_path), "fit": life}
+    return {
+        "series": str(series_path),
+        "fit_file": str(fit_path),
+        "fit": life,
+        "converged": converged,
+    }
 
 
 def lifetime_payload(life) -> dict:

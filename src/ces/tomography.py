@@ -4,13 +4,15 @@ Two estimators are provided.  Linear inversion solves the measurement
 equations tr(rho Pi_k) = f_k for the 16 real parameters of a Hermitian,
 trace-one matrix; it recovers the state exactly from exact frequencies but
 can leave the physical set on noisy data (flagged, never hidden).  The
-maximum-likelihood estimator runs the RrhoR fixed-point iteration
-(Rehacek et al., PRA 75, 042108 (2007)), whose iterates are Hermitian,
-positive semidefinite and trace-one by construction.  Because the
-multinomial log-likelihood is concave, lambda_max(R) - N bounds how far an
-iterate is below the maximum (Glancy, Knill, Girard, NJP 14, 095017
-(2012)); the fit stops on that certificate.  Many count tables (the
-bootstrap resamples) are fitted as one batch.
+maximum-likelihood estimator takes damped Newton steps in the Pauli
+coordinates of rho, which reach an interior optimum in a few steps, and
+hands the rows whose optimum lies on the boundary of the positive
+semidefinite set to the RrhoR fixed-point iteration (Rehacek et al., PRA
+75, 042108 (2007)), whose iterates are positive semidefinite and trace-one
+by construction.  Because the multinomial log-likelihood is concave,
+lambda_max(R) - N bounds how far an iterate is below the maximum (Glancy,
+Knill, Girard, NJP 14, 095017 (2012)); the fit stops on that certificate.
+Many count tables (the bootstrap resamples) are fitted as one batch.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors (36 total).  Error bars on derived quantities come from
@@ -51,8 +53,10 @@ _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
 #: N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
-#: Default cap on RrhoR steps per MLE fit.
+#: Default cap on Newton and RrhoR steps together per MLE fit.
 MAX_ITER = 10_000
+#: A cut Newton step stops at this fraction of its way to the PSD boundary.
+_TO_BOUNDARY = 0.99
 _CANONICAL_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
 
 
@@ -75,6 +79,9 @@ class ReconstructionResult:
 
 # (4, 4, 4) port-projector block of each of the nine basis pairs, built once.
 _PAIR_PROJECTORS = {p: pair_projectors(*map(basis_projectors, p)) for p in _CANONICAL_PAIRS}
+# Row m is sigma_m / 4, flattened: a step delta in the 15 Pauli coordinates
+# changes rho by delta @ _PAULI_STEPS.
+_PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 
 
 def _design(dataset: TomographyDataset, require_counts: bool):
@@ -108,6 +115,22 @@ def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray)
     return float(np.sum(counts * np.log(probs)))
 
 
+def _pauli_design(projectors: np.ndarray) -> np.ndarray:
+    """(K, 16) coefficients a_km = tr(Pi_k sigma_m) / 4 of the Pauli products.
+
+    rho = (1/4) sum_m c_m sigma_m with c_0 = 1 fixed by the trace, so
+    p = a[:, 0] + a[:, 1:] @ c[1:]; the (K, 15) design a[:, 1:] must have
+    full rank for the bases to determine the state.
+    """
+    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
+    if np.linalg.matrix_rank(coeffs[:, 1:]) < 15:
+        raise DataError(
+            "tomography design matrix is rank-deficient; the basis set does "
+            "not determine the state"
+        )
+    return coeffs
+
+
 def _linear_states(projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Least-squares Hermitian, trace-one matrices, one per row of a (B, K) table.
 
@@ -116,15 +139,8 @@ def _linear_states(projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """
     totals = counts.reshape(len(counts), -1, 4).sum(axis=2)
     freqs = counts / np.repeat(totals, 4, axis=1)
-    # rho = (1/4) sum_mn c_mn sigma_m x sigma_n with c_00 = 1 fixed by trace.
-    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
-    design = coeffs[:, 1:]
-    if np.linalg.matrix_rank(design) < 15:
-        raise DataError(
-            "tomography design matrix is rank-deficient; the basis set does "
-            "not determine the state"
-        )
-    c, *_ = np.linalg.lstsq(design, (freqs - coeffs[:, 0]).T, rcond=None)
+    coeffs = _pauli_design(projectors)
+    c, *_ = np.linalg.lstsq(coeffs[:, 1:], (freqs - coeffs[:, 0]).T, rcond=None)
     c = np.vstack([np.ones(len(counts)), c])
     return np.einsum("mb,mij->bij", c, PAULI_PRODUCTS) / 4.0
 
@@ -161,38 +177,90 @@ def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return out / np.trace(out, axis1=-2, axis2=-1)[..., None, None]
 
 
+def _newton_step(design, outer, weights, probs, rho):
+    """Newton step Delta_rho of each row, and C^-1 Delta_rho C^-dag with rho = C C^dag.
+
+    weights = n/p; ``outer`` holds a_k a_k^T for the rows a_k of ``design``,
+    so the Hessian A^T diag(n/p^2) A is one matrix product.
+    """
+    hessian = ((weights / probs)[:, None, :] @ outer).reshape(-1, 15, 15)
+    delta = np.linalg.solve(hessian, (weights @ design)[..., None])[..., 0]
+    d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
+    whiten = np.linalg.inv(np.linalg.cholesky(rho))
+    return d_rho, whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
+
+
 def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     """Batched maximum-likelihood fit of every row of a (B, K) count table.
 
     Starts each row from the PSD projection of its linear-inversion
     estimate, lightly mixed with the identity so that every probability is
-    positive, and iterates rho <- R rho R / tr(R rho R) with
+    positive.  Every step of a row is a Newton step or an RrhoR step;
+    max_iter caps both kinds together.
+
+    Newton works in the 15 Pauli coordinates c of rho, where
+    p = a_0 + A c with A from ``_pauli_design``.  It solves
+    (A^T diag(n/p^2) A) delta = A^T (n/p), minus the Hessian and the
+    gradient of L = sum_k n_k log p_k, and steps rho <- rho + alpha
+    Delta_rho.  With rho = C C^dag (Cholesky) and mu the smallest eigenvalue
+    of C^-1 Delta_rho C^-dag, alpha = min(1, _TO_BOUNDARY / -mu) keeps rho
+    positive definite.  A row leaves Newton for good when a step is cut
+    shorter than its previous one, because it is heading for the PSD
+    boundary; a start on the boundary with an interior optimum takes a few
+    lengthening damped steps first.  A row with a zero-count cell never
+    takes a Newton step: the cell drops out of the Hessian, which can then
+    be singular.
+
+    The other rows step rho <- R rho R / tr(R rho R) with
     R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add nothing), which
-    keeps rho positive and trace-one.  The log-likelihood is concave, so
-    gap = lambda_max(R) - N bounds how far a row's log-likelihood is below
-    the maximum; a row stops once gap <= GAP_TOL * N, or after max_iter
-    steps.  Returns rho (B, 4, 4), the steps taken and the final gap of
-    each row.
+    keeps rho positive and trace-one (Rehacek et al., PRA 75, 042108
+    (2007)).  The log-likelihood is concave, so gap = lambda_max(R) - N
+    bounds how far a row's log-likelihood is below the maximum; a row stops
+    once gap <= GAP_TOL * N, or after max_iter steps.  Returns rho
+    (B, 4, 4), the steps taken and the final gap of each row.
     """
+    design = _pauli_design(projectors)[:, 1:]
+    outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), -1)
     rho = 0.999999 * project_psd(_linear_states(projectors, counts)) + 1e-6 * np.eye(4) / 4.0
     flat = flatten_real(projectors)
     tol = GAP_TOL * counts.sum(axis=1)
     iterations = np.zeros(len(counts), dtype=int)
     gap = np.empty(len(counts))
     active = np.arange(len(counts))
+    newton = (counts > 0).all(axis=1)
+    last_alpha = np.zeros(len(counts))
     for step in range(max_iter + 1):
         n = counts[active]
         probs = born_probabilities(projectors, rho[active])
         weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
         r_op = (weights @ flat).view(complex).reshape(-1, 4, 4)
-        gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
+        in_newton = newton[active]
+        newton_step = in_newton.any()
+        if newton_step:
+            d_rho, whitened = _newton_step(
+                design, outer, weights[in_newton], probs[in_newton], rho[active[in_newton]]
+            )
+            eigs = np.linalg.eigvalsh(np.concatenate([r_op, whitened]))
+        else:
+            eigs = np.linalg.eigvalsh(r_op)
+        gap[active] = eigs[: len(active), -1] - n.sum(axis=1)
         iterations[active] = step
         keep = gap[active] > tol[active]
         if step == max_iter or not keep.any():
             break
-        active, r_op = active[keep], r_op[keep]
-        new = r_op @ rho[active] @ r_op
-        rho[active] = new / np.einsum("bii->b", new).real[:, None, None]
+        by_rrr = keep
+        if newton_step:
+            stepping = keep[in_newton]
+            rows = active[in_newton][stepping]
+            alpha = _TO_BOUNDARY / np.maximum(-eigs[len(active):, 0][stepping], _TO_BOUNDARY)
+            rho[rows] += alpha[:, None, None] * d_rho[stepping]
+            newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
+            last_alpha[rows] = alpha
+            by_rrr = keep & ~in_newton
+        rows, r_op = active[by_rrr], r_op[by_rrr]
+        new = r_op @ rho[rows] @ r_op
+        rho[rows] = new / np.einsum("bii->b", new).real[:, None, None]
+        active = active[keep]
     return rho, iterations, gap
 
 
@@ -210,10 +278,11 @@ def mle_reconstruct(
 ) -> ReconstructionResult:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    Requires all nine basis pairs with nonzero coincidences.  Runs the RrhoR
-    fit of ``_fit`` for at most ``max_iter`` steps; ``certificate_gap`` is
-    the bound lambda_max(R) - N on the log-likelihood still missing, and
-    ``converged`` means it is at most GAP_TOL * N.
+    Requires all nine basis pairs with nonzero coincidences.  Runs the
+    Newton and RrhoR fit of ``_fit`` for at most ``max_iter`` steps in all;
+    ``certificate_gap`` is the bound lambda_max(R) - N on the
+    log-likelihood still missing, and ``converged`` means it is at most
+    GAP_TOL * N.
     """
     _require_full_coverage(dataset)
     projectors, counts = _design(dataset, require_counts=True)

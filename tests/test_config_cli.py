@@ -267,6 +267,45 @@ class TestCliExitCodes:
         assert fit["iterations"] == 1 and not fit["converged"]
         assert fit["certificate_gap"] > 0.0
 
+    def test_low_count_bootstrap_certifies_every_resample(self, tmp_path):
+        # Resample 84 of this run has an interior optimum behind a boundary
+        # start: RrhoR alone needs 24 007 steps, past the 10 000-step cap.
+        config = Path(__file__).resolve().parents[1] / "configs" / "calibrated.json"
+        out = tmp_path / "o"
+        code = cli.main(
+            ["tomo", "--config", str(config), "--seed", "4242", "--trials", "20000",
+             "--bootstrap", "100", "--out", str(out)]
+        )
+        assert code == 0
+        payload = json.loads((out / "reconstruction.json").read_text())
+        assert payload["bootstrap"]["n_failed"] == 0
+
+    def test_sweep_point_missing_the_certificate_is_4(self, tmp_path, capsys, monkeypatch):
+        from ces import pipeline, tomography
+
+        real_fit = tomography._fit
+        calls = []
+
+        def second_point_unconverged(projectors, counts, max_iter):
+            calls.append(counts)
+            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+            if len(calls) % 3 == 2:
+                gap[:] = np.inf
+            return rho, iterations, gap
+
+        monkeypatch.setattr(tomography, "_fit", second_point_unconverged)
+        out = pipeline.run_sweep(_fast_cfg(), tmp_path / "run", dt_grid_us=(0.8, 2.0, 4.0))
+        assert out["converged"] == [True, False, True]
+
+        code = cli.main(["sweep", "--trials", "20000", "--dt-grid", "0.8,2,4",
+                         "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert "dt_us = [2.0]" in capsys.readouterr().err
+        lines = (tmp_path / "o" / "sweep_series.csv").read_text().splitlines()
+        assert lines[0] == "dt_us,value,kind,sigma" and len(lines) == 4
+        for name in ("lifetime_fit.json", "manifest.json"):
+            assert (tmp_path / "o" / name).exists()
+
     def test_fit_without_decay_is_4(self, tmp_path):
         series = tmp_path / "series.csv"
         rows = "".join(f"{dt},{0.1 + 0.01 * dt!r},N,\n" for dt in (0.8, 2.0, 4.0, 6.0))

@@ -23,6 +23,7 @@ from ces.qcore import trace_distance, validate_density
 from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
+    MAX_ITER,
     _design,
     _linear_states,
     bootstrap_errors,
@@ -134,6 +135,14 @@ def dataset_from_row(template: TomographyDataset, row: np.ndarray) -> Tomography
             for (a, b, rec), c in zip(template.records, cells)
         )
     )
+
+
+def resample(dataset: TomographyDataset, seed: int, r: int) -> np.ndarray:
+    """Row r of the count table that ``bootstrap_errors(dataset, _, seed)`` fits."""
+    rng = make_stream(seed, (r,))
+    draws = [rng.multinomial(int(rec.total), rec.counts() / rec.total)
+             for _, _, rec in dataset.records]
+    return np.concatenate(draws).astype(float)
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +340,47 @@ class TestOracleEquivalence:
             assert fit.converged
             assert fit.min_eigenvalue >= -1e-9
             assert trace_distance(fit.rho, rho) < 1e-6
+
+
+class TestFitPaths:
+    def test_calibrated_resamples_certify_within_ten_steps(self, calibrated_bootstrap):
+        # Interior optima: damped Newton finishes, where RrhoR alone needs
+        # hundreds of steps.
+        *_, captured = calibrated_bootstrap
+        table = captured["table"]
+        _, iterations, gap = captured["result"]
+        assert np.all(gap <= GAP_TOL * table.sum(axis=1))
+        assert iterations.max() <= 10
+
+    def test_mixed_table_rows_match_single_fits(self, calibrated_bootstrap, sweep_datasets):
+        # One table through every path: calibrated resamples (Newton), low-count
+        # resamples whose optimum is on the boundary (Newton cut short, then
+        # RrhoR) or interior behind a boundary start (resample 84: damped
+        # Newton), rank-2 sweep points with zero-count cells and an adversarial
+        # row with three zero cells per basis (RrhoR from the start).
+        *_, captured = calibrated_bootstrap
+        projectors = captured["projectors"]
+        cfg = load_config(CONFIGS / "calibrated.json")
+        low = simulate_tomography_dataset(
+            final_state(cfg.noise, cfg.dt_us), 20_000, cfg.detector, derive_seed(4242, 1000)
+        )
+        adversarial = np.tile([500.0, 0.0, 0.0, 0.0], 9)
+        seed = derive_seed(4242, 2000)
+        rows = [captured["table"][:4], np.array([resample(low, seed, r) for r in (0, 1, 84)])]
+        for ds in sweep_datasets:
+            sweep_projectors, counts = _design(ds, require_counts=True)
+            np.testing.assert_array_equal(sweep_projectors, projectors)
+            rows.append(counts[None])
+        table = np.concatenate([*rows, adversarial[None]])
+        assert np.all((table[7:] == 0).any(axis=1))
+
+        rho, iterations, gap = tomography._fit(projectors, table, MAX_ITER)
+        assert np.all(gap <= GAP_TOL * table.sum(axis=1))
+        assert iterations[6] <= 10  # resample 84 (24 007 steps with RrhoR alone)
+        for r, counts in enumerate(table):
+            single = tomography._fit(projectors, counts[None], MAX_ITER)
+            np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
+            assert single[1][0] == iterations[r]
 
 
 class TestBasisCovariance:
