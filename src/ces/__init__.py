@@ -62,4 +62,5 @@ from .tomography import (
     exact_dataset,
     linear_inversion,
     mle_reconstruct,
+    mle_reconstruct_batch,
 )

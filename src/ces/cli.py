@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="tomography over a storage-time grid plus lifetime fit")
     _add_common(p)
-    p.add_argument("--method", choices=["mle", "linear"], default="mle")
     p.add_argument(
         "--dt-grid",
         metavar="US[,US...]",
@@ -193,7 +192,7 @@ def _cmd_sweep(args) -> int:
     grid = tuple(storage_time(f"--dt-grid[{i}]", x) for i, x in enumerate(values))
     if len(grid) < 3 or len(set(grid)) < 2:
         raise ConfigError("--dt-grid needs at least 3 storage times, 2 of them distinct")
-    out = run_sweep(cfg, args.out, dt_grid_us=grid, method=args.method)
+    out = run_sweep(cfg, args.out, dt_grid_us=grid)
     life = out["fit"]
     print(
         f"tau_e = {life.tau_e_us:.3f} us, n0 = {life.n0:.4f} "

@@ -29,7 +29,13 @@ from .lifetime import fit_lifetime
 from .measures import log_negativity, report
 from .protocol import final_state, rate_budget
 from .rng import derive_seed
-from .tomography import MAX_ITER, bootstrap_errors, linear_inversion, mle_reconstruct
+from .tomography import (
+    MAX_ITER,
+    bootstrap_errors,
+    linear_inversion,
+    mle_reconstruct,
+    mle_reconstruct_batch,
+)
 
 DEFAULT_SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
@@ -200,32 +206,31 @@ def run_sweep(
     cfg: ExperimentConfig,
     out_dir,
     dt_grid_us=DEFAULT_SWEEP_GRID_US,
-    method: str = "mle",
 ) -> dict:
     """Tomography over a storage-time grid followed by the lifetime fit.
 
-    ``converged`` lists, per storage time, whether its reconstruction met
-    the MLE certificate (always true for linear inversion).
+    One ``mle_reconstruct_batch`` call fits every storage time.  ``converged``
+    lists, per storage time, whether its reconstruction met the certificate.
     """
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
-    rows, converged = [], []
-    for i, dt_us in enumerate(dt_grid_us):
-        rho_true = final_state(cfg.noise, dt_us)
-        dataset = simulate_tomography_dataset(
-            rho_true, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, 3000 + i)
+    datasets = [
+        simulate_tomography_dataset(
+            final_state(cfg.noise, dt_us),
+            cfg.n_sequences,
+            cfg.detector,
+            derive_seed(cfg.seed, 3000 + i),
         )
-        fit = _reconstruct(dataset, method, MAX_ITER)
-        converged.append(fit.converged)
-        negativity, _ = log_negativity(fit.rho)
-        rows.append((float(dt_us), negativity, "N", None))
+        for i, dt_us in enumerate(dt_grid_us)
+    ]
+    fits = mle_reconstruct_batch(datasets)
+    dts = np.array(dt_grid_us, dtype=float)
+    values, _ = log_negativity(np.array([fit.rho.matrix for fit in fits]))
 
     series_path = out / "sweep_series.csv"
-    write_series_csv(series_path, rows)
+    write_series_csv(series_path, [(dt, value, "N", None) for dt, value in zip(dts, values)])
     manifest.add(series_path)
 
-    dts = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
     life = fit_lifetime(dts, values, kind="N")
     fit_path = out / "lifetime_fit.json"
     write_json(fit_path, lifetime_payload(life))
@@ -235,7 +240,7 @@ def run_sweep(
         "series": str(series_path),
         "fit_file": str(fit_path),
         "fit": life,
-        "converged": converged,
+        "converged": [fit.converged for fit in fits],
     }
 
 

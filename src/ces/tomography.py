@@ -24,12 +24,12 @@ figures on the stack of kept states.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import product
 
 import numpy as np
 
 from .detection import (
     BASIS_LABELS,
+    BASIS_PAIRS,
     CountRecord,
     MeasurementSetting,
     TomographyDataset,
@@ -57,7 +57,6 @@ GAP_TOL = 1e-8
 MAX_ITER = 10_000
 #: A cut Newton step stops at this fraction of its way to the PSD boundary.
 _TO_BOUNDARY = 0.99
-_CANONICAL_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class ReconstructionResult:
 
 
 # (4, 4, 4) port-projector block of each of the nine basis pairs, built once.
-_PAIR_PROJECTORS = {p: pair_projectors(*map(basis_projectors, p)) for p in _CANONICAL_PAIRS}
+_PAIR_PROJECTORS = {p: pair_projectors(*map(basis_projectors, p)) for p in BASIS_PAIRS}
 # Row m is sigma_m / 4, flattened: a step delta in the 15 Pauli coordinates
 # changes rho by delta @ _PAULI_STEPS.
 _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
@@ -110,9 +109,10 @@ def _design(dataset: TomographyDataset, require_counts: bool):
     return np.concatenate(projectors), np.concatenate(counts)
 
 
-def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray) -> float:
+def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray):
+    """sum_k n_k log p_k, per row of a (B, K) table and (B, 4, 4) stack."""
     probs = np.clip(born_probabilities(projectors, rho), _PROB_FLOOR, None)
-    return float(np.sum(counts * np.log(probs)))
+    return np.sum(counts * np.log(probs), axis=-1)
 
 
 def _pauli_design(projectors: np.ndarray) -> np.ndarray:
@@ -156,7 +156,7 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
     mat = _linear_states(projectors, counts[None])[0]
     return ReconstructionResult(
         rho=DensityMatrix(mat),
-        log_likelihood=_log_likelihood(projectors, counts, mat),
+        log_likelihood=float(_log_likelihood(projectors, counts, mat)),
         iterations=0,
         converged=True,
         method="linear",
@@ -264,39 +264,52 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     return rho, iterations, gap
 
 
-def _require_full_coverage(dataset: TomographyDataset) -> None:
+def _full_design(dataset: TomographyDataset):
+    """``_design`` of a dataset that covers all nine basis pairs, each with counts."""
     pairs = dataset.basis_pairs()
-    missing = [p for p in _CANONICAL_PAIRS if p not in pairs]
+    missing = [p for p in BASIS_PAIRS if p not in pairs]
     if missing:
-        raise DataError(
-            f"dataset does not cover all nine basis pairs; missing {missing}"
-        )
+        raise DataError(f"dataset does not cover all nine basis pairs; missing {missing}")
+    return _design(dataset, require_counts=True)
 
 
-def mle_reconstruct(
-    dataset: TomographyDataset, max_iter: int = MAX_ITER
-) -> ReconstructionResult:
+def mle_reconstruct_batch(datasets, max_iter: int = MAX_ITER) -> list[ReconstructionResult]:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    Requires all nine basis pairs with nonzero coincidences.  Runs the
-    Newton and RrhoR fit of ``_fit`` for at most ``max_iter`` steps in all;
-    ``certificate_gap`` is the bound lambda_max(R) - N on the
-    log-likelihood still missing, and ``converged`` means it is at most
-    GAP_TOL * N.
+    Every dataset needs all nine basis pairs with nonzero coincidences, and
+    all must list them in the same order.  Their counts are the rows of one
+    table that a single ``_fit`` call reconstructs, in at most ``max_iter``
+    Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
+    lambda_max(R) - N on the log-likelihood still missing, and
+    ``converged`` means it is at most GAP_TOL * N.
     """
-    _require_full_coverage(dataset)
-    projectors, counts = _design(dataset, require_counts=True)
-    rho, iterations, gap = _fit(projectors, counts[None], max_iter)
-    mat = rho[0]
-    return ReconstructionResult(
-        rho=DensityMatrix(mat),
-        log_likelihood=_log_likelihood(projectors, counts, mat),
-        iterations=int(iterations[0]),
-        converged=bool(gap[0] <= GAP_TOL * counts.sum()),
-        method="mle",
-        min_eigenvalue=float(np.min(np.linalg.eigvalsh(mat))),
-        certificate_gap=float(gap[0]),
-    )
+    if not datasets:
+        raise DataError("no datasets to reconstruct")
+    designs = [_full_design(dataset) for dataset in datasets]
+    if any(dataset.basis_pairs() != datasets[0].basis_pairs() for dataset in datasets):
+        raise DataError("batched datasets must list their basis pairs in the same order")
+    projectors, counts = designs[0][0], np.array([row for _, row in designs])
+    rho, iterations, gap = _fit(projectors, counts, max_iter)
+    log_likelihood = _log_likelihood(projectors, counts, rho)
+    min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
+    converged = gap <= GAP_TOL * counts.sum(axis=1)
+    return [
+        ReconstructionResult(
+            rho=DensityMatrix(rho[b]),
+            log_likelihood=float(log_likelihood[b]),
+            iterations=int(iterations[b]),
+            converged=bool(converged[b]),
+            method="mle",
+            min_eigenvalue=float(min_eigenvalue[b]),
+            certificate_gap=float(gap[b]),
+        )
+        for b in range(len(counts))
+    ]
+
+
+def mle_reconstruct(dataset: TomographyDataset, max_iter: int = MAX_ITER) -> ReconstructionResult:
+    """The one-dataset case of ``mle_reconstruct_batch``."""
+    return mle_reconstruct_batch([dataset], max_iter)[0]
 
 
 def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
@@ -338,8 +351,7 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
     """
     if n_resamples < 100:
         raise DataError(f"need at least 100 resamples, got {n_resamples}")
-    _require_full_coverage(dataset)
-    projectors, counts = _design(dataset, require_counts=True)
+    projectors, counts = _full_design(dataset)
     cells = counts.reshape(-1, 4)
     probs = cells / cells.sum(axis=1, keepdims=True)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)

@@ -207,6 +207,16 @@ class TestCliExitCodes:
         assert "--dt-grid needs" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_sweep_method_flag_is_gone(self, tmp_path, capsys):
+        # The linear estimate of a rank-deficient sweep state can have a
+        # negative eigenvalue, which no negativity is defined for; the sweep
+        # always fits by maximum likelihood.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--method", "linear", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--method" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_max_iter_below_one_is_2(self, tmp_path, capsys, cap):
         code = cli.main(
@@ -287,10 +297,11 @@ class TestCliExitCodes:
         calls = []
 
         def second_point_unconverged(projectors, counts, max_iter):
+            # The sweep fits its three points as the rows of one call.
             calls.append(counts)
+            assert counts.shape == (3, 36)
             rho, iterations, gap = real_fit(projectors, counts, max_iter)
-            if len(calls) % 3 == 2:
-                gap[:] = np.inf
+            gap[1] = np.inf
             return rho, iterations, gap
 
         monkeypatch.setattr(tomography, "_fit", second_point_unconverged)
@@ -300,6 +311,7 @@ class TestCliExitCodes:
         code = cli.main(["sweep", "--trials", "20000", "--dt-grid", "0.8,2,4",
                          "--out", str(tmp_path / "o")])
         assert code == 4
+        assert len(calls) == 2
         assert "dt_us = [2.0]" in capsys.readouterr().err
         lines = (tmp_path / "o" / "sweep_series.csv").read_text().splitlines()
         assert lines[0] == "dt_us,value,kind,sigma" and len(lines) == 4

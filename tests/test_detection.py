@@ -15,8 +15,8 @@ from ces.detection import (
     DetectorParams,
     LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
+    _draw,
     _outcome_distribution,
-    _simulate,
     analyzer_projectors,
     basis_projectors,
     outcome_probabilities,
@@ -25,10 +25,28 @@ from ces.detection import (
     simulate_tomography_dataset,
 )
 from ces.errors import DataError, ValidationError
-from ces.qcore import KET_D, KET_H
+from ces.qcore import KET_D, KET_H, born_probabilities
 from conftest import dephased_singlet, random_density, singlet_dm
 
 IDEAL = DetectorParams()
+
+
+def kron_outcome_distribution(rho, projs_a, projs_b, det):
+    """Reference kernel for one setting: each Born table from the Kronecker
+    products P_i x Q_j, then the event model's branches summed in turn."""
+    late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
+    clean = det.window_fraction - late
+    dark = (1.0 - det.dark_rate) * np.eye(2) + 0.5 * det.dark_rate
+
+    def photon_table(projs_1, projs_2):
+        joint = np.clip(born_probabilities(pair_projectors(projs_1, projs_2), rho), 0.0, None)
+        joint = (joint / joint.sum()).reshape(2, 2)
+        table = clean * joint + late * np.outer(joint.sum(axis=1), [0.5, 0.5])
+        return dark @ table @ dark
+
+    cells = photon_table(projs_a, projs_b) + photon_table(projs_b, projs_a).T
+    cells *= 0.25 * det.eta_det**2
+    return np.append(cells.reshape(-1), 1.0 - cells.sum())
 
 
 def per_trial_cells(rho, projs_a, projs_b, det, n, rng):
@@ -215,17 +233,12 @@ class TestSimulateCounts:
         plan = list(enumerate(product(BASIS_LABELS, BASIS_LABELS)))
 
         def draw(unit):
+            # One basis pair alone: its own one-row kernel call, then its draw.
             index, (label_a, label_b) = unit
-            rec = _simulate(
-                rho,
-                basis_projectors(label_a),
-                basis_projectors(label_b),
-                n,
-                det,
-                seed,
-                spawn_prefix=(index,),
-                setting=reference[index][2].setting,
+            probs = _outcome_distribution(
+                rho, basis_projectors(label_a), basis_projectors(label_b), det
             )
+            rec = _draw(probs, n, seed, (index,), reference[index][2].setting)
             return index, (label_a, label_b, rec)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -337,6 +350,58 @@ class TestOutcomeDistribution:
         for count, p in zip(cells, probs):
             sigma = math.sqrt(max(n * p * (1.0 - p), 1.0))
             assert abs(count - n * p) <= 5.0 * sigma
+
+
+class TestStackedKernel:
+    """One kernel call over a stack of settings against the Kronecker oracle."""
+
+    @staticmethod
+    def states():
+        rng = np.random.default_rng(5150)
+        states = [singlet_dm(), TestOutcomeDistribution.asymmetric_state()]
+        return states + [random_density(rng, 4, rank=r) for r in (1, 2, 3, 4) for _ in range(2)]
+
+    @staticmethod
+    def settings():
+        """(S, 2, 2, 2) port projectors of arms A and B: the nine tomography
+        pairs, then random analyzer angle pairs."""
+        rng = np.random.default_rng(6160)
+        pairs = [tuple(map(basis_projectors, p)) for p in product(BASIS_LABELS, BASIS_LABELS)]
+        pairs += [
+            (analyzer_projectors(a), analyzer_projectors(b)) for a, b in rng.uniform(0, 180, (9, 2))
+        ]
+        return tuple(np.array(arm) for arm in zip(*pairs))
+
+    @pytest.mark.parametrize(
+        "det",
+        DETECTOR_GRID,
+        ids=lambda d: f"eta{d.eta_det}-dark{d.dark_rate}-w{d.window_fraction}-late{d.late_emission_error}",
+    )
+    def test_matches_kron_oracle(self, det):
+        projs_a, projs_b = self.settings()
+        for rho in self.states():
+            stacked = _outcome_distribution(rho, projs_a, projs_b, det)
+            assert stacked.shape == (len(projs_a), 5)
+            for row, a, b in zip(stacked, projs_a, projs_b):
+                np.testing.assert_allclose(row, kron_outcome_distribution(rho, a, b, det),
+                                           rtol=0, atol=1e-15)
+                np.testing.assert_allclose(row, _outcome_distribution(rho, a, b, det),
+                                           rtol=0, atol=1e-15)
+
+    def test_leading_axes_are_kept(self):
+        projs_a, projs_b = self.settings()
+        rho, det = self.states()[1], DETECTOR_GRID[-1]
+        flat = _outcome_distribution(rho, projs_a, projs_b, det)
+        grid = _outcome_distribution(rho, projs_a.reshape(3, 6, 2, 2, 2),
+                                     projs_b.reshape(3, 6, 2, 2, 2), det)
+        np.testing.assert_allclose(grid.reshape(-1, 5), flat, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.5 * np.eye(4), np.eye(2) / 2.0])
+    def test_invalid_state_rejected_by_both_simulators(self, bad):
+        with pytest.raises(ValidationError):
+            simulate_counts(bad, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
+        with pytest.raises(ValidationError):
+            simulate_tomography_dataset(bad, 1000, IDEAL, seed=1)
 
 
 class TestWindowModel:

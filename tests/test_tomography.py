@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from ces.detection import (
     simulate_tomography_dataset,
 )
 from ces.errors import DataError
+from ces.fileio import read_series_csv
 from ces.measures import fidelity_singlet, log_negativity
+from ces.pipeline import run_sweep
 from ces.protocol import final_state
 from ces.qcore import trace_distance, validate_density
 from ces.rng import derive_seed, make_stream
@@ -30,6 +33,7 @@ from ces.tomography import (
     exact_dataset,
     linear_inversion,
     mle_reconstruct,
+    mle_reconstruct_batch,
     project_psd,
 )
 from conftest import dephased_singlet, random_density, random_unitary, singlet_dm
@@ -381,6 +385,38 @@ class TestFitPaths:
             single = tomography._fit(projectors, counts[None], MAX_ITER)
             np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
             assert single[1][0] == iterations[r]
+
+
+class TestBatchedSweep:
+    @pytest.mark.parametrize("seed", [4242, 7, 99])
+    def test_points_match_their_own_fits(self, tmp_path, seed):
+        # run_sweep fits every storage time in one batch; each point must
+        # match the one-dataset fit of its own counts.
+        cfg = dataclasses.replace(load_config(CONFIGS / "sweep.json"), seed=seed)
+        out = run_sweep(cfg, tmp_path, dt_grid_us=SWEEP_GRID_US)
+        _, values, _, _ = read_series_csv(out["series"])
+        datasets = [
+            simulate_tomography_dataset(
+                final_state(cfg.noise, dt), cfg.n_sequences, cfg.detector,
+                derive_seed(seed, 3000 + i),
+            )
+            for i, dt in enumerate(SWEEP_GRID_US)
+        ]
+        batch = mle_reconstruct_batch(datasets)
+        for i, ds in enumerate(datasets):
+            single = mle_reconstruct(ds)
+            assert abs(values[i] - log_negativity(single.rho)[0]) <= 1e-12
+            assert batch[i].iterations == single.iterations
+            assert batch[i].converged == single.converged == out["converged"][i]
+
+    def test_batch_needs_datasets_in_one_basis_order(self, sweep_datasets):
+        first, second = sweep_datasets[:2]
+        reordered = TomographyDataset(records=second.records[::-1])
+        assert mle_reconstruct(reordered).converged
+        with pytest.raises(DataError, match="same order"):
+            mle_reconstruct_batch([first, reordered])
+        with pytest.raises(DataError, match="no datasets"):
+            mle_reconstruct_batch([])
 
 
 class TestBasisCovariance:

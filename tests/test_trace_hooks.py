@@ -41,3 +41,27 @@ def test_tracer_installs_and_restores(tracing):
     finally:
         tracer.uninstall()
     assert home.report is original
+
+
+def test_detection_is_traced_in_every_run_mode(tracing, tmp_path):
+    # Every simulated sequence passes through a traced detection function,
+    # so the benchmark's detection figures cover each run mode whole.
+    from ces import pipeline
+    from ces.config import config_from_dict
+
+    n = 2_000
+    cfg = config_from_dict({"detector": {"eta_det": 1.0}, "n_sequences": n})
+    modes = [
+        (len(cfg.settings), lambda out: pipeline.run_bell(cfg, out)),
+        (9, lambda out: pipeline.run_tomo(cfg, out)),
+        (9 * 3, lambda out: pipeline.run_sweep(cfg, out, dt_grid_us=(0.8, 2.0, 4.0))),
+    ]
+    for i, (settings, run) in enumerate(modes):
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            run(tmp_path / str(i))
+        finally:
+            tracer.uninstall()
+        trials = sum(s.counts["trials"] for s in tracer.spans if s.layer == "detection")
+        assert trials == settings * n
