@@ -34,7 +34,7 @@ from .pipeline import (
     run_sweep,
     run_tomo,
 )
-from .tomography import MAX_ITER
+from .tomography import MAX_ITER, MIN_RESAMPLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,12 +69,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", metavar="CSV", help="reconstruct from an existing tomography CSV")
     p.add_argument("--method", choices=["mle", "linear"], default="mle")
-    p.add_argument("--bootstrap", type=int, default=0, metavar="N", help="bootstrap resamples")
+    p.add_argument(
+        "--bootstrap",
+        type=int,
+        default=0,
+        metavar="N",
+        help=f"bootstrap resamples: 0 (none) or at least {MIN_RESAMPLES}",
+    )
     p.add_argument(
         "--max-iter",
         type=int,
         default=MAX_ITER,
-        help="cap on MLE steps, Newton and R rho R together, at least 1",
+        help="cap on the main MLE fit's steps, Newton and R rho R together, at least 1; "
+        f"bootstrap resample fits always use the default cap of {MAX_ITER}",
     )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")

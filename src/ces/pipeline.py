@@ -31,6 +31,7 @@ from .protocol import final_state, rate_budget
 from .rng import derive_seed
 from .tomography import (
     MAX_ITER,
+    MIN_RESAMPLES,
     bootstrap_errors,
     linear_inversion,
     mle_reconstruct,
@@ -161,10 +162,16 @@ def run_tomo(
     """Nine-basis tomography pipeline ending in a reconstruction report.
 
     ``dataset`` may carry pre-recorded counts (e.g. read from CSV); when
-    omitted the dataset is simulated from the configured state.
+    omitted the dataset is simulated from the configured state.  ``max_iter``
+    caps the main MLE fit; ``bootstrap`` is 0 (none) or at least
+    MIN_RESAMPLES, and the resample fits keep the default cap MAX_ITER.
     """
     if max_iter < 1:
         raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
+    if bootstrap < 0 or 0 < bootstrap < MIN_RESAMPLES:
+        raise ConfigError(
+            f"bootstrap must be 0 or at least {MIN_RESAMPLES} resamples, got {bootstrap!r}"
+        )
     out = _prepare_out(out_dir)
     manifest = _new_manifest(cfg)
     if dataset is None:

@@ -15,7 +15,10 @@ Knill, Girard, NJP 14, 095017 (2012)); the fit stops on that certificate.
 Many count tables (the bootstrap resamples) are fitted as one batch.
 
 Both ports of each analyzer are used, so every basis pair contributes four
-projectors (36 total).  Error bars on derived quantities come from
+projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
+``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  A dataset
+must hold each pair exactly once, in any record order, and gives the same
+results in every order.  Error bars on derived quantities come from
 multinomial bootstrap resampling of the per-basis counts: the resamples
 are fitted as one batch, and one ``measures.report`` call evaluates the
 figures on the stack of kept states.
@@ -53,8 +56,11 @@ _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
 #: N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
-#: Default cap on Newton and RrhoR steps together per MLE fit.
+#: Default cap on Newton and RrhoR steps together per MLE fit; every
+#: bootstrap resample fit uses it.
 MAX_ITER = 10_000
+#: Fewest resamples a bootstrap accepts.
+MIN_RESAMPLES = 100
 #: A cut Newton step stops at this fraction of its way to the PSD boundary.
 _TO_BOUNDARY = 0.99
 
@@ -76,71 +82,60 @@ class ReconstructionResult:
         return self.min_eigenvalue >= MIN_EIGENVALUE_TOL
 
 
-# (4, 4, 4) port-projector block of each of the nine basis pairs, built once.
-_PAIR_PROJECTORS = {p: pair_projectors(*map(basis_projectors, p)) for p in BASIS_PAIRS}
+#: (36, 4, 4) port projectors of the count table's columns: the four cells
+#: (uu, ud, du, dd) of each of the nine BASIS_PAIRS, in that order.
+PROJECTORS = np.concatenate([pair_projectors(*map(basis_projectors, p)) for p in BASIS_PAIRS])
+PROJECTORS.flags.writeable = False
+_FLAT_PROJECTORS = flatten_real(PROJECTORS)
+# a_km = tr(Pi_k sigma_m) / 4: rho = (1/4) sum_m c_m sigma_m with c_0 = 1
+# fixed by the trace, so p = a[:, 0] + _DESIGN @ c[1:].  The (36, 15) design
+# has full rank (a test checks it), so the nine pairs determine the state.
+_PAULI_COEFFS = np.real(np.einsum("kij,mji->km", PROJECTORS, PAULI_PRODUCTS)) / 4.0
+_DESIGN = _PAULI_COEFFS[:, 1:]
+# a_k a_k^T of each design row, flattened: the Newton Hessian is one product.
+_OUTER = (_DESIGN[:, :, None] * _DESIGN[:, None, :]).reshape(len(_DESIGN), -1)
 # Row m is sigma_m / 4, flattened: a step delta in the 15 Pauli coordinates
 # changes rho by delta @ _PAULI_STEPS.
 _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 
 
-def _design(dataset: TomographyDataset, require_counts: bool):
-    """Flatten a dataset into its (K, 4, 4) projectors and (K,) counts.
+def _table(dataset: TomographyDataset) -> np.ndarray:
+    """The (36,) counts of a dataset in the column order of PROJECTORS.
 
-    Bases with zero total counts are skipped (the caller decides whether
-    that is acceptable).
+    The dataset must hold each of the nine basis pairs exactly once, each
+    with coincidences; its record order does not matter.
     """
-    projectors: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
+    cells = {}
     for basis_a, basis_b, rec in dataset.records:
+        pair = (basis_a, basis_b)
+        if pair not in BASIS_PAIRS:
+            raise DataError(f"unknown basis pair {pair}, expected labels from {BASIS_LABELS}")
+        if pair in cells:
+            raise DataError(f"basis pair {pair} appears more than once")
         if rec.total <= 0:
-            if require_counts:
-                raise DataError(f"basis pair ({basis_a}, {basis_b}) has zero coincidences")
-            continue
-        try:
-            projectors.append(_PAIR_PROJECTORS[(basis_a, basis_b)])
-        except KeyError:
-            raise DataError(
-                f"unknown basis pair ({basis_a!r}, {basis_b!r}), "
-                f"expected labels from {BASIS_LABELS}"
-            ) from None
-        counts.append(rec.counts().astype(float))
-    if not projectors:
-        raise DataError("dataset contains no coincidences")
-    return np.concatenate(projectors), np.concatenate(counts)
+            raise DataError(f"basis pair {pair} has zero coincidences")
+        cells[pair] = rec.counts()
+    missing = [pair for pair in BASIS_PAIRS if pair not in cells]
+    if missing:
+        raise DataError(f"dataset does not cover all nine basis pairs; missing {missing}")
+    return np.concatenate([cells[pair] for pair in BASIS_PAIRS]).astype(float)
 
 
-def _log_likelihood(projectors: np.ndarray, counts: np.ndarray, rho: np.ndarray):
-    """sum_k n_k log p_k, per row of a (B, K) table and (B, 4, 4) stack."""
-    probs = np.clip(born_probabilities(projectors, rho), _PROB_FLOOR, None)
+def _log_likelihood(counts: np.ndarray, rho: np.ndarray):
+    """sum_k n_k log p_k, per row of a (B, 36) table and (B, 4, 4) stack."""
+    probs = np.clip(born_probabilities(PROJECTORS, rho), _PROB_FLOOR, None)
     return np.sum(counts * np.log(probs), axis=-1)
 
 
-def _pauli_design(projectors: np.ndarray) -> np.ndarray:
-    """(K, 16) coefficients a_km = tr(Pi_k sigma_m) / 4 of the Pauli products.
-
-    rho = (1/4) sum_m c_m sigma_m with c_0 = 1 fixed by the trace, so
-    p = a[:, 0] + a[:, 1:] @ c[1:]; the (K, 15) design a[:, 1:] must have
-    full rank for the bases to determine the state.
-    """
-    coeffs = np.real(np.einsum("kij,mji->km", projectors, PAULI_PRODUCTS)) / 4.0
-    if np.linalg.matrix_rank(coeffs[:, 1:]) < 15:
-        raise DataError(
-            "tomography design matrix is rank-deficient; the basis set does "
-            "not determine the state"
-        )
-    return coeffs
-
-
-def _linear_states(projectors: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Least-squares Hermitian, trace-one matrices, one per row of a (B, K) table.
+def _linear_states(counts: np.ndarray) -> np.ndarray:
+    """Least-squares Hermitian, trace-one matrices, one per row of a (B, 36) table.
 
     Each row's counts become per-basis frequencies (bases are consecutive
     blocks of four cells); all rows are solved by one ``lstsq`` call.
     """
     totals = counts.reshape(len(counts), -1, 4).sum(axis=2)
     freqs = counts / np.repeat(totals, 4, axis=1)
-    coeffs = _pauli_design(projectors)
-    c, *_ = np.linalg.lstsq(coeffs[:, 1:], (freqs - coeffs[:, 0]).T, rcond=None)
+    c, *_ = np.linalg.lstsq(_DESIGN, (freqs - _PAULI_COEFFS[:, 0]).T, rcond=None)
     c = np.vstack([np.ones(len(counts)), c])
     return np.einsum("mb,mij->bij", c, PAULI_PRODUCTS) / 4.0
 
@@ -152,11 +147,11 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
     counts may give a non-positive matrix, reported via min_eigenvalue and
     psd_ok rather than corrected.
     """
-    projectors, counts = _design(dataset, require_counts=False)
-    mat = _linear_states(projectors, counts[None])[0]
+    counts = _table(dataset)
+    mat = _linear_states(counts[None])[0]
     return ReconstructionResult(
         rho=DensityMatrix(mat),
-        log_likelihood=float(_log_likelihood(projectors, counts, mat)),
+        log_likelihood=float(_log_likelihood(counts, mat)),
         iterations=0,
         converged=True,
         method="linear",
@@ -177,21 +172,22 @@ def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return out / np.trace(out, axis1=-2, axis2=-1)[..., None, None]
 
 
-def _newton_step(design, outer, weights, probs, rho):
+def _newton_step(weights, probs, rho):
     """Newton step Delta_rho of each row, and C^-1 Delta_rho C^-dag with rho = C C^dag.
 
-    weights = n/p; ``outer`` holds a_k a_k^T for the rows a_k of ``design``,
-    so the Hessian A^T diag(n/p^2) A is one matrix product.
+    weights = n/p; the Hessian A^T diag(n/p^2) A is one product with _OUTER.
     """
-    hessian = ((weights / probs)[:, None, :] @ outer).reshape(-1, 15, 15)
-    delta = np.linalg.solve(hessian, (weights @ design)[..., None])[..., 0]
+    hessian = ((weights / probs)[:, None, :] @ _OUTER).reshape(-1, 15, 15)
+    delta = np.linalg.solve(hessian, (weights @ _DESIGN)[..., None])[..., 0]
     d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
     whiten = np.linalg.inv(np.linalg.cholesky(rho))
     return d_rho, whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
 
 
-def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
-    """Batched maximum-likelihood fit of every row of a (B, K) count table.
+def _fit(counts: np.ndarray, max_iter: int):
+    """Batched maximum-likelihood fit of every row of a (B, 36) count table.
+
+    The columns are those of PROJECTORS, as ``_table`` lays them out.
 
     Starts each row from the PSD projection of its linear-inversion
     estimate, lightly mixed with the identity so that every probability is
@@ -199,7 +195,7 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     max_iter caps both kinds together.
 
     Newton works in the 15 Pauli coordinates c of rho, where
-    p = a_0 + A c with A from ``_pauli_design``.  It solves
+    p = a_0 + A c with A = _DESIGN.  It solves
     (A^T diag(n/p^2) A) delta = A^T (n/p), minus the Hessian and the
     gradient of L = sum_k n_k log p_k, and steps rho <- rho + alpha
     Delta_rho.  With rho = C C^dag (Cholesky) and mu the smallest eigenvalue
@@ -219,10 +215,7 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     once gap <= GAP_TOL * N, or after max_iter steps.  Returns rho
     (B, 4, 4), the steps taken and the final gap of each row.
     """
-    design = _pauli_design(projectors)[:, 1:]
-    outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), -1)
-    rho = 0.999999 * project_psd(_linear_states(projectors, counts)) + 1e-6 * np.eye(4) / 4.0
-    flat = flatten_real(projectors)
+    rho = 0.999999 * project_psd(_linear_states(counts)) + 1e-6 * np.eye(4) / 4.0
     tol = GAP_TOL * counts.sum(axis=1)
     iterations = np.zeros(len(counts), dtype=int)
     gap = np.empty(len(counts))
@@ -231,14 +224,14 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     last_alpha = np.zeros(len(counts))
     for step in range(max_iter + 1):
         n = counts[active]
-        probs = born_probabilities(projectors, rho[active])
+        probs = born_probabilities(PROJECTORS, rho[active])
         weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
-        r_op = (weights @ flat).view(complex).reshape(-1, 4, 4)
+        r_op = (weights @ _FLAT_PROJECTORS).view(complex).reshape(-1, 4, 4)
         in_newton = newton[active]
         newton_step = in_newton.any()
         if newton_step:
             d_rho, whitened = _newton_step(
-                design, outer, weights[in_newton], probs[in_newton], rho[active[in_newton]]
+                weights[in_newton], probs[in_newton], rho[active[in_newton]]
             )
             eigs = np.linalg.eigvalsh(np.concatenate([r_op, whitened]))
         else:
@@ -264,33 +257,22 @@ def _fit(projectors: np.ndarray, counts: np.ndarray, max_iter: int):
     return rho, iterations, gap
 
 
-def _full_design(dataset: TomographyDataset):
-    """``_design`` of a dataset that covers all nine basis pairs, each with counts."""
-    pairs = dataset.basis_pairs()
-    missing = [p for p in BASIS_PAIRS if p not in pairs]
-    if missing:
-        raise DataError(f"dataset does not cover all nine basis pairs; missing {missing}")
-    return _design(dataset, require_counts=True)
-
-
 def mle_reconstruct_batch(datasets, max_iter: int = MAX_ITER) -> list[ReconstructionResult]:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    Every dataset needs all nine basis pairs with nonzero coincidences, and
-    all must list them in the same order.  Their counts are the rows of one
-    table that a single ``_fit`` call reconstructs, in at most ``max_iter``
-    Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
+    Every dataset needs each of the nine basis pairs exactly once, with
+    nonzero coincidences, in any record order; the order does not change
+    the result.  Their counts, in the column order of PROJECTORS, are the
+    rows of one table that a single ``_fit`` call reconstructs, in at most
+    ``max_iter`` Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
     lambda_max(R) - N on the log-likelihood still missing, and
     ``converged`` means it is at most GAP_TOL * N.
     """
     if not datasets:
         raise DataError("no datasets to reconstruct")
-    designs = [_full_design(dataset) for dataset in datasets]
-    if any(dataset.basis_pairs() != datasets[0].basis_pairs() for dataset in datasets):
-        raise DataError("batched datasets must list their basis pairs in the same order")
-    projectors, counts = designs[0][0], np.array([row for _, row in designs])
-    rho, iterations, gap = _fit(projectors, counts, max_iter)
-    log_likelihood = _log_likelihood(projectors, counts, rho)
+    counts = np.array([_table(dataset) for dataset in datasets])
+    rho, iterations, gap = _fit(counts, max_iter)
+    log_likelihood = _log_likelihood(counts, rho)
     min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
     converged = gap <= GAP_TOL * counts.sum(axis=1)
     return [
@@ -317,12 +299,13 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
 
     Serves as the noiseless oracle input for estimator round-trip checks.
     """
-    mat = require_valid_density(rho)
-    records = []
-    for pair, projectors in _PAIR_PROJECTORS.items():
-        cells = [max(0.0, total_per_basis * float(p)) for p in born_probabilities(projectors, mat)]
-        records.append((*pair, CountRecord(MeasurementSetting(0.0, 0.0), *cells)))
-    return TomographyDataset(records=tuple(records))
+    probs = born_probabilities(PROJECTORS, require_valid_density(rho))
+    cells = np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
+    setting = MeasurementSetting(0.0, 0.0)
+    records = tuple(
+        (*pair, CountRecord(setting, *map(float, row))) for pair, row in zip(BASIS_PAIRS, cells)
+    )
+    return TomographyDataset(records=records)
 
 
 @dataclass(frozen=True)
@@ -349,17 +332,16 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
     ``report`` call evaluates the figures on all of them; every other
     resample is counted in ``n_failed``.
     """
-    if n_resamples < 100:
-        raise DataError(f"need at least 100 resamples, got {n_resamples}")
-    projectors, counts = _full_design(dataset)
-    cells = counts.reshape(-1, 4)
+    if n_resamples < MIN_RESAMPLES:
+        raise DataError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
+    cells = _table(dataset).reshape(-1, 4)
     probs = cells / cells.sum(axis=1, keepdims=True)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)
     table = np.array(
         [make_stream(seed, (r,)).multinomial(totals, probs) for r in range(n_resamples)],
         dtype=float,
     ).reshape(n_resamples, -1)
-    rho, _, gap = _fit(projectors, table, MAX_ITER)
+    rho, _, gap = _fit(table, MAX_ITER)
     kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")

@@ -21,6 +21,7 @@ from ces.config import (
     load_config,
     save_config,
 )
+from ces.detection import TomographyDataset
 from ces.errors import ConfigError
 from ces.pipeline import run_bell, run_rates, run_tomo
 from ces.tomography import GAP_TOL
@@ -226,6 +227,20 @@ class TestCliExitCodes:
         assert "max_iter" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n", ["50", "-5"])
+    def test_bootstrap_below_minimum_is_2(self, tmp_path, capsys, n):
+        code = cli.main(
+            ["tomo", "--trials", "2000", "--bootstrap", n, "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "bootstrap must be 0 or at least 100" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bootstrap_zero_runs_none(self, tmp_path):
+        out = tmp_path / "o"
+        assert cli.main(["tomo", "--trials", "20000", "--bootstrap", "0", "--out", str(out)]) == 0
+        assert "bootstrap" not in json.loads((out / "reconstruction.json").read_text())
+
     def test_data_error_is_3(self, tmp_path):
         series = tmp_path / "series.csv"
         series.write_text("dt_us,value,kind,sigma\n0.8,0.4,N,\n2.0,0.35,N,\n")
@@ -296,11 +311,11 @@ class TestCliExitCodes:
         real_fit = tomography._fit
         calls = []
 
-        def second_point_unconverged(projectors, counts, max_iter):
+        def second_point_unconverged(counts, max_iter):
             # The sweep fits its three points as the rows of one call.
             calls.append(counts)
             assert counts.shape == (3, 36)
-            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+            rho, iterations, gap = real_fit(counts, max_iter)
             gap[1] = np.inf
             return rho, iterations, gap
 
@@ -438,6 +453,57 @@ class TestCliExitCodes:
             ["tomo", "--data", str(csv_path), "--method", "linear", "--out", str(tmp_path / "o")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    @pytest.mark.parametrize(
+        ("case", "message"),
+        [
+            ("duplicated", "basis pair ('HV', 'HV') appears more than once"),
+            ("missing", "missing [('DA', 'DA')]"),
+            ("zero", "basis pair ('DA', 'HV') has zero coincidences"),
+        ],
+        ids=["duplicated", "missing", "zero"],
+    )
+    def test_tomo_csv_with_malformed_basis_set_is_3(self, tmp_path, capsys, method, case, message):
+        from ces.detection import CountRecord, DetectorParams, simulate_tomography_dataset
+        from ces.fileio import write_tomography_csv
+        from conftest import singlet_dm
+
+        ds = simulate_tomography_dataset(singlet_dm(), 1_000, DetectorParams(), seed=79)
+        records = ds.records
+        if case == "duplicated":
+            records += records[:1]
+        elif case == "missing":
+            records = records[:4] + records[5:]
+        else:
+            basis_a, basis_b, rec = records[3]
+            empty = CountRecord(rec.setting, 0, 0, 0, 0, n_discarded=rec.n_discarded)
+            records = records[:3] + ((basis_a, basis_b, empty),) + records[4:]
+        csv_path = tmp_path / "tomography.csv"
+        write_tomography_csv(csv_path, TomographyDataset(records=records))
+        code = cli.main(
+            ["tomo", "--data", str(csv_path), "--method", method, "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["mle", "linear"])
+    def test_tomo_csv_row_order_does_not_change_output(self, tmp_path, method):
+        from ces.detection import DetectorParams, simulate_tomography_dataset
+        from ces.fileio import write_tomography_csv
+        from conftest import dephased_singlet
+
+        ds = simulate_tomography_dataset(dephased_singlet(0.8), 20_000, DetectorParams(), seed=83)
+        reversed_ds = TomographyDataset(records=ds.records[::-1])
+        outputs = []
+        for name, dataset in (("forward", ds), ("reversed", reversed_ds)):
+            csv_path = tmp_path / f"{name}.csv"
+            write_tomography_csv(csv_path, dataset)
+            out = tmp_path / name
+            args = ["tomo", "--data", str(csv_path), "--method", method, "--out", str(out)]
+            assert cli.main(args + (["--bootstrap", "100"] if method == "mle" else [])) == 0
+            outputs.append((out / "reconstruction.json").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_tomo_from_recorded_csv(self, tmp_path):
         from ces.detection import DetectorParams, simulate_tomography_dataset

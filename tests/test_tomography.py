@@ -11,10 +11,13 @@ import pytest
 from ces import tomography
 from ces.config import load_config
 from ces.detection import (
+    BASIS_PAIRS,
     CountRecord,
     DetectorParams,
     MeasurementSetting,
     TomographyDataset,
+    basis_projectors,
+    pair_projectors,
     simulate_tomography_dataset,
 )
 from ces.errors import DataError
@@ -27,8 +30,9 @@ from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
     MAX_ITER,
-    _design,
+    PROJECTORS,
     _linear_states,
+    _table,
     bootstrap_errors,
     exact_dataset,
     linear_inversion,
@@ -103,7 +107,7 @@ def lbfgs_fit(projectors, counts, max_iter=10_000, gtol=1e-8, ftol=1e-12):
     """Oracle MLE: returns (rho, log_likelihood, converged)."""
     from scipy.optimize import minimize
 
-    start = project_psd(_linear_states(projectors, counts[None])[0])
+    start = project_psd(_linear_states(counts[None])[0])
     start = 0.999999 * start + 1e-6 * np.eye(4) / 4.0  # keep the factor full-rank
     res = minimize(
         _neg_log_likelihood_and_grad,
@@ -161,9 +165,9 @@ def calibrated_bootstrap():
     captured = {}
     real_fit = tomography._fit
 
-    def spy(projectors, counts, max_iter):
-        result = real_fit(projectors, counts, max_iter)
-        captured.update(projectors=projectors, table=counts, result=result)
+    def spy(counts, max_iter):
+        result = real_fit(counts, max_iter)
+        captured.update(table=counts, result=result)
         return result
 
     seed = derive_seed(cfg.seed, 2000)
@@ -185,6 +189,18 @@ def sweep_datasets():
         )
         for i, dt in enumerate(SWEEP_GRID_US)
     ]
+
+
+class TestTableLayout:
+    def test_projectors_are_the_nine_pairs_in_order(self):
+        blocks = PROJECTORS.reshape(9, 4, 4, 4)
+        for pair, block in zip(BASIS_PAIRS, blocks, strict=True):
+            np.testing.assert_array_equal(block, pair_projectors(*map(basis_projectors, pair)))
+
+    def test_design_determines_the_state(self):
+        # The nine pairs determine every two-qubit state.
+        assert tomography._DESIGN.shape == (36, 15)
+        assert np.linalg.matrix_rank(tomography._DESIGN) == 15
 
 
 class TestLinearInversion:
@@ -261,7 +277,7 @@ class TestMleReconstruct:
     def test_gradient_matches_finite_differences(self, rng):
         # Oracle for the optimizer plumbing: central finite differences.
         ds = simulate_tomography_dataset(dephased_singlet(0.7), 5_000, IDEAL, seed=29)
-        projectors, counts = _design(ds, require_counts=True)
+        projectors, counts = PROJECTORS, _table(ds)
         t0 = _params_from_t(_lower_factor(project_psd(random_density(rng, 4)) + 1e-3 * np.eye(4)))
         _, grad = _neg_log_likelihood_and_grad(t0, projectors, counts)
         eps = 1e-6
@@ -288,7 +304,7 @@ class TestOracleEquivalence:
     def test_likelihood_at_optimum_dominates_projected_linear(self):
         for seed in (31, 37, 41):
             ds = simulate_tomography_dataset(dephased_singlet(0.85), 3_000, IDEAL, seed=seed)
-            projectors, counts = _design(ds, require_counts=True)
+            projectors, counts = PROJECTORS, _table(ds)
 
             def log_like(mat):
                 probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), 1e-12, None)
@@ -301,7 +317,7 @@ class TestOracleEquivalence:
 
     def test_matches_lbfgs_on_calibrated_resamples(self, calibrated_bootstrap):
         *_, captured = calibrated_bootstrap
-        projectors, table = captured["projectors"], captured["table"]
+        projectors, table = PROJECTORS, captured["table"]
         rho, _, gap = captured["result"]
         for r in range(25):
             counts = table[r]
@@ -314,7 +330,7 @@ class TestOracleEquivalence:
 
     def test_matches_lbfgs_at_every_sweep_time(self, sweep_datasets):
         for ds in sweep_datasets:
-            projectors, counts = _design(ds, require_counts=True)
+            projectors, counts = PROJECTORS, _table(ds)
             fit = mle_reconstruct(ds)
             oracle_rho, oracle_ll, oracle_ok = lbfgs_fit(projectors, counts)
             assert fit.converged and oracle_ok
@@ -324,13 +340,13 @@ class TestOracleEquivalence:
 
     def test_certificate_holds_for_returned_states(self, calibrated_bootstrap, sweep_datasets):
         *_, captured = calibrated_bootstrap
-        projectors, table = captured["projectors"], captured["table"]
+        projectors, table = PROJECTORS, captured["table"]
         rho, _, gap = captured["result"]
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         for counts, mat in zip(table, rho):
             assert recomputed_gap(projectors, counts, mat) <= GAP_TOL * counts.sum()
         for ds in sweep_datasets:
-            projectors, counts = _design(ds, require_counts=True)
+            projectors, counts = PROJECTORS, _table(ds)
             fit = mle_reconstruct(ds)
             assert fit.converged
             gap = recomputed_gap(projectors, counts, fit.rho.matrix)
@@ -363,7 +379,6 @@ class TestFitPaths:
         # Newton), rank-2 sweep points with zero-count cells and an adversarial
         # row with three zero cells per basis (RrhoR from the start).
         *_, captured = calibrated_bootstrap
-        projectors = captured["projectors"]
         cfg = load_config(CONFIGS / "calibrated.json")
         low = simulate_tomography_dataset(
             final_state(cfg.noise, cfg.dt_us), 20_000, cfg.detector, derive_seed(4242, 1000)
@@ -372,17 +387,15 @@ class TestFitPaths:
         seed = derive_seed(4242, 2000)
         rows = [captured["table"][:4], np.array([resample(low, seed, r) for r in (0, 1, 84)])]
         for ds in sweep_datasets:
-            sweep_projectors, counts = _design(ds, require_counts=True)
-            np.testing.assert_array_equal(sweep_projectors, projectors)
-            rows.append(counts[None])
+            rows.append(_table(ds)[None])
         table = np.concatenate([*rows, adversarial[None]])
         assert np.all((table[7:] == 0).any(axis=1))
 
-        rho, iterations, gap = tomography._fit(projectors, table, MAX_ITER)
+        rho, iterations, gap = tomography._fit(table, MAX_ITER)
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         assert iterations[6] <= 10  # resample 84 (24 007 steps with RrhoR alone)
         for r, counts in enumerate(table):
-            single = tomography._fit(projectors, counts[None], MAX_ITER)
+            single = tomography._fit(counts[None], MAX_ITER)
             np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
             assert single[1][0] == iterations[r]
 
@@ -409,12 +422,15 @@ class TestBatchedSweep:
             assert batch[i].iterations == single.iterations
             assert batch[i].converged == single.converged == out["converged"][i]
 
-    def test_batch_needs_datasets_in_one_basis_order(self, sweep_datasets):
+    def test_batch_accepts_datasets_in_any_basis_order(self, sweep_datasets):
         first, second = sweep_datasets[:2]
         reordered = TomographyDataset(records=second.records[::-1])
-        assert mle_reconstruct(reordered).converged
-        with pytest.raises(DataError, match="same order"):
-            mle_reconstruct_batch([first, reordered])
+        mixed = mle_reconstruct_batch([first, reordered])
+        assert mixed[1].converged
+        for got, want in zip(mixed, mle_reconstruct_batch([first, second]), strict=True):
+            np.testing.assert_array_equal(got.rho.matrix, want.rho.matrix)
+            assert got.iterations == want.iterations
+            assert got.certificate_gap == want.certificate_gap
         with pytest.raises(DataError, match="no datasets"):
             mle_reconstruct_batch([])
 
@@ -502,9 +518,9 @@ class TestBootstrap:
         real_fit = tomography._fit
         calls = []
 
-        def every_fourth_unconverged(projectors, counts, max_iter):
+        def every_fourth_unconverged(counts, max_iter):
             calls.append(counts)
-            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+            rho, iterations, gap = real_fit(counts, max_iter)
             gap[3::4] = np.inf
             return rho, iterations, gap
 
@@ -517,8 +533,8 @@ class TestBootstrap:
         real_fit, real_report = tomography._fit, tomography.report
         reported = []
 
-        def every_fifth_invalid(projectors, counts, max_iter):
-            rho, iterations, gap = real_fit(projectors, counts, max_iter)
+        def every_fifth_invalid(counts, max_iter):
+            rho, iterations, gap = real_fit(counts, max_iter)
             rho[4::5] *= 1.1  # trace 1.1: not a density matrix
             return rho, iterations, gap
 
