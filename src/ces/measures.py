@@ -106,7 +106,11 @@ def report(rho) -> EntanglementReport:
 
     The state or stack is validated once, here.
     """
-    mat = require_valid_density(rho)
+    return _report(require_valid_density(rho))
+
+
+def _report(mat: np.ndarray) -> EntanglementReport:
+    """``report`` of a state or stack that has already passed validation."""
     c = _concurrence(mat)
     negativity, e_n = _log_negativity(mat)
     return EntanglementReport(

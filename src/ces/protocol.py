@@ -96,6 +96,7 @@ class RateReport:
     p_pair_detect: float
     pairs_produced_per_s: float
     pairs_detected_per_s: float
+    p_coincidence: float
 
     def __post_init__(self) -> None:
         if self.pairs_detected_per_s > self.pairs_produced_per_s + 1e-12:
@@ -186,8 +187,9 @@ def rate_budget(eff: EfficiencyParams, det: DetectorParams) -> RateReport:
     (within 25 %).  It omits two factors the detection model
     (:mod:`ces.detection`) applies to every produced pair: the 1/2 chance
     that the beam splitter sends the photons to different arms, and the
-    window acceptance ``window_fraction`` w.  The simulated coincidence
-    rate is therefore w/2 times the detected-pair rate reported here.
+    window acceptance ``window_fraction`` w.  ``p_coincidence`` applies
+    both, ``p_pair_detect * w / 2``: the coincidences per sequence that the
+    detection model records.
     """
     p_pair = eff.p_photon1 * eff.p_photon2 * det.eta_det**2
     rep_per_s = eff.rep_rate_khz * 1e3
@@ -196,6 +198,7 @@ def rate_budget(eff: EfficiencyParams, det: DetectorParams) -> RateReport:
         p_pair_detect=p_pair,
         pairs_produced_per_s=produced,
         pairs_detected_per_s=rep_per_s * p_pair,
+        p_coincidence=p_pair * 0.5 * det.window_fraction,
     )
 
 

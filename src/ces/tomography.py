@@ -19,9 +19,10 @@ projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
 ``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  A dataset
 must hold each pair exactly once, in any record order, and gives the same
 results in every order.  Error bars on derived quantities come from
-multinomial bootstrap resampling of the per-basis counts: the resamples
-are fitted as one batch, and one ``measures.report`` call evaluates the
-figures on the stack of kept states.
+multinomial bootstrap resampling of the per-basis counts: each basis pair
+draws all its resamples in one call on its own keyed stream, the
+resamples are fitted as one batch, and the figures are evaluated once on
+the stack of kept states.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .detection import (
     pair_projectors,
 )
 from .errors import DataError
-from .measures import report
+from .measures import _report
 from .qcore import (
     MIN_EIGENVALUE_TOL,
     PAULI_PRODUCTS,
@@ -212,8 +213,10 @@ def _fit(counts: np.ndarray, max_iter: int):
     keeps rho positive and trace-one (Rehacek et al., PRA 75, 042108
     (2007)).  The log-likelihood is concave, so gap = lambda_max(R) - N
     bounds how far a row's log-likelihood is below the maximum; a row stops
-    once gap <= GAP_TOL * N, or after max_iter steps.  Returns rho
-    (B, 4, 4), the steps taken and the final gap of each row.
+    once gap <= GAP_TOL * N, or after max_iter steps.  Each pass computes R
+    and the gap of the active rows first and drops the rows that certify,
+    so Newton steps are built only for rows that still take one.  Returns
+    rho (B, 4, 4), the steps taken and the final gap of each row.
     """
     rho = 0.999999 * project_psd(_linear_states(counts)) + 1e-6 * np.eye(4) / 4.0
     tol = GAP_TOL * counts.sum(axis=1)
@@ -227,33 +230,23 @@ def _fit(counts: np.ndarray, max_iter: int):
         probs = born_probabilities(PROJECTORS, rho[active])
         weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
         r_op = (weights @ _FLAT_PROJECTORS).view(complex).reshape(-1, 4, 4)
-        in_newton = newton[active]
-        newton_step = in_newton.any()
-        if newton_step:
-            d_rho, whitened = _newton_step(
-                weights[in_newton], probs[in_newton], rho[active[in_newton]]
-            )
-            eigs = np.linalg.eigvalsh(np.concatenate([r_op, whitened]))
-        else:
-            eigs = np.linalg.eigvalsh(r_op)
-        gap[active] = eigs[: len(active), -1] - n.sum(axis=1)
+        gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
         iterations[active] = step
         keep = gap[active] > tol[active]
         if step == max_iter or not keep.any():
             break
-        by_rrr = keep
-        if newton_step:
-            stepping = keep[in_newton]
-            rows = active[in_newton][stepping]
-            alpha = _TO_BOUNDARY / np.maximum(-eigs[len(active):, 0][stepping], _TO_BOUNDARY)
-            rho[rows] += alpha[:, None, None] * d_rho[stepping]
+        active, probs, weights, r_op = active[keep], probs[keep], weights[keep], r_op[keep]
+        in_newton = newton[active]
+        if in_newton.any():
+            rows = active[in_newton]
+            d_rho, whitened = _newton_step(weights[in_newton], probs[in_newton], rho[rows])
+            alpha = _TO_BOUNDARY / np.maximum(-np.linalg.eigvalsh(whitened)[:, 0], _TO_BOUNDARY)
+            rho[rows] += alpha[:, None, None] * d_rho
             newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
             last_alpha[rows] = alpha
-            by_rrr = keep & ~in_newton
-        rows, r_op = active[by_rrr], r_op[by_rrr]
+        rows, r_op = active[~in_newton], r_op[~in_newton]
         new = r_op @ rho[rows] @ r_op
         rho[rows] = new / np.einsum("bii->b", new).real[:, None, None]
-        active = active[keep]
     return rho, iterations, gap
 
 
@@ -310,11 +303,12 @@ def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
 
 @dataclass(frozen=True)
 class BootstrapErrors:
-    """Bootstrap standard deviations of the derived entanglement figures."""
+    """Bootstrap standard deviations of the figures of ``measures.report``."""
 
     sigma_fidelity: float
     sigma_concurrence: float
     sigma_eof: float
+    sigma_negativity: float
     sigma_log_negativity: float
     sigma_s_max: float
     n_resamples: int
@@ -324,34 +318,33 @@ class BootstrapErrors:
 def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) -> BootstrapErrors:
     """Multinomial bootstrap over per-basis counts, re-fitting with MLE.
 
-    Resample r redraws every basis's counts from its observed frequencies
-    on its own random substream keyed by r, so results do not depend on
-    evaluation order.  All resamples form one count table that a single
-    batched ``_fit`` reconstructs.  The resamples whose fit meets the
-    certificate tolerance and is a valid density matrix are kept, and one
-    ``report`` call evaluates the figures on all of them; every other
-    resample is counted in ``n_failed``.
+    Basis pair i of BASIS_PAIRS draws its counts for every resample from
+    its observed frequencies in one sized multinomial call on its own
+    random substream keyed by i; the nine draws side by side form the
+    (n_resamples, 36) count table.  Results therefore do not depend on
+    evaluation or record order, and resample r is the same for every
+    n_resamples above r.  A single batched ``_fit`` reconstructs the table.
+    The resamples whose fit meets the certificate tolerance and is a valid
+    density matrix are kept, and the figures are evaluated once on all of
+    them; every other resample is counted in ``n_failed``.
     """
     if n_resamples < MIN_RESAMPLES:
         raise DataError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     cells = _table(dataset).reshape(-1, 4)
-    probs = cells / cells.sum(axis=1, keepdims=True)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)
-    table = np.array(
-        [make_stream(seed, (r,)).multinomial(totals, probs) for r in range(n_resamples)],
-        dtype=float,
-    ).reshape(n_resamples, -1)
+    draws = [
+        make_stream(seed, (i,)).multinomial(total, row / row.sum(), size=n_resamples)
+        for i, (total, row) in enumerate(zip(totals, cells))
+    ]
+    table = np.concatenate(draws, axis=1).astype(float)
     rho, _, gap = _fit(table, MAX_ITER)
     kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")
-    sigma = {name: float(np.std(v, ddof=1)) for name, v in asdict(report(kept)).items()}
+    figures = asdict(_report(kept))
+    figures["fidelity"] = figures.pop("fidelity_singlet")
     return BootstrapErrors(
-        sigma_fidelity=sigma["fidelity_singlet"],
-        sigma_concurrence=sigma["concurrence"],
-        sigma_eof=sigma["eof"],
-        sigma_log_negativity=sigma["log_negativity"],
-        sigma_s_max=sigma["s_max"],
+        **{f"sigma_{name}": float(np.std(v, ddof=1)) for name, v in figures.items()},
         n_resamples=n_resamples,
         n_failed=n_resamples - len(kept),
     )

@@ -179,6 +179,27 @@ class TestCliExitCodes:
             eff.p_photon1 * eff.p_photon2 * 0.25, rel=1e-12
         )
 
+    def test_rates_coincidence_matches_simulation(self, tmp_path):
+        # p_coincidence / (p1 p2) is the coincidence fraction per produced
+        # pair that simulate_counts draws; 5 binomial sigma over all settings.
+        from ces.detection import simulate_counts
+        from ces.protocol import final_state
+        from ces.rng import derive_seed
+
+        config = Path(__file__).resolve().parents[1] / "configs" / "window_study.json"
+        assert cli.main(["rates", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        rates = json.loads((tmp_path / "o" / "rates.json").read_text())
+        cfg = load_config(config)
+        rho = final_state(cfg.noise, cfg.dt_us)
+        records = [
+            simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
+            for i, s in enumerate(cfg.settings)
+        ]
+        trials = len(records) * cfg.n_sequences
+        fraction = sum(rec.total for rec in records) / trials
+        expected = rates["p_coincidence"] / (cfg.efficiency.p_photon1 * cfg.efficiency.p_photon2)
+        assert abs(fraction - expected) <= 5.0 * np.sqrt(expected * (1.0 - expected) / trials)
+
     @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--trials", "0"]])
     def test_bad_seed_or_trials_flag_is_2(self, tmp_path, capsys, flags):
         code = cli.main(["simulate", "--out", str(tmp_path / "o"), *flags])
@@ -293,8 +314,9 @@ class TestCliExitCodes:
         assert fit["certificate_gap"] > 0.0
 
     def test_low_count_bootstrap_certifies_every_resample(self, tmp_path):
-        # Resample 84 of this run has an interior optimum behind a boundary
-        # start: RrhoR alone needs 24 007 steps, past the 10 000-step cap.
+        # At this count some resamples have optima on or near the PSD
+        # boundary.  The case that RrhoR alone could not certify within the
+        # cap is kept as fixed data in test_tomography's mixed-table test.
         config = Path(__file__).resolve().parents[1] / "configs" / "calibrated.json"
         out = tmp_path / "o"
         code = cli.main(
@@ -304,6 +326,7 @@ class TestCliExitCodes:
         assert code == 0
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["bootstrap"]["n_failed"] == 0
+        assert payload["bootstrap"]["sigma_negativity"] > 0.0
 
     def test_sweep_point_missing_the_certificate_is_4(self, tmp_path, capsys, monkeypatch):
         from ces import pipeline, tomography

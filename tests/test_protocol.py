@@ -184,9 +184,10 @@ class TestRateBudget:
         probs = _outcome_distribution(
             dephased_singlet(0.8), analyzer_projectors(0.0), analyzer_projectors(22.5), det
         )
-        assert rate_budget(eff, det).p_pair_detect * 0.5 * det.window_fraction == pytest.approx(
-            eff.p_photon1 * eff.p_photon2 * (1.0 - probs[4]), rel=1e-12
-        )
+        rep = rate_budget(eff, det)
+        detected = eff.p_photon1 * eff.p_photon2 * (1.0 - probs[4])
+        assert rep.p_pair_detect * 0.5 * det.window_fraction == pytest.approx(detected, rel=1e-12)
+        assert rep.p_coincidence == pytest.approx(detected, rel=1e-12)
 
     def test_zero_generation(self):
         rep = rate_budget(EfficiencyParams(0.0, 0.086, 50.0), DetectorParams(eta_det=0.2))

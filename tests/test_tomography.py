@@ -145,8 +145,10 @@ def dataset_from_row(template: TomographyDataset, row: np.ndarray) -> Tomography
     )
 
 
-def resample(dataset: TomographyDataset, seed: int, r: int) -> np.ndarray:
-    """Row r of the count table that ``bootstrap_errors(dataset, _, seed)`` fits."""
+def per_resample_keyed_row(dataset: TomographyDataset, seed: int, r: int) -> np.ndarray:
+    """Resample r drawn on its own stream ``make_stream(seed, (r,))``, nine
+    basis draws in record order: fixed regression data from the bootstrap's
+    former keying, not what ``bootstrap_errors`` draws now."""
     rng = make_stream(seed, (r,))
     draws = [rng.multinomial(int(rec.total), rec.counts() / rec.total)
              for _, _, rec in dataset.records]
@@ -385,7 +387,10 @@ class TestFitPaths:
         )
         adversarial = np.tile([500.0, 0.0, 0.0, 0.0], 9)
         seed = derive_seed(4242, 2000)
-        rows = [captured["table"][:4], np.array([resample(low, seed, r) for r in (0, 1, 84)])]
+        rows = [
+            captured["table"][:4],
+            np.array([per_resample_keyed_row(low, seed, r) for r in (0, 1, 84)]),
+        ]
         for ds in sweep_datasets:
             rows.append(_table(ds)[None])
         table = np.concatenate([*rows, adversarial[None]])
@@ -398,6 +403,28 @@ class TestFitPaths:
             single = tomography._fit(counts[None], MAX_ITER)
             np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
             assert single[1][0] == iterations[r]
+
+    def test_newton_steps_are_built_only_for_uncertified_rows(
+        self, calibrated_bootstrap, monkeypatch
+    ):
+        # Every calibrated resample has an interior optimum and no zero cell,
+        # so each of its steps is a Newton step: the rows handed to
+        # _newton_step on pass s are exactly those not yet certified there.
+        *_, captured = calibrated_bootstrap
+        table = captured["table"]
+        assert np.all(table > 0)
+        real_step = tomography._newton_step
+        sizes = []
+
+        def counting_step(weights, probs, rho):
+            sizes.append(len(weights))
+            return real_step(weights, probs, rho)
+
+        monkeypatch.setattr(tomography, "_newton_step", counting_step)
+        _, iterations, gap = tomography._fit(table, MAX_ITER)
+        assert np.all(gap <= GAP_TOL * table.sum(axis=1))
+        assert sizes == [int((iterations > s).sum()) for s in range(iterations.max())]
+        assert sum(sizes) == iterations.sum()
 
 
 class TestBatchedSweep:
@@ -510,9 +537,11 @@ class TestBootstrap:
     def test_uncertainty_shrinks_with_counts(self):
         small = simulate_tomography_dataset(dephased_singlet(0.8), 2_000, IDEAL, seed=59)
         large = simulate_tomography_dataset(dephased_singlet(0.8), 200_000, IDEAL, seed=61)
-        sigma_small = bootstrap_errors(small, 100, seed=67).sigma_fidelity
-        sigma_large = bootstrap_errors(large, 100, seed=67).sigma_fidelity
-        assert sigma_large < sigma_small
+        errs_small = bootstrap_errors(small, 100, seed=67)
+        errs_large = bootstrap_errors(large, 100, seed=67)
+        for name in ("sigma_fidelity", "sigma_negativity"):
+            sigma_small, sigma_large = getattr(errs_small, name), getattr(errs_large, name)
+            assert 0.0 < sigma_large < sigma_small, name
 
     def test_unconverged_fits_counted_as_failed(self, dataset, monkeypatch):
         real_fit = tomography._fit
@@ -530,7 +559,7 @@ class TestBootstrap:
         assert errs.n_failed == 25
 
     def test_invalid_fits_fail_the_validity_mask(self, dataset, monkeypatch):
-        real_fit, real_report = tomography._fit, tomography.report
+        real_fit, real_report = tomography._fit, tomography._report
         reported = []
 
         def every_fifth_invalid(counts, max_iter):
@@ -543,18 +572,88 @@ class TestBootstrap:
             return real_report(rho)
 
         monkeypatch.setattr(tomography, "_fit", every_fifth_invalid)
-        monkeypatch.setattr(tomography, "report", recording_report)
+        monkeypatch.setattr(tomography, "_report", recording_report)
         errs = bootstrap_errors(dataset, 100, seed=53)
         assert errs.n_failed == 20
         assert reported == [(80, 4, 4)]
 
-    def test_resamples_are_per_basis_draws_on_keyed_streams(self, calibrated_bootstrap):
+    def test_resamples_are_per_pair_draws_on_keyed_streams(self, calibrated_bootstrap):
+        # Pair i of every resample comes from one sized draw on stream i.
         dataset, seed, _, captured = calibrated_bootstrap
-        for r in (0, 1, 57, 99):
-            rng = make_stream(seed, (r,))
-            draws = [rng.multinomial(int(rec.total), rec.counts() / rec.total)
-                     for _, _, rec in dataset.records]
-            np.testing.assert_array_equal(captured["table"][r], np.concatenate(draws))
+        table = captured["table"]
+        for i, cells in enumerate(_table(dataset).reshape(9, 4)):
+            total = int(cells.sum())
+            draws = make_stream(seed, (i,)).multinomial(total, cells / total, size=len(table))
+            np.testing.assert_array_equal(table[:, 4 * i : 4 * i + 4], draws)
+
+    def test_rows_do_not_depend_on_the_resample_count(self, calibrated_bootstrap, monkeypatch):
+        dataset, seed, _, captured = calibrated_bootstrap
+        real_fit = tomography._fit
+        tables, streams = [], []
+
+        def capturing_fit(counts, max_iter):
+            tables.append(counts)
+            return real_fit(counts, max_iter)
+
+        def counting_stream(*key):
+            streams.append(key)
+            return make_stream(*key)
+
+        monkeypatch.setattr(tomography, "_fit", capturing_fit)
+        monkeypatch.setattr(tomography, "make_stream", counting_stream)
+        for n_resamples in (100, 150):
+            streams.clear()
+            bootstrap_errors(dataset, n_resamples, seed)
+            assert streams == [(seed, (i,)) for i in range(9)]
+        np.testing.assert_array_equal(tables[0], captured["table"])
+        np.testing.assert_array_equal(tables[1][:100], tables[0])
+
+    def test_draws_match_exact_multinomial_moments(self, monkeypatch):
+        # 4000 resamples of a small dataset, checked against the exact
+        # moments of Multinomial(N_i, p_i).  Bands are 5 sigma; the variance
+        # band is the chi-square quantile (Wilson-Hilferty) at the degrees
+        # of freedom that match the binomial fourth moment.
+        n_resamples = 4000
+        cells = np.array([[3 + i, 10 + 2 * i, 25 - i, 6 + 3 * i] for i in range(9)], float)
+        dataset = TomographyDataset(
+            records=tuple(
+                (*pair, CountRecord(MeasurementSetting(0.0, 0.0), *map(int, row)))
+                for pair, row in zip(BASIS_PAIRS, cells)
+            )
+        )
+        tables = []
+
+        def mixed_state_fit(counts, max_iter):
+            # The draw is under test, not the fit: every row is I/4, certified.
+            tables.append(counts)
+            rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
+            return rho, np.zeros(len(counts), dtype=int), np.zeros(len(counts))
+
+        monkeypatch.setattr(tomography, "_fit", mixed_state_fit)
+        bootstrap_errors(dataset, n_resamples, seed=79)
+        (table,) = tables
+        assert table.shape == (n_resamples, 36)
+        totals = cells.sum(axis=1)
+        assert np.all(table.reshape(-1, 9, 4).sum(axis=2) == totals)
+
+        n = np.repeat(totals, 4)
+        p = (cells / totals[:, None]).ravel()
+        var = n * p * (1.0 - p)
+        mean_z = (table.mean(axis=0) - n * p) / np.sqrt(var / n_resamples)
+        assert np.all(np.abs(mean_z) <= 5.0)
+
+        mu4 = var * (1.0 + 3.0 * (n - 2.0) * p * (1.0 - p))
+        r = n_resamples
+        var_of_s2 = mu4 / r - var**2 * (r - 3.0) / (r * (r - 1.0))
+        dof = 2.0 * var**2 / var_of_s2
+        spread = np.sqrt(2.0 / (9.0 * dof))
+        low, high = ((1.0 - 2.0 / (9.0 * dof) + z * spread) ** 3 for z in (-5.0, 5.0))
+        ratio = table.var(axis=0, ddof=1) / var
+        assert np.all((low <= ratio) & (ratio <= high))
+
+        corr = np.corrcoef(table, rowvar=False)
+        other_pair = np.repeat(np.arange(9), 4)[:, None] != np.repeat(np.arange(9), 4)[None, :]
+        assert np.all(np.abs(corr[other_pair]) <= 5.0 / np.sqrt(n_resamples))
 
     def test_batch_matches_single_fits(self, calibrated_bootstrap):
         dataset, _, _, captured = calibrated_bootstrap
