@@ -48,7 +48,6 @@ from .protocol import (
 )
 from .qcore import (
     DensityMatrix,
-    StateVector,
     partial_trace,
     partial_transpose,
     tensor,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .detection import CountRecord, MeasurementSetting, outcome_probabilities
 from .errors import ConfigError, DataError, ValidationError
-from .qcore import correlation_matrix, require_valid_density, unstack
+from .qcore import correlation_matrix, require_two_qubit_density, unstack
 
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
@@ -121,23 +121,6 @@ def analytic_chsh(rho, settings: tuple[float, float, float, float]) -> BellResul
     return BellResult(s_value=s, std_err=0.0, settings=tuple(float(x) for x in settings))
 
 
-def _plane_chsh(s1: float, s2: float, th_a: float, th_ap: float):
-    """Best CHSH for fixed first-arm directions in the principal plane.
-
-    With v(t) = (s1 cos t, s2 sin t), the optimal second-arm directions are
-    parallel to v(a') +/- v(a), giving
-    S = ||v(a') - v(a)|| + ||v(a') + v(a)||.
-    """
-    va = np.array([s1 * math.cos(th_a), s2 * math.sin(th_a)])
-    vap = np.array([s1 * math.cos(th_ap), s2 * math.sin(th_ap)])
-    diff = vap - va
-    summ = vap + va
-    s = float(np.linalg.norm(diff) + np.linalg.norm(summ))
-    th_bp = math.atan2(diff[1], diff[0])
-    th_b = math.atan2(summ[1], summ[0])
-    return s, th_b, th_bp
-
-
 def _principal_values(mat: np.ndarray) -> np.ndarray:
     """Singular values s1 >= s2 >= s3 of the correlation matrix (stacks too)."""
     return np.linalg.svd(correlation_matrix(mat), compute_uv=False)
@@ -146,7 +129,7 @@ def _principal_values(mat: np.ndarray) -> np.ndarray:
 def s_max(rho) -> float:
     """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one state or a stack
     (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson bound."""
-    return _s_max(require_valid_density(rho))
+    return _s_max(require_two_qubit_density(rho))
 
 
 def _s_max(mat: np.ndarray) -> float:
@@ -158,10 +141,12 @@ def _s_max(mat: np.ndarray) -> float:
 def max_chsh_from_state(rho) -> BellResult:
     """State-optimal CHSH value and a setting quad that attains it.
 
-    The value is :func:`s_max`.  The quad puts the first arm at plane
-    angles 0 and pi/2 and the second arm along v(a') + v(a) and
-    v(a') - v(a) (see :func:`_plane_chsh`); the S it achieves is checked
-    against the closed form to 1e-6.
+    The value is :func:`s_max`.  With s1 >= s2 the two largest singular
+    values of T, write v(t) = (s1 cos t, s2 sin t) for a first-arm direction
+    at plane angle t.  The first arm takes t = 0 and pi/2, and the second
+    arm lies along v(pi/2) + v(0) = (s1, s2) and v(pi/2) - v(0) = (-s1, s2),
+    at plane angles atan2(s2, s1) and atan2(s2, -s1); these reach
+    S = 2 sqrt(s1^2 + s2^2).
 
     The returned angles are half the Bloch angles in the principal
     correlation plane, measured from the first principal axis, so they are
@@ -169,18 +154,16 @@ def max_chsh_from_state(rho) -> BellResult:
     (singlet, Werner states), where every plane is principal, is the quad
     the polarizer quad (0, 45, 22.5, 67.5) degrees.
     """
-    mat = require_valid_density(rho)
-    value = _s_max(mat)
+    mat = require_two_qubit_density(rho)
     s1, s2, _ = (float(x) for x in _principal_values(mat))
-    th_a, th_ap = 0.0, 0.5 * math.pi
-    s_achieved, th_b, th_bp = _plane_chsh(s1, s2, th_a, th_ap)
-    if abs(s_achieved - value) > 1e-6:
-        raise ValidationError(
-            f"closed-form settings reach S = {s_achieved}, certificate is {value}"
-        )
 
     def to_analyzer(th: float) -> float:
         return (math.degrees(th) / 2.0) % 180.0
 
-    settings = (to_analyzer(th_a), to_analyzer(th_ap), to_analyzer(th_b), to_analyzer(th_bp))
-    return BellResult(s_value=value, std_err=0.0, settings=settings)
+    settings = (
+        to_analyzer(0.0),
+        to_analyzer(0.5 * math.pi),
+        to_analyzer(math.atan2(s2, s1)),
+        to_analyzer(math.atan2(s2, -s1)),
+    )
+    return BellResult(s_value=_s_max(mat), std_err=0.0, settings=settings)

@@ -34,7 +34,7 @@ from .pipeline import (
     run_sweep,
     run_tomo,
 )
-from .tomography import MAX_ITER, MIN_RESAMPLES
+from .tomography import MIN_RESAMPLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,13 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help=f"bootstrap resamples: 0 (none) or at least {MIN_RESAMPLES}",
-    )
-    p.add_argument(
-        "--max-iter",
-        type=int,
-        default=MAX_ITER,
-        help="cap on the main MLE fit's steps, Newton and R rho R together, at least 1; "
-        f"bootstrap resample fits always use the default cap of {MAX_ITER}",
     )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")
@@ -144,14 +137,7 @@ def _cmd_bell(args) -> int:
 def _cmd_tomo(args) -> int:
     cfg = _config_from_args(args)
     dataset = read_tomography_csv(args.data) if args.data else None
-    out = run_tomo(
-        cfg,
-        args.out,
-        method=args.method,
-        bootstrap=args.bootstrap,
-        max_iter=args.max_iter,
-        dataset=dataset,
-    )
+    out = run_tomo(cfg, args.out, method=args.method, bootstrap=args.bootstrap, dataset=dataset)
     fit = out["fit"]
     line = f"method={fit.method} log_likelihood={fit.log_likelihood:.3f} converged={fit.converged}"
     if "metrics" in out["payload"]:

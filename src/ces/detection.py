@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError
 from .qcore import (
     IDENTITY_2,
     KET_A,
@@ -60,7 +60,7 @@ from .qcore import (
     KET_R,
     KET_V,
     born_probabilities,
-    require_valid_density,
+    require_two_qubit_density,
     tensor,
 )
 from .rng import make_stream
@@ -178,7 +178,8 @@ def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, floa
     and photon 2 at beta.
     """
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    table = np.clip(born_probabilities(pair_projectors(*projs), _two_photon_state(rho)), 0.0, None)
+    mat = require_two_qubit_density(rho)
+    table = np.clip(born_probabilities(pair_projectors(*projs), mat), 0.0, None)
     return tuple(float(x) for x in table / table.sum())
 
 
@@ -188,13 +189,6 @@ def pair_projectors(projs_1, projs_2) -> np.ndarray:
     block = np.array([tensor(p, q) for p in projs_1 for q in projs_2])
     block.setflags(write=False)
     return block
-
-
-def _two_photon_state(rho) -> np.ndarray:
-    mat = require_valid_density(rho)
-    if mat.shape != (4, 4):
-        raise ValidationError(f"expected a two-photon (4x4) state, got {mat.shape}")
-    return mat
 
 
 def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams) -> np.ndarray:
@@ -248,7 +242,7 @@ def simulate_counts(
 ) -> CountRecord:
     """Run the detection chain for n_sequences protocol repetitions."""
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    probs = _outcome_distribution(_two_photon_state(rho), *projs, det)
+    probs = _outcome_distribution(require_two_qubit_density(rho), *projs, det)
     return _draw(probs, n_sequences, seed, (), setting)
 
 
@@ -287,7 +281,8 @@ def simulate_tomography_dataset(
     sequences on its own random substream, so the dataset is independent
     of the order in which bases execute.
     """
-    probs = _outcome_distribution(_two_photon_state(rho), _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
+    mat = require_two_qubit_density(rho)
+    probs = _outcome_distribution(mat, _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
     records = []
     for index, ((label_a, label_b), p) in enumerate(zip(BASIS_PAIRS, probs)):
         setting = MeasurementSetting(_BASIS_ANGLE[label_a], _BASIS_ANGLE[label_b])

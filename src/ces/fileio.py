@@ -62,8 +62,9 @@ def _open_csv(path):
         raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _read_count_rows(path, columns, parse, kind: str) -> list:
-    """Parse every row of a CSV holding ``columns``; DataError on any bad row."""
+def _read_rows(path, columns, parse, kind: str) -> list:
+    """Parse every row of a CSV holding ``columns``; DataError on any bad row,
+    including a row too short to fill every one of ``columns``."""
     parsed = []
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
@@ -71,6 +72,9 @@ def _read_count_rows(path, columns, parse, kind: str) -> list:
             raise DataError(f"{path}: expected columns {columns}")
         for row in reader:
             try:
+                missing = [c for c in columns if row[c] is None]
+                if missing:
+                    raise ValueError(f"no value for {missing}")
                 parsed.append(parse(row))
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}: bad row {row!r}: {exc}") from exc
@@ -84,7 +88,7 @@ def write_counts_csv(path, records) -> None:
 
 
 def read_counts_csv(path) -> list[CountRecord]:
-    return _read_count_rows(path, COUNT_COLUMNS, _parse_count_row, "count")
+    return _read_rows(path, COUNT_COLUMNS, _parse_count_row, "count")
 
 
 def write_tomography_csv(path, dataset: TomographyDataset) -> None:
@@ -96,7 +100,7 @@ def write_tomography_csv(path, dataset: TomographyDataset) -> None:
 
 
 def read_tomography_csv(path) -> TomographyDataset:
-    records = _read_count_rows(
+    records = _read_rows(
         path,
         TOMOGRAPHY_COLUMNS,
         lambda row: (row["basis_a"], row["basis_b"], _parse_count_row(row)),
@@ -117,25 +121,20 @@ def write_series_csv(path, rows) -> None:
     )
 
 
+def _parse_series_row(row: dict):
+    raw_sigma = (row.get("sigma") or "").strip()
+    return (
+        float(row["dt_us"]),
+        float(row["value"]),
+        row["kind"].strip(),
+        float(raw_sigma) if raw_sigma else None,
+    )
+
+
 def read_series_csv(path):
     """Returns (dt_us, values, kinds, sigma-or-None) arrays."""
-    dts, values, kinds, sigmas = [], [], [], []
-    with _open_csv(path) as fh:
-        reader = csv.DictReader(fh)
-        needed = ["dt_us", "value", "kind"]
-        if reader.fieldnames is None or [c for c in needed if c not in reader.fieldnames]:
-            raise DataError(f"{path}: expected columns dt_us,value,kind[,sigma]")
-        for row in reader:
-            try:
-                dts.append(float(row["dt_us"]))
-                values.append(float(row["value"]))
-                kinds.append(row["kind"].strip())
-                raw_sigma = (row.get("sigma") or "").strip()
-                sigmas.append(float(raw_sigma) if raw_sigma else None)
-            except ValueError as exc:
-                raise DataError(f"{path}: bad row {row!r}: {exc}") from exc
-    if not dts:
-        raise DataError(f"{path}: no series rows")
+    rows = _read_rows(path, ["dt_us", "value", "kind"], _parse_series_row, "series")
+    dts, values, kinds, sigmas = zip(*rows)
     sigma = None
     if all(s is not None for s in sigmas):
         sigma = np.array(sigmas, dtype=float)

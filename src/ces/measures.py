@@ -15,7 +15,7 @@ from .bell import _s_max
 from .qcore import (
     SINGLET_KET,
     partial_transpose,
-    require_valid_density,
+    require_two_qubit_density,
     tensor,
     unstack,
 )
@@ -46,7 +46,7 @@ class EntanglementReport:
 
 def fidelity_singlet(rho) -> float:
     """Overlap <Psi-|rho|Psi-> with the two-photon singlet."""
-    return _fidelity_singlet(require_valid_density(rho))
+    return _fidelity_singlet(require_two_qubit_density(rho))
 
 
 def _fidelity_singlet(mat: np.ndarray) -> float:
@@ -62,7 +62,7 @@ def concurrence(rho) -> float:
     evaluated as the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
     which avoids square-rooting noisy zero eigenvalues of the product.
     """
-    return _concurrence(require_valid_density(rho))
+    return _concurrence(require_two_qubit_density(rho))
 
 
 def _concurrence(mat: np.ndarray) -> float:
@@ -92,7 +92,7 @@ def log_negativity(rho) -> tuple[float, float]:
     N is the absolute sum of the negative eigenvalues of the partial
     transpose; E_N = log2(2N + 1).
     """
-    return _log_negativity(require_valid_density(rho))
+    return _log_negativity(require_two_qubit_density(rho))
 
 
 def _log_negativity(mat: np.ndarray) -> tuple[float, float]:
@@ -106,7 +106,7 @@ def report(rho) -> EntanglementReport:
 
     The state or stack is validated once, here.
     """
-    return _report(require_valid_density(rho))
+    return _report(require_two_qubit_density(rho))
 
 
 def _report(mat: np.ndarray) -> EntanglementReport:

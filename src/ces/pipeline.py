@@ -30,7 +30,6 @@ from .measures import log_negativity, report
 from .protocol import final_state, rate_budget
 from .rng import derive_seed
 from .tomography import (
-    MAX_ITER,
     MIN_RESAMPLES,
     bootstrap_errors,
     linear_inversion,
@@ -143,9 +142,9 @@ def bell_payload(result, records) -> dict:
     }
 
 
-def _reconstruct(dataset, method: str, max_iter: int):
+def _reconstruct(dataset, method: str):
     if method == "mle":
-        return mle_reconstruct(dataset, max_iter=max_iter)
+        return mle_reconstruct(dataset)
     if method == "linear":
         return linear_inversion(dataset)
     raise ConfigError(f"unknown reconstruction method {method!r}")
@@ -156,18 +155,14 @@ def run_tomo(
     out_dir,
     method: str = "mle",
     bootstrap: int = 0,
-    max_iter: int = MAX_ITER,
     dataset=None,
 ) -> dict:
     """Nine-basis tomography pipeline ending in a reconstruction report.
 
     ``dataset`` may carry pre-recorded counts (e.g. read from CSV); when
-    omitted the dataset is simulated from the configured state.  ``max_iter``
-    caps the main MLE fit; ``bootstrap`` is 0 (none) or at least
-    MIN_RESAMPLES, and the resample fits keep the default cap MAX_ITER.
+    omitted the dataset is simulated from the configured state.
+    ``bootstrap`` is 0 (none) or at least MIN_RESAMPLES.
     """
-    if max_iter < 1:
-        raise ConfigError(f"max_iter must be a positive integer, got {max_iter!r}")
     if bootstrap < 0 or 0 < bootstrap < MIN_RESAMPLES:
         raise ConfigError(
             f"bootstrap must be 0 or at least {MIN_RESAMPLES} resamples, got {bootstrap!r}"
@@ -183,7 +178,7 @@ def run_tomo(
         write_tomography_csv(data_path, dataset)
         manifest.add(data_path)
 
-    fit = _reconstruct(dataset, method, max_iter)
+    fit = _reconstruct(dataset, method)
     payload = {
         "rho": fit.rho.to_json_dict(),
         "reconstruction": {

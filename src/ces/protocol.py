@@ -25,7 +25,6 @@ from .qcore import (
     KET_SM,
     KET_SP,
     DensityMatrix,
-    StateVector,
     as_matrix,
     tensor,
 )
@@ -110,7 +109,7 @@ def atom_photon_state() -> DensityMatrix:
     ordering, i.e. amplitudes on |00> and |11> of the 4-dimensional space.
     """
     ket = (tensor(np.array([1, 0]), KET_SP) - tensor(np.array([0, 1]), KET_SM)) / np.sqrt(2)
-    return StateVector(ket).density()
+    return DensityMatrix.from_ket(ket)
 
 
 # The mapping pulse converts the atomic Zeeman state into the polarization of

@@ -72,39 +72,6 @@ PAULI_PRODUCTS = _freeze(
 )
 
 
-class StateVector:
-    """Pure state of a dim-dimensional system (a ket)."""
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes) -> None:
-        arr = np.array(amplitudes, dtype=complex).reshape(-1)
-        if arr.size == 0:
-            raise DimensionError("state vector must have positive dimension")
-        self.amplitudes = _freeze(arr)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValidationError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n)
-
-    def density(self) -> "DensityMatrix":
-        """Outer product |psi><psi| of the normalized ket."""
-        psi = self.normalize().amplitudes
-        return DensityMatrix(np.outer(psi, psi.conj()))
-
-    def __repr__(self) -> str:
-        return f"StateVector(dim={self.dim})"
-
-
 class DensityMatrix:
     """Density operator stored as a dense complex matrix.
 
@@ -134,7 +101,13 @@ class DensityMatrix:
 
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
-        return StateVector(ket).density()
+        """Outer product |psi><psi| of the normalized ket."""
+        amplitudes = np.array(ket, dtype=complex).reshape(-1)
+        norm = float(np.linalg.norm(amplitudes))
+        if norm == 0.0:
+            raise ValidationError("cannot normalize the zero vector")
+        psi = amplitudes / norm
+        return cls(np.outer(psi, psi.conj()))
 
     # JSON wire form used by every CLI subcommand:
     # {"dim": d, "re": [d*d row-major], "im": [d*d row-major]}
@@ -154,6 +127,8 @@ class DensityMatrix:
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
+        if dim < 1:
+            raise DimensionError(f"density-matrix JSON needs dim >= 1, got {dim}")
         if re.size != dim * dim or im.size != dim * dim:
             raise ValidationError(
                 f"density-matrix JSON needs {dim * dim} entries per part, "
@@ -166,12 +141,10 @@ class DensityMatrix:
 
 
 def as_matrix(rho) -> np.ndarray:
-    """Coerce a DensityMatrix, StateVector, or array into a square ndarray,
-    or a stack of them (shape (..., n, n))."""
+    """Coerce a DensityMatrix or array into a square ndarray, or a stack of
+    them (shape (..., n, n))."""
     if isinstance(rho, DensityMatrix):
         return rho.matrix
-    if isinstance(rho, StateVector):
-        return rho.density().matrix
     arr = np.asarray(rho, dtype=complex)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"expected square matrices, got shape {arr.shape}")
@@ -281,6 +254,15 @@ def require_valid_density(rho) -> np.ndarray:
         diag = validate_density(mat.reshape(-1, *mat.shape[-2:])[row])
         raise ValidationError(f"invalid density matrix{where} ({diag.describe()})")
     return mat
+
+
+def require_two_qubit_density(rho) -> np.ndarray:
+    """``require_valid_density`` for two-qubit states: DimensionError unless
+    the state, or every state of a stack, is 4x4."""
+    mat = as_matrix(rho)
+    if mat.shape[-2:] != (4, 4):
+        raise DimensionError(f"expected two-qubit (4x4) states, got shape {mat.shape}")
+    return require_valid_density(mat)
 
 
 def trace_distance(a, b) -> float:

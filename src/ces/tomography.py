@@ -57,8 +57,8 @@ _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
 #: N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
-#: Default cap on Newton and RrhoR steps together per MLE fit; every
-#: bootstrap resample fit uses it.
+#: Cap on Newton and RrhoR steps together per row of every MLE fit, the
+#: main fit and the bootstrap resample fits alike.
 MAX_ITER = 10_000
 #: Fewest resamples a bootstrap accepts.
 MIN_RESAMPLES = 100
@@ -161,14 +161,14 @@ def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
     )
 
 
-def project_psd(mat: np.ndarray, floor: float = 0.0) -> np.ndarray:
+def project_psd(mat: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues and renormalize to unit trace.
 
     Works on one matrix or on a stack of them (last two axes).
     """
     sym = 0.5 * (mat + np.swapaxes(mat.conj(), -1, -2))
     w, v = np.linalg.eigh(sym)
-    w = np.clip(w, floor, None)
+    w = np.clip(w, 0.0, None)
     out = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
     return out / np.trace(out, axis1=-2, axis2=-1)[..., None, None]
 
@@ -185,7 +185,7 @@ def _newton_step(weights, probs, rho):
     return d_rho, whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
 
 
-def _fit(counts: np.ndarray, max_iter: int):
+def _fit(counts: np.ndarray):
     """Batched maximum-likelihood fit of every row of a (B, 36) count table.
 
     The columns are those of PROJECTORS, as ``_table`` lays them out.
@@ -193,7 +193,7 @@ def _fit(counts: np.ndarray, max_iter: int):
     Starts each row from the PSD projection of its linear-inversion
     estimate, lightly mixed with the identity so that every probability is
     positive.  Every step of a row is a Newton step or an RrhoR step;
-    max_iter caps both kinds together.
+    MAX_ITER, read at call time, caps both kinds together.
 
     Newton works in the 15 Pauli coordinates c of rho, where
     p = a_0 + A c with A = _DESIGN.  It solves
@@ -213,7 +213,7 @@ def _fit(counts: np.ndarray, max_iter: int):
     keeps rho positive and trace-one (Rehacek et al., PRA 75, 042108
     (2007)).  The log-likelihood is concave, so gap = lambda_max(R) - N
     bounds how far a row's log-likelihood is below the maximum; a row stops
-    once gap <= GAP_TOL * N, or after max_iter steps.  Each pass computes R
+    once gap <= GAP_TOL * N, or after MAX_ITER steps.  Each pass computes R
     and the gap of the active rows first and drops the rows that certify,
     so Newton steps are built only for rows that still take one.  Returns
     rho (B, 4, 4), the steps taken and the final gap of each row.
@@ -225,7 +225,7 @@ def _fit(counts: np.ndarray, max_iter: int):
     active = np.arange(len(counts))
     newton = (counts > 0).all(axis=1)
     last_alpha = np.zeros(len(counts))
-    for step in range(max_iter + 1):
+    for step in range(MAX_ITER + 1):
         n = counts[active]
         probs = born_probabilities(PROJECTORS, rho[active])
         weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
@@ -233,7 +233,7 @@ def _fit(counts: np.ndarray, max_iter: int):
         gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
         iterations[active] = step
         keep = gap[active] > tol[active]
-        if step == max_iter or not keep.any():
+        if step == MAX_ITER or not keep.any():
             break
         active, probs, weights, r_op = active[keep], probs[keep], weights[keep], r_op[keep]
         in_newton = newton[active]
@@ -250,21 +250,21 @@ def _fit(counts: np.ndarray, max_iter: int):
     return rho, iterations, gap
 
 
-def mle_reconstruct_batch(datasets, max_iter: int = MAX_ITER) -> list[ReconstructionResult]:
+def mle_reconstruct_batch(datasets) -> list[ReconstructionResult]:
     """Maximum-likelihood reconstruction over physical density matrices.
 
     Every dataset needs each of the nine basis pairs exactly once, with
     nonzero coincidences, in any record order; the order does not change
     the result.  Their counts, in the column order of PROJECTORS, are the
     rows of one table that a single ``_fit`` call reconstructs, in at most
-    ``max_iter`` Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
+    MAX_ITER Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
     lambda_max(R) - N on the log-likelihood still missing, and
     ``converged`` means it is at most GAP_TOL * N.
     """
     if not datasets:
         raise DataError("no datasets to reconstruct")
     counts = np.array([_table(dataset) for dataset in datasets])
-    rho, iterations, gap = _fit(counts, max_iter)
+    rho, iterations, gap = _fit(counts)
     log_likelihood = _log_likelihood(counts, rho)
     min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
     converged = gap <= GAP_TOL * counts.sum(axis=1)
@@ -282,9 +282,9 @@ def mle_reconstruct_batch(datasets, max_iter: int = MAX_ITER) -> list[Reconstruc
     ]
 
 
-def mle_reconstruct(dataset: TomographyDataset, max_iter: int = MAX_ITER) -> ReconstructionResult:
+def mle_reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
     """The one-dataset case of ``mle_reconstruct_batch``."""
-    return mle_reconstruct_batch([dataset], max_iter)[0]
+    return mle_reconstruct_batch([dataset])[0]
 
 
 def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
@@ -337,7 +337,7 @@ def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) ->
         for i, (total, row) in enumerate(zip(totals, cells))
     ]
     table = np.concatenate(draws, axis=1).astype(float)
-    rho, _, gap = _fit(table, MAX_ITER)
+    rho, _, gap = _fit(table)
     kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")

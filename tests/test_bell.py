@@ -18,7 +18,7 @@ from ces.bell import (
 )
 from ces.detection import CountRecord, MeasurementSetting, analyzer_projectors, simulate_counts, DetectorParams
 from ces.errors import ConfigError, DataError
-from ces.qcore import tensor
+from ces.qcore import correlation_matrix, tensor
 from conftest import dephased_singlet, random_density, singlet_dm, werner
 
 QUAD = (0.0, 45.0, 22.5, -22.5)
@@ -175,10 +175,32 @@ class TestMaxChsh:
                 assert analytic_chsh(rho, quad).s_value <= s_max + 1e-9
 
     def test_werner_family_closed_form(self):
-        # Brute-force angle search must match 2*sqrt(2)*p on Werner states.
+        # The closed form must give 2*sqrt(2)*p on Werner states.
         for p in (0.2, 0.5, 1.0 / 3.0, 0.9):
             result = max_chsh_from_state(werner(p))
             assert result.s_value == pytest.approx(2.0 * math.sqrt(2.0) * p, abs=1e-7)
+
+    def test_quad_attains_s_max_in_the_principal_plane(self, rng):
+        # T = U diag(s) V^T.  A returned angle t is half a Bloch angle in the
+        # principal plane: arm A points along cos 2t U_0 + sin 2t U_1, arm B
+        # along cos 2t V_0 + sin 2t V_1, and E = a^T T b.
+        def direction(basis, t_deg):
+            t = math.radians(2.0 * t_deg)
+            return math.cos(t) * basis[0] + math.sin(t) * basis[1]
+
+        worst = 0.0
+        for _ in range(200):
+            rho = random_density(rng, 4)
+            t = correlation_matrix(rho)
+            u, _, vt = np.linalg.svd(t)
+            result = max_chsh_from_state(rho)
+            alpha, alpha_p, beta, beta_p = result.settings
+            assert (alpha, alpha_p) == (0.0, 45.0)
+            a, a_p = (direction(u.T, x) for x in (alpha, alpha_p))
+            b, b_p = (direction(vt, x) for x in (beta, beta_p))
+            s = abs(a_p @ t @ b_p - a @ t @ b_p) + abs(a_p @ t @ b + a @ t @ b)
+            worst = max(worst, abs(s - result.s_value))
+        assert worst <= 1e-9
 
     def test_isotropic_states_give_standard_polarizer_quad(self):
         # Every plane is principal for T = -p I, so the closed-form quad is

@@ -239,13 +239,12 @@ class TestCliExitCodes:
         assert "--method" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("cap", ["0", "-3"])
-    def test_max_iter_below_one_is_2(self, tmp_path, capsys, cap):
-        code = cli.main(
-            ["tomo", "--trials", "2000", "--max-iter", cap, "--out", str(tmp_path / "o")]
-        )
-        assert code == 2
-        assert "max_iter" in capsys.readouterr().err
+    def test_max_iter_flag_is_gone(self, tmp_path, capsys):
+        # One step cap, tomography.MAX_ITER, applies to every fit.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tomo", "--max-iter", "5", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--max-iter" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("n", ["50", "-5"])
@@ -283,7 +282,10 @@ class TestCliExitCodes:
         assert cli.main(["bell", "--data", str(tmp_path / "missing.csv")]) == 3
         assert cli.main(["tomo", "--data", str(tmp_path / "missing.csv")]) == 3
 
-    def test_non_convergence_is_4(self, tmp_path):
+    def test_non_convergence_is_4(self, tmp_path, monkeypatch):
+        from ces import tomography
+
+        monkeypatch.setattr(tomography, "MAX_ITER", 1)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
@@ -295,17 +297,7 @@ class TestCliExitCodes:
                 }
             )
         )
-        code = cli.main(
-            [
-                "tomo",
-                "--config",
-                str(cfg),
-                "--out",
-                str(tmp_path / "o"),
-                "--max-iter",
-                "1",
-            ]
-        )
+        code = cli.main(["tomo", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 4
         # Outputs are still written for inspection.
         assert (tmp_path / "o" / "reconstruction.json").exists()
@@ -334,11 +326,11 @@ class TestCliExitCodes:
         real_fit = tomography._fit
         calls = []
 
-        def second_point_unconverged(counts, max_iter):
+        def second_point_unconverged(counts):
             # The sweep fits its three points as the rows of one call.
             calls.append(counts)
             assert counts.shape == (3, 36)
-            rho, iterations, gap = real_fit(counts, max_iter)
+            rho, iterations, gap = real_fit(counts)
             gap[1] = np.inf
             return rho, iterations, gap
 
@@ -406,6 +398,35 @@ class TestCliExitCodes:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["fidelity_singlet"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 0, -1])
+    def test_measures_of_a_state_that_is_not_two_qubit_is_3(self, tmp_path, capsys, dim):
+        # dims 1-3 are valid density matrices of the wrong size; 0 and -1
+        # are no dimension at all (-1 still has dim * dim = 1 entry).
+        rho = np.eye(dim) / dim if dim > 0 else np.ones(dim * dim)
+        state = tmp_path / "state.json"
+        state.write_text(
+            json.dumps({"dim": dim, "re": rho.ravel().tolist(), "im": [0.0] * rho.size})
+        )
+        assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "text"),
+        [
+            ("fit", "dt_us,value,kind,sigma\n0.8,0.4,N,\n2.0,0.35\n"),
+            ("bell", "alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded\n0,22.5,10,2\n"),
+            ("tomo", "basis_a,basis_b,alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded\n"
+                     "HV,HV,0,0,1,2,3\n"),
+        ],
+    )
+    def test_short_csv_row_is_3(self, tmp_path, capsys, command, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        args = [str(data)] if command == "fit" else ["--data", str(data)]
+        assert cli.main([command, *args, "--out", str(tmp_path / "o")]) == 3
+        assert "bad row" in capsys.readouterr().err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         rows = ["dt_us,value,kind,sigma"]

@@ -24,7 +24,7 @@ from ces.detection import (
     simulate_counts,
     simulate_tomography_dataset,
 )
-from ces.errors import DataError, ValidationError
+from ces.errors import DataError, DimensionError, ValidationError
 from ces.qcore import KET_D, KET_H, born_probabilities
 from conftest import dephased_singlet, random_density, singlet_dm
 
@@ -396,11 +396,13 @@ class TestStackedKernel:
                                      projs_b.reshape(3, 6, 2, 2, 2), det)
         np.testing.assert_allclose(grid.reshape(-1, 5), flat, rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [0.5 * np.eye(4), np.eye(2) / 2.0])
-    def test_invalid_state_rejected_by_both_simulators(self, bad):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize(
+        ("bad", "error"), [(0.5 * np.eye(4), ValidationError), (np.eye(2) / 2.0, DimensionError)]
+    )
+    def test_invalid_state_rejected_by_both_simulators(self, bad, error):
+        with pytest.raises(error):
             simulate_counts(bad, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(error):
             simulate_tomography_dataset(bad, 1000, IDEAL, seed=1)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ces.bell import s_max
-from ces.errors import ValidationError
+from ces.errors import DimensionError, ValidationError
 from ces.measures import (
     concurrence,
     entanglement_of_formation,
@@ -217,3 +217,13 @@ class TestStacks:
         stack[5] *= 1.1
         with pytest.raises(ValidationError, match="at row 5 .*trace defect 1.00e-01"):
             report(stack)
+
+
+@pytest.mark.parametrize(
+    "measure", [report, fidelity_singlet, concurrence, entanglement_of_formation,
+                log_negativity, s_max],
+)
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_states_that_are_not_two_qubit_are_rejected(measure, dim):
+    with pytest.raises(DimensionError, match="4x4"):
+        measure(np.eye(dim) / dim)

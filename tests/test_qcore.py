@@ -11,11 +11,11 @@ from ces.qcore import (
     KET_SP,
     SINGLET_KET,
     DensityMatrix,
-    StateVector,
     born_probabilities,
     correlation_matrix,
     partial_trace,
     partial_transpose,
+    require_two_qubit_density,
     require_valid_density,
     tensor,
     trace_distance,
@@ -153,19 +153,22 @@ class TestValidateDensity:
         assert not result.psd_ok
 
 
-class TestStateVector:
-    def test_normalize_invariant(self, rng):
-        sv = StateVector(3.0 * random_pure(rng, 4)).normalize()
-        assert abs(np.sum(np.abs(sv.amplitudes) ** 2) - 1.0) <= 1e-12
+class TestFromKet:
+    def test_normalizes(self, rng):
+        ket = random_pure(rng, 4)
+        rho = DensityMatrix.from_ket(3.0 * ket)
+        assert abs(rho.trace() - 1.0) <= 1e-12
+        np.testing.assert_allclose(rho.matrix, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
 
-    def test_zero_vector_rejected(self):
+    @pytest.mark.parametrize("ket", [[0.0, 0.0], []])
+    def test_zero_vector_rejected(self, ket):
         with pytest.raises(ValidationError):
-            StateVector([0.0, 0.0]).normalize()
+            DensityMatrix.from_ket(ket)
 
     def test_immutable(self):
-        sv = StateVector([1.0, 0.0])
+        rho = DensityMatrix.from_ket([1.0, 0.0])
         with pytest.raises(ValueError):
-            sv.amplitudes[0] = 2.0
+            rho.matrix[0, 0] = 2.0
 
 
 class TestDensityMatrixJson:
@@ -177,6 +180,29 @@ class TestDensityMatrixJson:
     def test_malformed_rejected(self):
         with pytest.raises(ValidationError):
             DensityMatrix.from_json_dict({"dim": 4, "re": [1.0], "im": [0.0]})
+
+    @pytest.mark.parametrize(("dim", "size"), [(0, 0), (-1, 1)])
+    def test_dimension_below_one_rejected(self, dim, size):
+        with pytest.raises(DimensionError, match="dim >= 1"):
+            DensityMatrix.from_json_dict({"dim": dim, "re": [1.0] * size, "im": [0.0] * size})
+
+
+class TestTwoQubitCheck:
+    def test_valid_state_and_stack_pass_unchanged(self, rng):
+        stack = np.array([random_density(rng, 4) for _ in range(3)])
+        np.testing.assert_array_equal(require_two_qubit_density(stack), stack)
+        np.testing.assert_array_equal(require_two_qubit_density(stack[0]), stack[0])
+
+    @pytest.mark.parametrize(
+        "bad", [np.eye(2) / 2.0, np.tile(np.eye(2) / 2.0, (3, 1, 1)), np.eye(8) / 8.0]
+    )
+    def test_other_shapes_are_dimension_errors(self, bad):
+        with pytest.raises(DimensionError, match="4x4"):
+            require_two_qubit_density(bad)
+
+    def test_unphysical_two_qubit_state_is_a_validation_error(self):
+        with pytest.raises(ValidationError):
+            require_two_qubit_density(0.5 * np.eye(4))
 
 
 class TestStacks:

@@ -29,7 +29,6 @@ from ces.qcore import trace_distance, validate_density
 from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
-    MAX_ITER,
     PROJECTORS,
     _linear_states,
     _table,
@@ -167,8 +166,8 @@ def calibrated_bootstrap():
     captured = {}
     real_fit = tomography._fit
 
-    def spy(counts, max_iter):
-        result = real_fit(counts, max_iter)
+    def spy(counts):
+        result = real_fit(counts)
         captured.update(table=counts, result=result)
         return result
 
@@ -396,11 +395,11 @@ class TestFitPaths:
         table = np.concatenate([*rows, adversarial[None]])
         assert np.all((table[7:] == 0).any(axis=1))
 
-        rho, iterations, gap = tomography._fit(table, MAX_ITER)
+        rho, iterations, gap = tomography._fit(table)
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         assert iterations[6] <= 10  # resample 84 (24 007 steps with RrhoR alone)
         for r, counts in enumerate(table):
-            single = tomography._fit(counts[None], MAX_ITER)
+            single = tomography._fit(counts[None])
             np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
             assert single[1][0] == iterations[r]
 
@@ -421,7 +420,7 @@ class TestFitPaths:
             return real_step(weights, probs, rho)
 
         monkeypatch.setattr(tomography, "_newton_step", counting_step)
-        _, iterations, gap = tomography._fit(table, MAX_ITER)
+        _, iterations, gap = tomography._fit(table)
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         assert sizes == [int((iterations > s).sum()) for s in range(iterations.max())]
         assert sum(sizes) == iterations.sum()
@@ -547,9 +546,9 @@ class TestBootstrap:
         real_fit = tomography._fit
         calls = []
 
-        def every_fourth_unconverged(counts, max_iter):
+        def every_fourth_unconverged(counts):
             calls.append(counts)
-            rho, iterations, gap = real_fit(counts, max_iter)
+            rho, iterations, gap = real_fit(counts)
             gap[3::4] = np.inf
             return rho, iterations, gap
 
@@ -562,8 +561,8 @@ class TestBootstrap:
         real_fit, real_report = tomography._fit, tomography._report
         reported = []
 
-        def every_fifth_invalid(counts, max_iter):
-            rho, iterations, gap = real_fit(counts, max_iter)
+        def every_fifth_invalid(counts):
+            rho, iterations, gap = real_fit(counts)
             rho[4::5] *= 1.1  # trace 1.1: not a density matrix
             return rho, iterations, gap
 
@@ -591,9 +590,9 @@ class TestBootstrap:
         real_fit = tomography._fit
         tables, streams = [], []
 
-        def capturing_fit(counts, max_iter):
+        def capturing_fit(counts):
             tables.append(counts)
-            return real_fit(counts, max_iter)
+            return real_fit(counts)
 
         def counting_stream(*key):
             streams.append(key)
@@ -623,7 +622,7 @@ class TestBootstrap:
         )
         tables = []
 
-        def mixed_state_fit(counts, max_iter):
+        def mixed_state_fit(counts):
             # The draw is under test, not the fit: every row is I/4, certified.
             tables.append(counts)
             rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
