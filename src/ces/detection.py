@@ -50,7 +50,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .qcore import (
     IDENTITY_2,
     KET_A,
@@ -59,6 +59,7 @@ from .qcore import (
     KET_L,
     KET_R,
     KET_V,
+    as_matrix,
     born_probabilities,
     require_two_qubit_density,
     tensor,
@@ -171,6 +172,15 @@ def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
     return p_up, IDENTITY_2 - p_up
 
 
+def _one_state(rho) -> np.ndarray:
+    """``require_two_qubit_density`` for exactly one state: the detection
+    chain runs one 4x4 state, and a stack of them is a DimensionError."""
+    shape = as_matrix(rho).shape
+    if len(shape) != 2:
+        raise DimensionError(f"expected one two-qubit (4x4) state, got shape {shape}")
+    return require_two_qubit_density(rho)
+
+
 def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, float, float, float]:
     """Exact joint port probabilities (p_uu, p_ud, p_du, p_dd).
 
@@ -178,7 +188,7 @@ def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, floa
     and photon 2 at beta.
     """
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    mat = require_two_qubit_density(rho)
+    mat = _one_state(rho)
     table = np.clip(born_probabilities(pair_projectors(*projs), mat), 0.0, None)
     return tuple(float(x) for x in table / table.sum())
 
@@ -242,7 +252,7 @@ def simulate_counts(
 ) -> CountRecord:
     """Run the detection chain for n_sequences protocol repetitions."""
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    probs = _outcome_distribution(require_two_qubit_density(rho), *projs, det)
+    probs = _outcome_distribution(_one_state(rho), *projs, det)
     return _draw(probs, n_sequences, seed, (), setting)
 
 
@@ -281,7 +291,7 @@ def simulate_tomography_dataset(
     sequences on its own random substream, so the dataset is independent
     of the order in which bases execute.
     """
-    mat = require_two_qubit_density(rho)
+    mat = _one_state(rho)
     probs = _outcome_distribution(mat, _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
     records = []
     for index, ((label_a, label_b), p) in enumerate(zip(BASIS_PAIRS, probs)):

@@ -64,7 +64,8 @@ def _open_csv(path):
 
 def _read_rows(path, columns, parse, kind: str) -> list:
     """Parse every row of a CSV holding ``columns``; DataError on any bad row,
-    including a row too short to fill every one of ``columns``."""
+    including a row too short to fill every one of ``columns`` and a row with
+    more fields than the header (``csv.DictReader`` files those under None)."""
     parsed = []
     with _open_csv(path) as fh:
         reader = csv.DictReader(fh)
@@ -75,6 +76,8 @@ def _read_rows(path, columns, parse, kind: str) -> list:
                 missing = [c for c in columns if row[c] is None]
                 if missing:
                     raise ValueError(f"no value for {missing}")
+                if None in row:
+                    raise ValueError(f"fields beyond the header: {row[None]}")
                 parsed.append(parse(row))
             except (KeyError, ValueError) as exc:
                 raise DataError(f"{path}: bad row {row!r}: {exc}") from exc

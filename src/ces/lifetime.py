@@ -17,6 +17,9 @@ KIND_NEGATIVITY = "N"
 KIND_LOG_NEGATIVITY = "EN"
 #: Points of the log-spaced tau scan that brackets the least-squares minimum.
 _SCAN_POINTS = 512
+#: Interior points, as fractions of the bracket, at which each round of the
+#: refinement of that bracket evaluates the slope.
+_REFINE_FRACTIONS = np.arange(1, 65) / 65.0
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,10 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     For a fixed tau the model is linear in N0, so N0(tau) has a closed form
     (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)). The residual sum is scanned on a log-spaced tau grid, and
-    dRSS/dtau = 0 is bisected between the neighbours of the best grid point.
+    the root of dRSS/dtau between the neighbours of the best grid point is
+    bracketed ever closer: each round evaluates the sign of the slope at 64
+    evenly spaced points at once and keeps the pair around its sign change,
+    until no floating-point tau lies strictly inside.
     ``converged`` means that interior stationary point was found; it is false
     when RSS still falls at the grid's end, 10^3 times the longest storage
     time, because the data show no decay, or when RSS has no minimum that
@@ -102,6 +108,18 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         jac = np.stack([g, n0 * g * (2.0 * dt**2 / tau**3)], axis=-1)
         return n0[..., 0], n0 * g - n / w, jac
 
+    # With e = exp(-(dt/tau)^2), N0 = sum(e n / w^2) / sum(e^2 / w^2), and
+    # dRSS/dtau has the sign of N0 (N0 sum(e^2 dt^2 / w^2) - sum(e n dt^2 / w^2)).
+    by_e = np.stack([n, n * dt**2], axis=1) / w[:, None] ** 2
+    by_e2 = np.stack([np.ones_like(dt), dt**2], axis=1) / w[:, None] ** 2
+
+    def rss_falls(tau):
+        """Whether dRSS/dtau < 0 at each tau of a 1-D array."""
+        e = np.exp(-((dt / tau[:, None]) ** 2))
+        (e_n, e_n_dt2), (e_e, e_e_dt2) = (e @ by_e).T, ((e * e) @ by_e2).T
+        n0 = e_n / e_e
+        return n0 * (n0 * e_e_dt2 - e_n_dt2) < 0.0
+
     # The sign of dRSS/dtau is that of residuals . d(residuals)/dtau.
     taus = np.geomspace(dt[dt > 0.0].min() / 10.0, 1e3 * dt.max(), _SCAN_POINTS)
     _, res, jac = profile(taus)
@@ -109,11 +127,12 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     k = int(np.argmin(np.sum(res * res, axis=-1)))
     converged = bool(0 < k < taus.size - 1 and slope[k - 1] < 0.0 < slope[k + 1])
     lo, hi = (taus[k - 1], taus[k + 1]) if converged else (taus[k], taus[k])
+    while np.nextafter(lo, hi) < hi:
+        grid = lo + (hi - lo) * _REFINE_FRACTIONS
+        falling = rss_falls(grid)
+        j = grid.size if falling.all() else int(np.argmin(falling))
+        lo, hi = (grid[j - 1] if j else lo), (grid[j] if j < grid.size else hi)
     tau = 0.5 * (lo + hi)
-    while lo < tau < hi:
-        _, res, jac = profile(tau)
-        lo, hi = (tau, hi) if res @ jac[:, 1] < 0.0 else (lo, tau)
-        tau = 0.5 * (lo + hi)
     n0, res, jac = profile(tau)
     try:
         cov = np.linalg.inv(jac.T @ jac)

@@ -5,14 +5,17 @@ equations tr(rho Pi_k) = f_k for the 16 real parameters of a Hermitian,
 trace-one matrix; it recovers the state exactly from exact frequencies but
 can leave the physical set on noisy data (flagged, never hidden).  The
 maximum-likelihood estimator takes damped Newton steps in the Pauli
-coordinates of rho, which reach an interior optimum in a few steps, and
-hands the rows whose optimum lies on the boundary of the positive
-semidefinite set to the RrhoR fixed-point iteration (Rehacek et al., PRA
-75, 042108 (2007)), whose iterates are positive semidefinite and trace-one
-by construction.  Because the multinomial log-likelihood is concave,
-lambda_max(R) - N bounds how far an iterate is below the maximum (Glancy,
-Knill, Girard, NJP 14, 095017 (2012)); the fit stops on that certificate.
-Many count tables (the bootstrap resamples) are fitted as one batch.
+coordinates of rho, which reach an interior optimum in a few steps.  The
+rows whose optimum lies on the boundary of the positive semidefinite set
+take Newton steps on a factor instead, rho = A A^dag / tr(A A^dag) with A
+lower-triangular in the eigenbasis of the current iterate (Burer and
+Monteiro, Math. Program. 95, 329 (2003)), which keeps every iterate
+positive semidefinite and lets eigenvalues reach zero; a Frank-Wolfe step
+toward the top eigenvector of R adds a direction the factor lacks.
+Because the multinomial log-likelihood is concave, lambda_max(R) - N
+bounds how far an iterate is below the maximum (Glancy, Knill, Girard, NJP
+14, 095017 (2012)); the fit stops on that certificate.  Many count tables
+(the bootstrap resamples) are fitted as one batch.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
@@ -57,13 +60,23 @@ _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
 #: N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
-#: Cap on Newton and RrhoR steps together per row of every MLE fit, the
-#: main fit and the bootstrap resample fits alike.
+#: Cap on steps of every kind together per row of every MLE fit, the main
+#: fit and the bootstrap resample fits alike.
 MAX_ITER = 10_000
 #: Fewest resamples a bootstrap accepts.
 MIN_RESAMPLES = 100
 #: A cut Newton step stops at this fraction of its way to the PSD boundary.
 _TO_BOUNDARY = 0.99
+#: A factor step is kept at the longest of these lengths that realizes this
+#: fraction (Armijo) of the increase its slope predicts.
+_STEP_LENGTHS = 0.5 ** np.arange(12)
+_ARMIJO = 1e-4
+#: Mixing weights a Frank-Wolfe step compares; weight 0 keeps the state.
+_MIX_WEIGHTS = np.concatenate([[0.0], np.geomspace(1e-16, 1.0, 97)])
+#: A boundary row whose state puts less weight than this on the top
+#: eigenvector of R takes a Frank-Wolfe step toward it: the factor step
+#: cannot grow a direction the factor lacks.
+_ABSENT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -185,6 +198,116 @@ def _newton_step(weights, probs, rho):
     return d_rho, whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
 
 
+# The 16 real coordinates of a 4x4 lower-triangular matrix T with a real
+# diagonal: Re T[i, a] for i >= a and Im T[i, a] for i > a, as indices into
+# the interleaved real view of T.
+_LOWER = [(i, a, part) for a in range(4) for i in range(a, 4) for part in range(1 + (i > a))]
+_LOWER_AT = np.array([2 * (4 * i + a) + part for i, a, part in _LOWER])
+_LOWER_COLUMN = np.array([a for _, a, _ in _LOWER])
+# Re tr(dT^dag M dT) = x^T K x for Hermitian M and dT with coordinates x:
+# K[s, t] is M[i_s, i_t]'s real part, or its imaginary part with a sign when
+# one of s, t is an imaginary coordinate, if s and t share a column, else 0.
+_CURVATURE_AT = np.array(
+    [[2 * (4 * i + j) + (ps != pt) for j, _, pt in _LOWER] for i, _, ps in _LOWER]
+)
+_CURVATURE_SIGN = np.array(
+    [[(a == b) * (-1.0 if (ps, pt) == (0, 1) else 1.0) for _, b, pt in _LOWER]
+     for _, a, ps in _LOWER]
+)
+_DIAGONAL_AT = np.array([2 * 5 * a for a in range(4)])
+# PROJECTORS and the identity, flattened: the identity's "probability" is the
+# trace, which the factor step treats as a 37th cell with count -N.
+_WITH_TRACE = np.concatenate([PROJECTORS, np.eye(4)[None]]).reshape(37, 16)
+
+
+def _factor_step(counts, eigenvalues, eigenvectors):
+    """One Newton step of each row on a factor of rho; returns the new states
+    and whether some length of each row's step met the Armijo condition.
+
+    With rho = V W V^dag (eigenvalues W descending), rho = A A^dag / tr(A A^dag)
+    for A = V T and T = W^(1/2).  The step moves the 16 coordinates x of T as
+    a lower-triangular matrix with a real diagonal, which leaves A no unitary
+    freedom but its scale.  With the projectors rotated to V^dag Pi_k V,
+    f(x) = sum_k n_k log p_k - N log tr(T T^dag) has gradient
+    sum_k (n_k/p_k) J_k - 2 N z, with J_k = dp_k/dx and z = x at T, and minus
+    Hessian sum_k (n_k/p_k^2) J_k J_k^T - 2 K(V^dag R V) + 2 N I once
+    4 N z z^T is added to fill the scale direction, along which f is
+    constant; K(M) is the form Re tr(dT^dag M dT) (_CURVATURE_AT).  The
+    column of a zero eigenvalue has J = 0, and K keeps its block nonsingular
+    where R < N off the support, as at the optimum.  The trace enters as a
+    37th cell, the identity with count -N (_WITH_TRACE), so one expression
+    gives f, its gradient, V^dag (R - N) V and the trial values.  The step
+    length is the longest of _STEP_LENGTHS meeting the Armijo condition; p
+    and the trace are quadratic in it, so every length is tried at once.
+    """
+    b = len(counts)
+    v = eigenvectors[:, :, ::-1]
+    w = np.clip(eigenvalues[:, ::-1], 0.0, None)
+    root = np.sqrt(w)
+    # V^dag Pi_k V and V^dag I V = I, flattened to real (b, 37, 32).
+    rotation = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(b, 16, 16)
+    rotated = (_WITH_TRACE @ rotation).view(float)
+    cells = np.concatenate([counts, -counts.sum(axis=1, keepdims=True)], axis=1)
+    used = cells != 0
+    probs = (rotated[:, :, _DIAGONAL_AT] @ w[..., None])[..., 0]
+    weights = np.divide(cells, probs, out=np.zeros_like(probs), where=used)
+    jac = rotated[:, :, _LOWER_AT] * (2.0 * root[:, None, _LOWER_COLUMN])
+    grad = (weights[:, None] @ jac)[:, 0]
+    r_rotated = (weights[:, None] @ rotated)[:, 0]  # V^dag (R - N) V, real view
+    curvature = np.divide(weights, probs, out=np.zeros_like(probs), where=used)
+    curvature[:, 36] = 0.0
+    neg_hessian = (np.swapaxes(jac, 1, 2) * curvature[:, None]) @ jac
+    neg_hessian -= 2.0 * r_rotated[:, _CURVATURE_AT] * _CURVATURE_SIGN
+    delta = np.linalg.solve(neg_hessian, grad[..., None])[..., 0]
+    d_lower = np.zeros((b, 32))
+    d_lower[:, _LOWER_AT] = delta
+    d_lower = d_lower.view(complex).reshape(b, 4, 4)
+    d_gram = flatten_real(d_lower @ np.swapaxes(d_lower.conj(), 1, 2))
+    quad = (rotated @ d_gram[..., None])[..., 0]
+    lengths = _STEP_LENGTHS[:, None]
+    linear = (jac @ delta[..., None])[:, None, :, 0]
+    trial = probs[:, None] + lengths * linear + lengths**2 * quad[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.sum(cells[:, None] * np.log(trial / probs[:, None]), axis=-1, where=used[:, None])
+    slope = np.einsum("bi,bi->b", grad, delta)
+    ok = gain > np.maximum(_ARMIJO * slope, 0.0)[:, None] * _STEP_LENGTHS
+    length = _STEP_LENGTHS[np.argmax(ok, axis=1)]
+    factor = v @ (root[:, :, None] * np.eye(4) + length[:, None, None] * d_lower)
+    new = factor @ np.swapaxes(factor.conj(), 1, 2)
+    return new / np.einsum("bii->b", new).real[:, None, None], ok.any(axis=1)
+
+
+def _mix_step(counts, rho, ket):
+    """rho <- (1 - t) rho + t |ket><ket| per row, t the best of _MIX_WEIGHTS.
+
+    The log-likelihood is concave in t with slope <ket|R|ket> - N at t = 0,
+    so toward the top eigenvector of R a step gains whenever the gap is
+    positive (a Frank-Wolfe step with line search).
+    """
+    target = ket[:, :, None] * ket[:, None, :].conj()
+    probs = born_probabilities(PROJECTORS, rho)[:, None]
+    toward = born_probabilities(PROJECTORS, target)[:, None] - probs
+    trial = np.maximum(probs + _MIX_WEIGHTS[:, None] * toward, 0.0)
+    with np.errstate(divide="ignore"):
+        loglik = np.sum(counts[:, None] * np.log(trial), axis=-1, where=counts[:, None] > 0)
+    t = _MIX_WEIGHTS[np.argmax(loglik, axis=1)][:, None, None]
+    return (1.0 - t) * rho + t * target
+
+
+def _boundary_step(counts, rho, r_op):
+    """One step of each boundary row: a factor step, or a Frank-Wolfe step
+    toward the top eigenvector of R when rho lacks that direction or no
+    length of the factor step meets the Armijo condition."""
+    b = len(counts)
+    eigenvalues, eigenvectors = np.linalg.eigh(np.concatenate([rho, r_op]))
+    top = eigenvectors[b:, :, -1]
+    new, ok = _factor_step(counts, eigenvalues[:b], eigenvectors[:b])
+    mix = ~ok | (np.einsum("bi,bij,bj->b", top.conj(), rho, top).real < _ABSENT)
+    if mix.any():
+        new[mix] = _mix_step(counts[mix], rho[mix], top[mix])
+    return new
+
+
 def _fit(counts: np.ndarray):
     """Batched maximum-likelihood fit of every row of a (B, 36) count table.
 
@@ -192,8 +315,8 @@ def _fit(counts: np.ndarray):
 
     Starts each row from the PSD projection of its linear-inversion
     estimate, lightly mixed with the identity so that every probability is
-    positive.  Every step of a row is a Newton step or an RrhoR step;
-    MAX_ITER, read at call time, caps both kinds together.
+    positive.  Every step of a row is a Newton step in rho or a boundary
+    step; MAX_ITER, read at call time, caps both kinds together.
 
     Newton works in the 15 Pauli coordinates c of rho, where
     p = a_0 + A c with A = _DESIGN.  It solves
@@ -208,15 +331,19 @@ def _fit(counts: np.ndarray):
     takes a Newton step: the cell drops out of the Hessian, which can then
     be singular.
 
-    The other rows step rho <- R rho R / tr(R rho R) with
-    R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add nothing), which
-    keeps rho positive and trace-one (Rehacek et al., PRA 75, 042108
-    (2007)).  The log-likelihood is concave, so gap = lambda_max(R) - N
-    bounds how far a row's log-likelihood is below the maximum; a row stops
-    once gap <= GAP_TOL * N, or after MAX_ITER steps.  Each pass computes R
-    and the gap of the active rows first and drops the rows that certify,
-    so Newton steps are built only for rows that still take one.  Returns
-    rho (B, 4, 4), the steps taken and the final gap of each row.
+    The other rows take boundary steps (``_boundary_step``): a Newton step
+    on a factor of rho (``_factor_step``), whose iterates stay positive
+    semidefinite and trace-one and whose eigenvalues can reach zero, or a
+    Frank-Wolfe step toward the top eigenvector of
+    R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add nothing) when the
+    factor lacks that direction or no length of its step meets the Armijo
+    condition; no boundary step lowers the log-likelihood.  The
+    log-likelihood is concave, so gap = lambda_max(R) - N bounds how far a
+    row's log-likelihood is below the maximum; a row stops once
+    gap <= GAP_TOL * N, or after MAX_ITER steps.  Each pass computes R and
+    the gap of the active rows first and drops the rows that certify, so
+    steps are built only for rows that still take one.  Returns rho
+    (B, 4, 4), the steps taken and the final gap of each row.
     """
     rho = 0.999999 * project_psd(_linear_states(counts)) + 1e-6 * np.eye(4) / 4.0
     tol = GAP_TOL * counts.sum(axis=1)
@@ -244,9 +371,9 @@ def _fit(counts: np.ndarray):
             rho[rows] += alpha[:, None, None] * d_rho
             newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
             last_alpha[rows] = alpha
-        rows, r_op = active[~in_newton], r_op[~in_newton]
-        new = r_op @ rho[rows] @ r_op
-        rho[rows] = new / np.einsum("bii->b", new).real[:, None, None]
+        if not in_newton.all():
+            rows = active[~in_newton]
+            rho[rows] = _boundary_step(counts[rows], rho[rows], r_op[~in_newton])
     return rho, iterations, gap
 
 
@@ -257,7 +384,7 @@ def mle_reconstruct_batch(datasets) -> list[ReconstructionResult]:
     nonzero coincidences, in any record order; the order does not change
     the result.  Their counts, in the column order of PROJECTORS, are the
     rows of one table that a single ``_fit`` call reconstructs, in at most
-    MAX_ITER Newton and RrhoR steps per row.  ``certificate_gap`` is the bound
+    MAX_ITER steps per row.  ``certificate_gap`` is the bound
     lambda_max(R) - N on the log-likelihood still missing, and
     ``converged`` means it is at most GAP_TOL * N.
     """

@@ -307,8 +307,8 @@ class TestCliExitCodes:
 
     def test_low_count_bootstrap_certifies_every_resample(self, tmp_path):
         # At this count some resamples have optima on or near the PSD
-        # boundary.  The case that RrhoR alone could not certify within the
-        # cap is kept as fixed data in test_tomography's mixed-table test.
+        # boundary; test_tomography's mixed-table test keeps three of them
+        # as fixed data.
         config = Path(__file__).resolve().parents[1] / "configs" / "calibrated.json"
         out = tmp_path / "o"
         code = cli.main(
@@ -427,6 +427,23 @@ class TestCliExitCodes:
         args = [str(data)] if command == "fit" else ["--data", str(data)]
         assert cli.main([command, *args, "--out", str(tmp_path / "o")]) == 3
         assert "bad row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("command", "text"),
+        [
+            ("fit", "dt_us,value,kind\n0.8,0.4,N,1,2\n2.0,0.35,N\n4.0,0.3,N\n"),
+            ("bell", "alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded\n0,22.5,10,2,3,4,0,9\n"),
+            ("tomo", "basis_a,basis_b,alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded\n"
+                     "HV,HV,0,0,1,2,3,4,0,5\n"),
+        ],
+    )
+    def test_long_csv_row_is_3(self, tmp_path, capsys, command, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        args = [str(data)] if command == "fit" else ["--data", str(data)]
+        assert cli.main([command, *args, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "bad row" in err and "fields beyond the header" in err
 
     def test_fit_subcommand(self, tmp_path, capsys):
         rows = ["dt_us,value,kind,sigma"]

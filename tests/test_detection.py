@@ -405,6 +405,16 @@ class TestStackedKernel:
         with pytest.raises(error):
             simulate_tomography_dataset(bad, 1000, IDEAL, seed=1)
 
+    def test_state_stack_rejected_by_every_entry_point(self):
+        # The chain runs one state; a (B, 4, 4) stack of valid states is not one.
+        stack = np.array([singlet_dm(), singlet_dm()])
+        with pytest.raises(DimensionError):
+            outcome_probabilities(stack, MeasurementSetting(0, 0))
+        with pytest.raises(DimensionError):
+            simulate_counts(stack, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
+        with pytest.raises(DimensionError):
+            simulate_tomography_dataset(stack, 1000, IDEAL, seed=1)
+
 
 class TestWindowModel:
     def test_window_cuts_rate_by_acceptance_factor(self):

@@ -25,7 +25,7 @@ from ces.fileio import read_series_csv
 from ces.measures import fidelity_singlet, log_negativity
 from ces.pipeline import run_sweep
 from ces.protocol import final_state
-from ces.qcore import trace_distance, validate_density
+from ces.qcore import born_probabilities, trace_distance, validate_density
 from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
@@ -39,14 +39,14 @@ from ces.tomography import (
     mle_reconstruct_batch,
     project_psd,
 )
-from conftest import dephased_singlet, random_density, random_unitary, singlet_dm
+from conftest import dephased_singlet, random_density, random_unitary, singlet_dm, werner
 
 IDEAL = DetectorParams()
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
-# The former maximum-likelihood fit, kept as the oracle for the RrhoR fit:
+# The former maximum-likelihood fit, kept as the oracle for the numpy fit:
 # rho = T^dag T / tr(T^dag T) with a lower-triangular T, maximized by scipy
 # L-BFGS with an analytic gradient from the same start.
 
@@ -178,6 +178,30 @@ def calibrated_bootstrap():
     finally:
         tomography._fit = real_fit
     return dataset, seed, errs, captured
+
+
+@pytest.fixture(scope="module")
+def boundary_table():
+    """Count tables of 12 random rank-1 and 12 random rank-2 states, one
+    multinomial draw per basis pair at 200 to 200 000 counts per basis
+    (log-uniform): maximum-likelihood optima on the PSD boundary."""
+    rng = np.random.default_rng(20261019)
+    rows = []
+    for rank in (1, 2):
+        for _ in range(12):
+            probs = born_probabilities(PROJECTORS, random_density(rng, 4, rank=rank))
+            total = int(np.exp(rng.uniform(np.log(200), np.log(200_000))))
+            cells = np.clip(probs, 0.0, None).reshape(9, 4)
+            rows.append(np.concatenate([rng.multinomial(total, p / p.sum()) for p in cells]))
+    return np.array(rows, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def near_pure_werner():
+    """The Werner state with p_white 0.01 (F = 0.9925) at 500 000 sequences
+    per basis pair and eta_det 0.2: its optimum is on the boundary."""
+    dataset = simulate_tomography_dataset(werner(0.99), 500_000, DetectorParams(eta_det=0.2), 1)
+    return _table(dataset)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +363,17 @@ class TestOracleEquivalence:
             assert abs(fidelity_singlet(fit.rho) - fidelity_singlet(oracle_rho)) <= 1e-5
             assert abs(log_negativity(fit.rho)[0] - log_negativity(oracle_rho)[0]) <= 1e-5
 
+    def test_matches_lbfgs_on_boundary_rows(self, boundary_table, near_pure_werner):
+        table = np.vstack([boundary_table, near_pure_werner])
+        rho, _, gap = tomography._fit(table)
+        for counts, mat, row_gap in zip(table, rho, gap):
+            oracle_rho, oracle_ll, oracle_ok = lbfgs_fit(PROJECTORS, counts)
+            assert oracle_ok
+            assert row_gap <= GAP_TOL * counts.sum()
+            assert log_likelihood(PROJECTORS, counts, mat) >= oracle_ll - GAP_TOL * counts.sum()
+            assert abs(fidelity_singlet(mat) - fidelity_singlet(oracle_rho)) <= 1e-5
+            assert abs(log_negativity(mat)[0] - log_negativity(oracle_rho)[0]) <= 1e-5
+
     def test_certificate_holds_for_returned_states(self, calibrated_bootstrap, sweep_datasets):
         *_, captured = calibrated_bootstrap
         projectors, table = PROJECTORS, captured["table"]
@@ -365,8 +400,7 @@ class TestOracleEquivalence:
 
 class TestFitPaths:
     def test_calibrated_resamples_certify_within_ten_steps(self, calibrated_bootstrap):
-        # Interior optima: damped Newton finishes, where RrhoR alone needs
-        # hundreds of steps.
+        # Interior optima: damped Newton finishes in a few steps.
         *_, captured = calibrated_bootstrap
         table = captured["table"]
         _, iterations, gap = captured["result"]
@@ -376,9 +410,10 @@ class TestFitPaths:
     def test_mixed_table_rows_match_single_fits(self, calibrated_bootstrap, sweep_datasets):
         # One table through every path: calibrated resamples (Newton), low-count
         # resamples whose optimum is on the boundary (Newton cut short, then
-        # RrhoR) or interior behind a boundary start (resample 84: damped
-        # Newton), rank-2 sweep points with zero-count cells and an adversarial
-        # row with three zero cells per basis (RrhoR from the start).
+        # boundary steps) or interior behind a boundary start (resample 84:
+        # damped Newton), rank-2 sweep points with zero-count cells and an
+        # adversarial row with three zero cells per basis (boundary steps from
+        # the start).
         *_, captured = calibrated_bootstrap
         cfg = load_config(CONFIGS / "calibrated.json")
         low = simulate_tomography_dataset(
@@ -397,11 +432,35 @@ class TestFitPaths:
 
         rho, iterations, gap = tomography._fit(table)
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
-        assert iterations[6] <= 10  # resample 84 (24 007 steps with RrhoR alone)
+        assert iterations[6] <= 10  # resample 84, whose start is on the boundary
         for r, counts in enumerate(table):
             single = tomography._fit(counts[None])
             np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
             assert single[1][0] == iterations[r]
+
+    def test_boundary_rows_certify_within_a_hundred_steps(self, boundary_table, near_pure_werner):
+        for table in (boundary_table, near_pure_werner[None]):
+            rho, iterations, gap = tomography._fit(table)
+            assert np.all(gap <= GAP_TOL * table.sum(axis=1))
+            assert iterations.max() <= 100
+            assert np.all(validate_density(rho).passed)
+
+    def test_near_pure_bootstrap_certifies_every_resample(self, near_pure_werner, monkeypatch):
+        # Resample optima sit on or just inside the boundary: rows cut from
+        # Newton continue with boundary steps toward interior optima too.
+        captured = {}
+        real_fit = tomography._fit
+
+        def spy(counts):
+            captured["result"] = real_fit(counts)
+            return captured["result"]
+
+        monkeypatch.setattr(tomography, "_fit", spy)
+        dataset = dataset_from_row(exact_dataset(singlet_dm()), near_pure_werner)
+        errs = bootstrap_errors(dataset, 100, seed=2)
+        _, iterations, _ = captured["result"]
+        assert errs.n_failed == 0
+        assert iterations.max() <= 100
 
     def test_newton_steps_are_built_only_for_uncertified_rows(
         self, calibrated_bootstrap, monkeypatch
@@ -445,7 +504,7 @@ class TestBatchedSweep:
         for i, ds in enumerate(datasets):
             single = mle_reconstruct(ds)
             assert abs(values[i] - log_negativity(single.rho)[0]) <= 1e-12
-            assert batch[i].iterations == single.iterations
+            assert batch[i].iterations == single.iterations <= 20
             assert batch[i].converged == single.converged == out["converged"][i]
 
     def test_batch_accepts_datasets_in_any_basis_order(self, sweep_datasets):
