@@ -2,9 +2,12 @@
 
 Runs ``simulate``, ``bell``, ``tomo`` (MLE, ``--method linear`` and
 ``--bootstrap 200``), ``sweep`` and ``rates`` on the packaged defaults and
-on each config in ``configs/``, all at seed 4242, in a temporary directory,
-and prints one ``sha256  mode/config/file`` line per output file.
-``manifest.json`` is left out, because it carries a timestamp.
+on each config in ``configs/``, all at seed 4242, in a temporary directory.
+Then it runs the data modes on files those runs wrote: ``bell --data`` on
+the counts, ``tomo --data`` on the tomography CSV, ``measures --out`` on the
+reconstruction and ``fit --out`` on the sweep series.  It prints one
+``sha256  mode/config/file`` line per output file.  ``manifest.json`` is
+left out, because it carries a timestamp.
 
 A refactor that promises byte-identical outputs is checked by running this
 script on the tree before and after the change and diffing the two
@@ -39,6 +42,13 @@ MODES = {
     "sweep": ["sweep"],
     "rates": ["rates"],
 }
+#: Data modes and the file, written by a run of MODES at the same config, that each reads.
+DATA_MODES = {
+    "bell-data": (["bell", "--data"], "bell/{config}/counts.csv"),
+    "tomo-data": (["tomo", "--data"], "tomo/{config}/tomography.csv"),
+    "measures": (["measures"], "tomo/{config}/reconstruction.json"),
+    "fit": (["fit"], "sweep/{config}/sweep_series.csv"),
+}
 
 
 def _configs() -> dict[str, list[str]]:
@@ -48,18 +58,26 @@ def _configs() -> dict[str, list[str]]:
     return configs
 
 
+def _print_run(argv: list[str], out: Path, label: str) -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([*argv, "--out", str(out)])
+    for path in sorted(out.iterdir()):
+        if path.name != "manifest.json":
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {label}/{path.name}")
+
+
 def print_digests() -> None:
     configs = _configs()
     with tempfile.TemporaryDirectory() as tmp:
         for mode, mode_args in MODES.items():
             for config, config_args in configs.items():
-                out = Path(tmp) / mode / config
-                with contextlib.redirect_stdout(io.StringIO()):
-                    main([*mode_args, *config_args, "--seed", SEED, "--out", str(out)])
-                for path in sorted(out.iterdir()):
-                    if path.name != "manifest.json":
-                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                        print(f"{digest}  {mode}/{config}/{path.name}")
+                argv = [*mode_args, *config_args, "--seed", SEED]
+                _print_run(argv, Path(tmp) / mode / config, f"{mode}/{config}")
+        for mode, (mode_args, data) in DATA_MODES.items():
+            for config in configs:
+                argv = [*mode_args, str(Path(tmp, data.format(config=config)))]
+                _print_run(argv, Path(tmp) / mode / config, f"{mode}/{config}")
 
 
 if __name__ == "__main__":

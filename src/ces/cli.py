@@ -7,28 +7,17 @@ Exit codes: 0 success, 2 configuration error, 3 data/validation error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from pathlib import Path
 
-from .bell import chsh_from_counts, chsh_quad
 from .config import ExperimentConfig, config_from_dict, load_config, storage_time
 from .errors import ConfigError, DataError, DimensionError, ValidationError
-from .fileio import (
-    read_counts_csv,
-    read_density_matrix_json,
-    read_series_csv,
-    read_tomography_csv,
-    write_json,
-)
-from .lifetime import fit_lifetime
-from .measures import report
 from .pipeline import (
     DEFAULT_SWEEP_GRID_US,
-    bell_payload,
-    lifetime_payload,
     run_bell,
+    run_bell_data,
+    run_fit,
+    run_measures,
     run_rates,
     run_simulate,
     run_sweep,
@@ -116,19 +105,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    cfg = _config_from_args(args)
     if args.data:
-        records = read_counts_csv(args.data)
-        quad = chsh_quad([r.setting for r in records])
-        if quad is None:
-            raise DataError(f"{args.data}: counts need one record per setting of a 2x2 grid")
-        result = chsh_from_counts(records, quad)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "bell.json", bell_payload(result, records))
-        print(f"S = {result.s_value:.4f} +/- {result.std_err:.4f}")
-        return EXIT_OK
-    out = run_bell(cfg, args.out)
+        out = run_bell_data(args.data, args.out)
+    else:
+        out = run_bell(_config_from_args(args), args.out)
     result = out["result"]
     print(f"S = {result.s_value:.4f} +/- {result.std_err:.4f} (wrote {out['bell']})")
     return EXIT_OK
@@ -136,8 +116,7 @@ def _cmd_bell(args) -> int:
 
 def _cmd_tomo(args) -> int:
     cfg = _config_from_args(args)
-    dataset = read_tomography_csv(args.data) if args.data else None
-    out = run_tomo(cfg, args.out, method=args.method, bootstrap=args.bootstrap, dataset=dataset)
+    out = run_tomo(cfg, args.out, method=args.method, bootstrap=args.bootstrap, data=args.data)
     fit = out["fit"]
     line = f"method={fit.method} log_likelihood={fit.log_likelihood:.3f} converged={fit.converged}"
     if "metrics" in out["payload"]:
@@ -147,26 +126,14 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_measures(args) -> int:
-    rho = read_density_matrix_json(args.state)
-    payload = dataclasses.asdict(report(rho))
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "measures.json", payload)
+    print(json.dumps(run_measures(args.state, args.out), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
-    dts, values, kinds, sigma = read_series_csv(args.series)
-    life = fit_lifetime(dts, values, kind=kinds, sigma=sigma)
-    payload = lifetime_payload(life)
+    payload = run_fit(args.series, args.out)
     print(json.dumps(payload, indent=2, sort_keys=True))
-    if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "lifetime_fit.json", payload)
-    return EXIT_OK if life.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if payload["converged"] else EXIT_NO_CONVERGENCE
 
 
 def _cmd_rates(args) -> int:

@@ -1,13 +1,14 @@
-"""End-to-end run modes tying state generation, detection and analysis.
+"""Run modes: each computes its results, then writes them into a run
+directory with ``write_run``.
 
-Each mode writes its output files into a directory together with a run
-manifest.  For a given (config, seed) every output byte is reproducible;
-the manifest's timestamp is the only field excluded from that guarantee.
+Every run directory holds its output files and a ``manifest.json``.  For a
+given (config, seed) every output byte is reproducible; the manifest's
+timestamp is the only field excluded from that guarantee.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from datetime import datetime, timezone
 from hashlib import sha256
 from pathlib import Path
@@ -18,8 +19,12 @@ from . import __version__
 from .bell import analytic_chsh, chsh_from_counts, chsh_quad, correlation_from_counts
 from .config import ExperimentConfig, config_hash
 from .detection import simulate_counts, simulate_tomography_dataset
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .fileio import (
+    read_counts_csv,
+    read_density_matrix_json,
+    read_series_csv,
+    read_tomography_csv,
     write_counts_csv,
     write_json,
     write_series_csv,
@@ -40,88 +45,81 @@ from .tomography import (
 DEFAULT_SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
-@dataclass
-class RunManifest:
-    config_hash: str
-    tool_version: str
-    seed: int
-    created_utc: str
-    outputs: list[dict] = field(default_factory=list)
-
-    def add(self, path: Path) -> None:
-        digest = sha256(path.read_bytes()).hexdigest()
-        self.outputs.append({"path": path.name, "sha256": digest})
-
-    def write(self, out_dir: Path) -> Path:
-        path = out_dir / "manifest.json"
-        write_json(
-            path,
-            {
-                "config_hash": self.config_hash,
-                "tool_version": self.tool_version,
-                "seed": self.seed,
-                "created_utc": self.created_utc,
-                "outputs": sorted(self.outputs, key=lambda x: x["path"]),
-            },
-        )
-        return path
+def _digest(label: str, path) -> dict:
+    return {"path": label, "sha256": sha256(Path(path).read_bytes()).hexdigest()}
 
 
-def _new_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(
-        config_hash=config_hash(cfg),
-        tool_version=__version__,
-        seed=cfg.seed,
-        created_utc=datetime.now(timezone.utc).isoformat(),
+def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict[str, str]:
+    """Make ``out_dir``, write each output into it, then ``manifest.json``.
+
+    ``outputs`` holds (file name, fileio writer, data) triples and ``inputs``
+    the paths of the data files the run read.  ``cfg`` is None where no
+    config was read; the manifest's ``config_hash`` and ``seed`` are then
+    null.  Returns the path of each output by file name.
+    """
+    read = [_digest(str(path), path) for path in inputs]
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {name: out / name for name, _, _ in outputs}
+    for name, writer, data in outputs:
+        writer(paths[name], data)
+    write_json(
+        out / "manifest.json",
+        {
+            "config_hash": None if cfg is None else config_hash(cfg),
+            "tool_version": __version__,
+            "seed": None if cfg is None else cfg.seed,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "outputs": [_digest(name, path) for name, path in sorted(paths.items())],
+            "inputs": read,
+        },
     )
+    return {name: str(path) for name, path in paths.items()}
 
 
-def _prepare_out(out_dir) -> Path:
-    path = Path(out_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _simulated_counts(cfg: ExperimentConfig):
+    """The configured state and its coincidence counts at every setting."""
+    rho = final_state(cfg.noise, cfg.dt_us)
+    return rho, [
+        simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
+        for i, s in enumerate(cfg.settings)
+    ]
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir) -> dict:
     """Simulate coincidence counts at every configured setting."""
-    out = _prepare_out(out_dir)
-    manifest = _new_manifest(cfg)
-    rho = final_state(cfg.noise, cfg.dt_us)
-    records = [
-        simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
-        for i, s in enumerate(cfg.settings)
-    ]
-    counts_path = out / "counts.csv"
-    write_counts_csv(counts_path, records)
-    manifest.add(counts_path)
-    manifest.write(out)
-    return {"counts": str(counts_path), "records": records}
+    _, records = _simulated_counts(cfg)
+    paths = write_run(out_dir, cfg, [("counts.csv", write_counts_csv, records)])
+    return {"counts": paths["counts.csv"], "records": records}
 
 
 def run_bell(cfg: ExperimentConfig, out_dir) -> dict:
     """Full Bell-test pipeline: state, counts at 4 settings, CHSH JSON."""
-    out = _prepare_out(out_dir)
-    manifest = _new_manifest(cfg)
     quad = chsh_quad(cfg.settings)
     if quad is None:
         raise ConfigError("bell mode needs 4 settings, one per cell of a 2x2 (alpha, beta) grid")
-    rho = final_state(cfg.noise, cfg.dt_us)
-    records = [
-        simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
-        for i, s in enumerate(cfg.settings)
-    ]
-    counts_path = out / "counts.csv"
-    write_counts_csv(counts_path, records)
-    manifest.add(counts_path)
-
+    rho, records = _simulated_counts(cfg)
     result = chsh_from_counts(records, quad)
     payload = bell_payload(result, records)
     payload["analytic_S"] = analytic_chsh(rho, quad).s_value
-    bell_path = out / "bell.json"
-    write_json(bell_path, payload)
-    manifest.add(bell_path)
-    manifest.write(out)
-    return {"bell": str(bell_path), "result": result}
+    paths = write_run(
+        out_dir,
+        cfg,
+        [("counts.csv", write_counts_csv, records), ("bell.json", write_json, payload)],
+    )
+    return {"bell": paths["bell.json"], "result": result}
+
+
+def run_bell_data(data, out_dir) -> dict:
+    """CHSH test on a recorded counts CSV; reads no config."""
+    records = read_counts_csv(data)
+    quad = chsh_quad([r.setting for r in records])
+    if quad is None:
+        raise DataError(f"{data}: counts need one record per setting of a 2x2 grid")
+    result = chsh_from_counts(records, quad)
+    outputs = [("bell.json", write_json, bell_payload(result, records))]
+    paths = write_run(out_dir, None, outputs, inputs=[data])
+    return {"bell": paths["bell.json"], "result": result}
 
 
 def bell_payload(result, records) -> dict:
@@ -155,28 +153,27 @@ def run_tomo(
     out_dir,
     method: str = "mle",
     bootstrap: int = 0,
-    dataset=None,
+    data=None,
 ) -> dict:
     """Nine-basis tomography pipeline ending in a reconstruction report.
 
-    ``dataset`` may carry pre-recorded counts (e.g. read from CSV); when
-    omitted the dataset is simulated from the configured state.
+    ``data`` may name a recorded tomography CSV; when omitted the dataset is
+    simulated from the configured state and written as ``tomography.csv``.
     ``bootstrap`` is 0 (none) or at least MIN_RESAMPLES.
     """
     if bootstrap < 0 or 0 < bootstrap < MIN_RESAMPLES:
         raise ConfigError(
             f"bootstrap must be 0 or at least {MIN_RESAMPLES} resamples, got {bootstrap!r}"
         )
-    out = _prepare_out(out_dir)
-    manifest = _new_manifest(cfg)
-    if dataset is None:
+    outputs = []
+    if data is None:
         rho_true = final_state(cfg.noise, cfg.dt_us)
         dataset = simulate_tomography_dataset(
             rho_true, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, 1000)
         )
-        data_path = out / "tomography.csv"
-        write_tomography_csv(data_path, dataset)
-        manifest.add(data_path)
+        outputs.append(("tomography.csv", write_tomography_csv, dataset))
+    else:
+        dataset = read_tomography_csv(data)
 
     fit = _reconstruct(dataset, method)
     payload = {
@@ -197,11 +194,9 @@ def run_tomo(
         payload["bootstrap"] = asdict(
             bootstrap_errors(dataset, bootstrap, derive_seed(cfg.seed, 2000))
         )
-    result_path = out / "reconstruction.json"
-    write_json(result_path, payload)
-    manifest.add(result_path)
-    manifest.write(out)
-    return {"reconstruction": str(result_path), "fit": fit, "payload": payload}
+    outputs.append(("reconstruction.json", write_json, payload))
+    paths = write_run(out_dir, cfg, outputs, inputs=[] if data is None else [data])
+    return {"reconstruction": paths["reconstruction.json"], "fit": fit, "payload": payload}
 
 
 def run_sweep(
@@ -214,8 +209,6 @@ def run_sweep(
     One ``mle_reconstruct_batch`` call fits every storage time.  ``converged``
     lists, per storage time, whether its reconstruction met the certificate.
     """
-    out = _prepare_out(out_dir)
-    manifest = _new_manifest(cfg)
     datasets = [
         simulate_tomography_dataset(
             final_state(cfg.noise, dt_us),
@@ -228,19 +221,19 @@ def run_sweep(
     fits = mle_reconstruct_batch(datasets)
     dts = np.array(dt_grid_us, dtype=float)
     values, _ = log_negativity(np.array([fit.rho.matrix for fit in fits]))
-
-    series_path = out / "sweep_series.csv"
-    write_series_csv(series_path, [(dt, value, "N", None) for dt, value in zip(dts, values)])
-    manifest.add(series_path)
-
     life = fit_lifetime(dts, values, kind="N")
-    fit_path = out / "lifetime_fit.json"
-    write_json(fit_path, lifetime_payload(life))
-    manifest.add(fit_path)
-    manifest.write(out)
+    series = [(dt, value, "N", None) for dt, value in zip(dts, values)]
+    paths = write_run(
+        out_dir,
+        cfg,
+        [
+            ("sweep_series.csv", write_series_csv, series),
+            ("lifetime_fit.json", write_json, lifetime_payload(life)),
+        ],
+    )
     return {
-        "series": str(series_path),
-        "fit_file": str(fit_path),
+        "series": paths["sweep_series.csv"],
+        "fit_file": paths["lifetime_fit.json"],
         "fit": life,
         "converged": [fit.converged for fit in fits],
     }
@@ -256,15 +249,29 @@ def lifetime_payload(life) -> dict:
     }
 
 
+def run_fit(series, out_dir=None) -> dict:
+    """Lifetime fit of a recorded series CSV; returns the fit's JSON payload
+    and, when ``out_dir`` is given, also writes it as ``lifetime_fit.json``."""
+    dts, values, kinds, sigma = read_series_csv(series)
+    payload = lifetime_payload(fit_lifetime(dts, values, kind=kinds, sigma=sigma))
+    if out_dir is not None:
+        write_run(out_dir, None, [("lifetime_fit.json", write_json, payload)], inputs=[series])
+    return payload
+
+
+def run_measures(state, out_dir=None) -> dict:
+    """Entanglement report of a density-matrix JSON; returns it and, when
+    ``out_dir`` is given, also writes it as ``measures.json``."""
+    payload = asdict(report(read_density_matrix_json(state)))
+    if out_dir is not None:
+        write_run(out_dir, None, [("measures.json", write_json, payload)], inputs=[state])
+    return payload
+
+
 def run_rates(cfg: ExperimentConfig, out_dir) -> dict:
     """Rate budget JSON plus a plain-text table."""
-    out = _prepare_out(out_dir)
-    manifest = _new_manifest(cfg)
     rep = rate_budget(cfg.efficiency, cfg.detector)
-    rates_path = out / "rates.json"
-    write_json(rates_path, asdict(rep))
-    manifest.add(rates_path)
-    manifest.write(out)
+    paths = write_run(out_dir, cfg, [("rates.json", write_json, asdict(rep))])
     table = "\n".join(
         [
             f"{'pair detection probability':<30} {rep.p_pair_detect:.3e}",
@@ -272,4 +279,4 @@ def run_rates(cfg: ExperimentConfig, out_dir) -> dict:
             f"{'pairs detected per second':<30} {rep.pairs_detected_per_s:.1f}",
         ]
     )
-    return {"rates": str(rates_path), "report": rep, "table": table}
+    return {"rates": paths["rates.json"], "report": rep, "table": table}

@@ -127,6 +127,9 @@ class DensityMatrix:
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
+        for part, values in (("re", re), ("im", im)):
+            if not np.isfinite(values).all():
+                raise ValidationError(f"density-matrix JSON: {part} holds a non-finite entry")
         if dim < 1:
             raise DimensionError(f"density-matrix JSON needs dim >= 1, got {dim}")
         if re.size != dim * dim or im.size != dim * dim:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +115,22 @@ def _fast_cfg(seed=7, n=20_000):
     )
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    """A fast config, the outputs of a bell and a tomo run of it, and a
+    series CSV: one data file for each data mode."""
+    path = tmp_path_factory.mktemp("recorded")
+    save_config(_fast_cfg(n=5_000), path / "fast.json")
+    run_bell(_fast_cfg(n=5_000), path / "bell")
+    run_tomo(_fast_cfg(n=5_000), path / "tomo")
+    (path / "series.csv").write_text(_SERIES_CSV)
+    return path
+
+
 class TestPipelineDeterminism:
     def test_bell_outputs_byte_identical(self, tmp_path):
         cfg = _fast_cfg()
@@ -127,17 +145,49 @@ class TestPipelineDeterminism:
         assert m1 == m2
         assert out1["result"].s_value == out2["result"].s_value
 
-    def test_manifest_covers_every_output(self, tmp_path):
-        run_tomo(_fast_cfg(n=5_000), tmp_path, method="mle")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        listed = {entry["path"] for entry in manifest["outputs"]}
-        produced = {p.name for p in tmp_path.iterdir()} - {"manifest.json"}
-        assert listed == produced
-        import hashlib
-
+    @pytest.mark.parametrize(
+        ("argv", "data"),
+        [
+            (["simulate", "--config", "{config}"], None),
+            (["bell", "--config", "{config}"], None),
+            (["bell", "--data", "{data}"], "bell/counts.csv"),
+            (["tomo", "--config", "{config}"], None),
+            (["tomo", "--config", "{config}", "--data", "{data}"], "tomo/tomography.csv"),
+            (["measures", "{data}"], "tomo/reconstruction.json"),
+            (["fit", "{data}"], "series.csv"),
+            (["rates", "--config", "{config}"], None),
+            (["sweep", "--config", "{config}", "--dt-grid", "0.8,3,6"], None),
+        ],
+        ids=[
+            "simulate", "bell", "bell-data", "tomo", "tomo-data",
+            "measures", "fit", "rates", "sweep",
+        ],
+    )
+    def test_manifest_covers_every_output(self, tmp_path, recorded, argv, data):
+        # Every CLI mode that writes a file writes one manifest schema; it
+        # lists each output and each data file read, with their SHA-256.
+        config = recorded / "fast.json"
+        args = [a.format(config=config, data=recorded / str(data)) for a in argv]
+        out = tmp_path / "o"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == {
+            "config_hash", "tool_version", "seed", "created_utc", "outputs", "inputs",
+        }
+        assert {e["path"] for e in manifest["outputs"]} == {
+            p.name for p in out.iterdir()
+        } - {"manifest.json"}
         for entry in manifest["outputs"]:
-            digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
-            assert digest == entry["sha256"]
+            assert entry["sha256"] == _sha256(out / entry["path"])
+        if "--config" in argv:
+            cfg = load_config(config)
+            assert (manifest["config_hash"], manifest["seed"]) == (config_hash(cfg), cfg.seed)
+        else:
+            assert (manifest["config_hash"], manifest["seed"]) == (None, None)
+        expected = [] if data is None else [str(recorded / data)]
+        assert [e["path"] for e in manifest["inputs"]] == expected
+        for entry in manifest["inputs"]:
+            assert entry["sha256"] == _sha256(entry["path"])
 
     def test_manifest_hash_matches_config(self, tmp_path):
         cfg = _fast_cfg()
@@ -380,6 +430,18 @@ class TestCliExitCodes:
         assert code == 3
         assert str(csv_path) in capsys.readouterr().err
         assert not (tmp_path / "an" / "bell.json").exists()
+        assert not (tmp_path / "an" / "manifest.json").exists()
+
+    def test_bell_from_counts_csv_reads_no_config(self, tmp_path):
+        # The counts alone define the CHSH test: a config that would not
+        # load is never read.
+        run_bell(_fast_cfg(), tmp_path / "sim")
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"noise": {"v0": 7}}')
+        counts = str(tmp_path / "sim" / "counts.csv")
+        out = tmp_path / "an"
+        assert cli.main(["bell", "--data", counts, "--config", str(bad), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config_hash"] is None
 
     def test_log_negativity_overflow_is_3(self, tmp_path, capsys):
         series = tmp_path / "series.csv"
@@ -410,6 +472,24 @@ class TestCliExitCodes:
         )
         assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
         assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    def test_measures_of_a_non_finite_state_is_3(self, tmp_path, capsys, part, value):
+        # json.dumps writes, and Python's json module parses, NaN and
+        # Infinity literals; the error names the part that holds one, and
+        # numpy warns about nothing.
+        parts = {"re": (np.eye(4) / 4).ravel().tolist(), "im": [0.0] * 16}
+        parts[part][1] = value
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": 4, **parts}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
+        assert f"data error: density-matrix JSON: {part} holds a non-finite entry" in (
+            capsys.readouterr().err
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
