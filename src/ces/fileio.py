@@ -45,14 +45,11 @@ def _count_row(rec: CountRecord) -> list:
 
 
 def _parse_count_row(row: dict) -> CountRecord:
-    return CountRecord(
-        setting=MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"])),
-        n_uu=int(row["n_uu"]),
-        n_ud=int(row["n_ud"]),
-        n_du=int(row["n_du"]),
-        n_dd=int(row["n_dd"]),
-        n_discarded=int(row["n_discarded"]),
-    )
+    cells = [int(row[column]) for column in COUNT_COLUMNS[2:]]
+    if max(cells) > 2**53:  # the analyses hold counts as floats, exact up to 2**53
+        raise ValueError(f"counts above 2**53 are not supported: {max(cells)}")
+    setting = MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"]))
+    return CountRecord(setting, *cells)
 
 
 def _open_csv(path):

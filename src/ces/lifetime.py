@@ -50,6 +50,7 @@ def _to_negativity(values: np.ndarray, kind) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit:
     """Weighted least squares of the Gaussian decay model, with N0 profiled out.
 
@@ -63,7 +64,8 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     ``converged`` means that interior stationary point was found; it is false
     when RSS still falls at the grid's end, 10^3 times the longest storage
     time, because the data show no decay, or when RSS has no minimum that
-    the storage times resolve.
+    the storage times resolve.  A storage time whose square overflows has
+    model value 0 at every tau; its inf * 0 terms are taken as 0.
 
     Parameters
     ----------
@@ -89,8 +91,7 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         raise DataError("storage times must be >= 0")
     if np.ptp(dt) == 0.0:
         raise DataError("need at least two distinct storage times, one of them > 0")
-    with np.errstate(over="ignore"):
-        n = _to_negativity(vals, kind)
+    n = _to_negativity(vals, kind)
     if not np.all(np.isfinite(n)):
         raise DataError("value: an EN entry overflows when converted to negativity")
     if sigma is not None:
@@ -105,13 +106,13 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
         tau = np.asarray(tau)[..., None]
         g = np.exp(-((dt / tau) ** 2)) / w
         n0 = np.sum(g * n / w, axis=-1, keepdims=True) / np.sum(g * g, axis=-1, keepdims=True)
-        jac = np.stack([g, n0 * g * (2.0 * dt**2 / tau**3)], axis=-1)
+        jac = np.stack([g, np.where(g > 0.0, n0 * g * (2.0 * dt**2 / tau**3), 0.0)], axis=-1)
         return n0[..., 0], n0 * g - n / w, jac
 
     # With e = exp(-(dt/tau)^2), N0 = sum(e n / w^2) / sum(e^2 / w^2), and
     # dRSS/dtau has the sign of N0 (N0 sum(e^2 dt^2 / w^2) - sum(e n dt^2 / w^2)).
-    by_e = np.stack([n, n * dt**2], axis=1) / w[:, None] ** 2
-    by_e2 = np.stack([np.ones_like(dt), dt**2], axis=1) / w[:, None] ** 2
+    by_e = np.nan_to_num(np.stack([n, n * dt**2], axis=1) / w[:, None] ** 2)
+    by_e2 = np.nan_to_num(np.stack([np.ones_like(dt), dt**2], axis=1) / w[:, None] ** 2)
 
     def rss_falls(tau):
         """Whether dRSS/dtau < 0 at each tau of a 1-D array."""

@@ -67,7 +67,8 @@ class NoiseParams:
         """Coherence factor v(dt) = v0 exp(-(dt/tau_e)^2)."""
         if dt_us < 0.0:
             raise ValueError(f"dt_us must be >= 0, got {dt_us!r}")
-        return self.v0 * math.exp(-((dt_us / self.tau_e_us) ** 2))
+        x = dt_us / self.tau_e_us  # x * x is inf, not an OverflowError, at huge dt
+        return self.v0 * math.exp(-(x * x))
 
 
 @dataclass(frozen=True)

@@ -78,16 +78,18 @@ class DensityMatrix:
     Construction only checks the shape; physicality (Hermiticity, unit trace,
     positivity) is reported by :func:`validate_density` so that diagnostic
     paths (e.g. linear-inversion tomography) can hold unphysical matrices and
-    flag them instead of failing.
+    flag them instead of failing.  It remembers passing
+    :func:`require_valid_density`, which checks an array on every call.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_validated")
 
     def __init__(self, entries) -> None:
         arr = np.array(entries, dtype=complex)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"density matrix must be square, got shape {arr.shape}")
         self.matrix = _freeze(arr)
+        self._validated = None  # the matrix once require_valid_density passed it
 
     @property
     def dim(self) -> int:
@@ -160,9 +162,12 @@ def unstack(values):
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product with this package's subsystem ordering (a is the
-    slower-varying index)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product of two kets or two matrices, a the slower-varying
+    index; each entry is the one product that np.kron forms."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    if a.ndim == 1:
+        return (a[:, None] * b).reshape(-1)
+    return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
 
 
 def partial_transpose(rho, subsystem: int) -> np.ndarray:
@@ -231,11 +236,15 @@ def validate_density(rho) -> DensityDiagnostics:
     density operator."""
     mat = as_matrix(rho)
     adjoint = np.swapaxes(mat.conj(), -1, -2)
-    herm = unstack(np.max(np.abs(mat - adjoint), axis=(-2, -1)))
-    tr = unstack(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0))
-    # Eigenvalues of the Hermitian part; for near-Hermitian input this is the
-    # spectrum up to the reported defect.
-    min_eig = unstack(np.min(np.linalg.eigvalsh(0.5 * (mat + adjoint)), axis=-1))
+    finite = np.isfinite(mat).all(axis=(-2, -1))
+    # A huge or non-finite entry fails with an infinite or NaN figure, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = unstack(np.max(np.abs(mat - adjoint), axis=(-2, -1)))
+        tr = unstack(np.abs(np.trace(mat, axis1=-2, axis2=-1) - 1.0))
+        # Eigenvalues of the Hermitian part (halves summed: no overflow); for
+        # near-Hermitian input this is the spectrum up to the reported defect.
+        part = np.where(finite[..., None, None], 0.5 * mat + 0.5 * adjoint, 0.0)
+    min_eig = unstack(np.where(finite, np.min(np.linalg.eigvalsh(part), axis=-1), np.nan))
     return DensityDiagnostics(
         hermiticity_defect=herm,
         trace_defect=tr,
@@ -248,7 +257,10 @@ def validate_density(rho) -> DensityDiagnostics:
 
 def require_valid_density(rho) -> np.ndarray:
     """Return the underlying matrix or stack, raising ValidationError if any
-    matrix is unphysical (a stack's message names the first failing row)."""
+    matrix is unphysical (a stack's message names the first failing row).
+    A DensityMatrix is checked until it passes once; an array every time."""
+    if isinstance(rho, DensityMatrix) and rho._validated is rho.matrix:
+        return rho.matrix
     mat = as_matrix(rho)
     passed = np.reshape(validate_density(mat).passed, -1)
     if not passed.all():
@@ -256,6 +268,8 @@ def require_valid_density(rho) -> np.ndarray:
         where = "" if mat.ndim == 2 else f" at row {row}"
         diag = validate_density(mat.reshape(-1, *mat.shape[-2:])[row])
         raise ValidationError(f"invalid density matrix{where} ({diag.describe()})")
+    if isinstance(rho, DensityMatrix):
+        rho._validated = mat
     return mat
 
 
@@ -265,7 +279,7 @@ def require_two_qubit_density(rho) -> np.ndarray:
     mat = as_matrix(rho)
     if mat.shape[-2:] != (4, 4):
         raise DimensionError(f"expected two-qubit (4x4) states, got shape {mat.shape}")
-    return require_valid_density(mat)
+    return require_valid_density(rho)
 
 
 def trace_distance(a, b) -> float:

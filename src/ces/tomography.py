@@ -187,15 +187,21 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(weights, probs, rho):
-    """Newton step Delta_rho of each row, and C^-1 Delta_rho C^-dag with rho = C C^dag.
+    """Newton step Delta_rho of each row and its length alpha (see _fit).
 
     weights = n/p; the Hessian A^T diag(n/p^2) A is one product with _OUTER.
+    alpha = 1 where rho + Delta_rho / _TO_BOUNDARY is PSD; only the rest whiten.
     """
     hessian = ((weights / probs)[:, None, :] @ _OUTER).reshape(-1, 15, 15)
     delta = np.linalg.solve(hessian, (weights @ _DESIGN)[..., None])[..., 0]
     d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
-    whiten = np.linalg.inv(np.linalg.cholesky(rho))
-    return d_rho, whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
+    alpha = np.ones(len(d_rho))
+    cut = np.linalg.eigvalsh(rho + d_rho / _TO_BOUNDARY)[:, 0] < 0.0
+    if cut.any():
+        whiten = np.linalg.inv(np.linalg.cholesky(rho[cut]))
+        mu = np.linalg.eigvalsh(whiten @ d_rho[cut] @ np.swapaxes(whiten.conj(), -1, -2))[:, 0]
+        alpha[cut] = _TO_BOUNDARY / np.maximum(-mu, _TO_BOUNDARY)
+    return d_rho, alpha
 
 
 # The 16 real coordinates of a 4x4 lower-triangular matrix T with a real
@@ -366,8 +372,7 @@ def _fit(counts: np.ndarray):
         in_newton = newton[active]
         if in_newton.any():
             rows = active[in_newton]
-            d_rho, whitened = _newton_step(weights[in_newton], probs[in_newton], rho[rows])
-            alpha = _TO_BOUNDARY / np.maximum(-np.linalg.eigvalsh(whitened)[:, 0], _TO_BOUNDARY)
+            d_rho, alpha = _newton_step(weights[in_newton], probs[in_newton], rho[rows])
             rho[rows] += alpha[:, None, None] * d_rho
             newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
             last_alpha[rows] = alpha

@@ -253,3 +253,24 @@ class TestBellResultInvariant:
     def test_statistical_headroom_allowed(self):
         result = BellResult(s_value=2.9, std_err=0.05, settings=QUAD)
         assert result.s_value == 2.9
+
+
+class TestRunBell:
+    def test_state_is_validated_once(self, tmp_path, monkeypatch):
+        # The four detection settings and the four analytic correlations all
+        # read the one configured state, which remembers that it passed.
+        from ces import pipeline, qcore
+        from ces.config import config_from_dict
+
+        calls = []
+        real = qcore.validate_density
+
+        def counting(rho):
+            calls.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(qcore, "validate_density", counting)
+        cfg = config_from_dict({"n_sequences": 2_000})
+        out = pipeline.run_bell(cfg, tmp_path / "o")
+        assert len(calls) == 1
+        assert len(cfg.settings) == 4 and out["result"].std_err > 0.0

@@ -492,6 +492,68 @@ class TestCliExitCodes:
         )
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("cell", [2**53, 2**53 + 1, 10**23])
+    def test_counts_above_2_53_are_bad_rows(self, tmp_path, cell):
+        # Counts are held as floats downstream, which are exact up to 2**53.
+        from ces.errors import DataError
+        from ces.fileio import read_counts_csv
+
+        data = tmp_path / "counts.csv"
+        data.write_text(f"alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded\n0,22.5,1,2,{cell},4,0\n")
+        if cell <= 2**53:
+            assert read_counts_csv(data)[0].n_du == cell
+        else:
+            with pytest.raises(DataError, match=r"bad row .*counts above 2\*\*53"):
+                read_counts_csv(data)
+
+    @pytest.mark.parametrize(
+        ("case", "code"),
+        [("bell-dt", 0), ("sweep-dt", 0), ("measures-huge-entry", 3), ("tomo-huge-count", 3)],
+    )
+    def test_extreme_inputs_exit_cleanly(self, tmp_path, capsys, case, code):
+        # A storage time of 1e200 has coherence 0; a 1e308 diagonal entry
+        # fails validation; a count above 2**53 is a bad row.  Each exits
+        # with its code and no numpy warning, and a failed run writes nothing.
+        from ces.detection import DetectorParams, simulate_tomography_dataset
+        from ces.fileio import write_tomography_csv
+
+        out = tmp_path / "o"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"dt_us": 1e200, "n_sequences": 20000}')
+        if case == "measures-huge-entry":
+            re = (np.eye(4) / 4).ravel().tolist()
+            re[0] = 1e308
+            data = tmp_path / "state.json"
+            data.write_text(json.dumps({"dim": 4, "re": re, "im": [0.0] * 16}))
+        elif case == "tomo-huge-count":
+            data = tmp_path / "tomography.csv"
+            dataset = simulate_tomography_dataset(np.eye(4) / 4, 1000, DetectorParams(), 1)
+            write_tomography_csv(data, dataset)
+            lines = data.read_text().splitlines()
+            cells = lines[3].split(",")
+            cells[4] = str(10**23)
+            lines[3] = ",".join(cells)
+            data.write_text("\n".join(lines) + "\n")
+        argv = {
+            "bell-dt": ["bell", "--config", str(cfg)],
+            "sweep-dt": ["sweep", "--config", str(cfg), "--dt-grid", "1e200,2,4"],
+            "measures-huge-entry": ["measures", str(tmp_path / "state.json")],
+            "tomo-huge-count": ["tomo", "--data", str(tmp_path / "tomography.csv")],
+        }[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert not out.exists()
+            assert {"measures-huge-entry": "trace defect 1.00e+308",
+                    "tomo-huge-count": "bad row {'basis_a': 'HV', 'basis_b': 'RL'"}[case] in err
+        if case == "sweep-dt":
+            fit = json.loads((out / "lifetime_fit.json").read_text())
+            rows = (out / "sweep_series.csv").read_text().splitlines()
+            assert fit["converged"] and float(rows[1].split(",")[1]) == 0.0
+
     @pytest.mark.parametrize(
         ("command", "text"),
         [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,20 @@ class TestNoiselessRecovery:
         fit = fit_lifetime(GRID, values, kind=kinds)
         assert fit.tau_e_us == pytest.approx(5.0, rel=1e-6)
         assert_matches_oracle(GRID, n_values, fit)
+
+
+    def test_storage_time_whose_square_overflows(self):
+        # At dt = 1e200 the model is exactly 0 for every finite tau, so a
+        # zero there leaves the fit of the other points as it is.
+        dt = np.array([0.8, 2.0, 4.0, 6.0, 1e200])
+        values = np.append(decay(0.434, 5.7, dt[:-1]), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_lifetime(dt, values, kind="N")
+        assert fit.converged
+        assert fit.n0 == pytest.approx(0.434, rel=1e-6)
+        assert fit.tau_e_us == pytest.approx(5.7, rel=1e-6)
+        assert np.all(np.isfinite(fit.covariance))
 
 
 class TestNoisyRecovery:

@@ -87,6 +87,15 @@ class TestStorageNoise:
         coherence = 2.0 * abs(two_step.matrix[0, 3])
         assert coherence == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("dt_us", [1e154, 1e200, 1.7e308])
+    def test_astronomical_storage_time_has_no_coherence(self, dt_us):
+        # (dt / tau)^2 overflows to inf, and exp(-inf) is exactly 0: the same
+        # state as any storage time whose coherence underflows.
+        noise = NoiseParams(v0=0.9, tau_e_us=5.7, p_white=0.1, eta_pump=0.8)
+        assert noise.coherence(dt_us) == 0.0
+        expected = final_state(noise, 1e6).matrix
+        assert final_state(noise, dt_us).matrix.tobytes() == expected.tobytes()
+
     def test_populations_invariant_under_dephasing(self, rng):
         noise = NoiseParams(v0=0.5, tau_e_us=2.0, p_white=0.0)
         for _ in range(10):

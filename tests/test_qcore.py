@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
+from ces import qcore
+from ces.detection import analyzer_projectors, basis_projectors
 from ces.errors import DimensionError, ValidationError
 from ces.qcore import (
+    IDENTITY_2,
+    KET_A,
+    KET_D,
+    KET_H,
+    KET_L,
+    KET_R,
     KET_SM,
     KET_SP,
+    KET_V,
+    PAULIS,
     SINGLET_KET,
     DensityMatrix,
     born_probabilities,
@@ -62,6 +74,26 @@ class TestTensor:
         np.testing.assert_allclose(
             tensor(tensor(a, b), c), tensor(a, tensor(b, c)), rtol=1e-14, atol=1e-16
         )
+
+
+    def test_equals_kron_bit_for_bit(self, rng):
+        # Broadcasting forms each entry as the one product np.kron forms, so
+        # the bytes agree: on the shipped operators, on random complex
+        # matrices, on a product of three factors and on kets.
+        def random_complex(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        operators = [IDENTITY_2, *PAULIS, *analyzer_projectors(22.5), *analyzer_projectors(-67.5)]
+        operators += [*basis_projectors("DA"), *basis_projectors("RL")]
+        operators += [random_complex(2, 2) for _ in range(8)]
+        kets = [KET_SP, KET_SM, KET_H, KET_V, KET_D, KET_A, KET_R, KET_L, random_complex(2)]
+        pairs = [(a, b) for group in (operators, kets) for a in group for b in group]
+        pairs += [(tensor(a, b), c) for a, b, c in zip(operators, operators[1:], operators[2:])]
+        for a, b in pairs:
+            expected = np.kron(a, b)
+            actual = tensor(a, b)
+            assert actual.shape == expected.shape
+            assert actual.tobytes() == expected.tobytes()
 
 
 class TestPartialTranspose:
@@ -151,6 +183,72 @@ class TestValidateDensity:
         assert diag.min_eigenvalue < -1e-9
         assert not diag.passed
         assert not result.psd_ok
+
+
+    @pytest.mark.parametrize("value", [1e308, -1e308, 1e308j, np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1), (2, 3)])
+    def test_huge_or_non_finite_entry_fails_without_warnings(self, value, where):
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 3)
+        stack[1][where] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(validate_density(stack).passed, [True, False, True])
+            assert not validate_density(stack[1]).passed
+            with pytest.raises(ValidationError, match="at row 1 "):
+                require_valid_density(stack)
+
+    def test_hermitian_part_is_that_of_the_sum(self, rng):
+        # The halves are summed so that a finite matrix cannot overflow;
+        # for a finite one this is the same number, bit for bit.
+        for rank in (1, 2, 4):
+            mat = random_density(rng, 4, rank=rank)
+            expected = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
+            assert validate_density(mat).min_eigenvalue == expected
+
+
+class TestValidationCache:
+    @pytest.fixture
+    def validations(self, monkeypatch):
+        calls = []
+        real = qcore.validate_density
+
+        def counting(rho):
+            calls.append(rho)
+            return real(rho)
+
+        monkeypatch.setattr(qcore, "validate_density", counting)
+        return calls
+
+    def test_a_state_that_passed_is_not_checked_again(self, validations):
+        rho = DensityMatrix(singlet_dm())
+        for _ in range(3):
+            assert require_valid_density(rho) is rho.matrix
+            assert require_two_qubit_density(rho) is rho.matrix
+        assert len(validations) == 1
+
+    def test_an_array_is_checked_on_every_call(self, validations):
+        mat = singlet_dm()
+        for n in range(1, 4):
+            require_valid_density(mat)
+            require_two_qubit_density(mat)
+            assert len(validations) == 2 * n
+
+    def test_a_failing_state_is_checked_and_raises_on_every_call(self, validations):
+        rho = DensityMatrix(0.5 * np.eye(4))
+        seen = 0
+        for _ in range(3):
+            with pytest.raises(ValidationError, match="trace defect"):
+                require_two_qubit_density(rho)
+            assert len(validations) > seen
+            seen = len(validations)
+
+    def test_a_replaced_matrix_is_checked_again(self, validations):
+        rho = DensityMatrix(singlet_dm())
+        require_valid_density(rho)
+        rho.matrix = 0.5 * np.eye(4)
+        with pytest.raises(ValidationError):
+            require_valid_density(rho)
+        assert len(validations) > 1
 
 
 class TestFromKet:

@@ -485,6 +485,52 @@ class TestFitPaths:
         assert sum(sizes) == iterations.sum()
 
 
+    @pytest.fixture(scope="class")
+    def low_count_table(self):
+        """Twenty tables of werner(0.9) at 150 sequences per basis pair:
+        cut Newton steps, and rows with zero cells that take none."""
+        datasets = [simulate_tomography_dataset(werner(0.9), 150, IDEAL, seed) for seed in range(20)]
+        return np.array([_table(dataset) for dataset in datasets])
+
+    @pytest.mark.parametrize(
+        "table", ["calibrated", "boundary", "near_pure", "low_count"]
+    )
+    def test_step_length_shortcut_matches_whitening_every_row(
+        self, table, calibrated_bootstrap, boundary_table, near_pure_werner, low_count_table,
+        monkeypatch,
+    ):
+        # _newton_step takes alpha = 1 wherever rho + Delta_rho / _TO_BOUNDARY
+        # is PSD and whitens only the other rows.  The reference computes
+        # alpha = min(1, _TO_BOUNDARY / -mu) from the whitened step of every
+        # row; the fits must agree bit for bit.
+        table = {
+            "calibrated": calibrated_bootstrap[3]["table"],
+            "boundary": boundary_table,
+            "near_pure": near_pure_werner[None],
+            "low_count": low_count_table,
+        }[table]
+        real_step = tomography._newton_step
+        cut = []
+
+        def whiten_every_row(weights, probs, rho):
+            d_rho, _ = real_step(weights, probs, rho)
+            whiten = np.linalg.inv(np.linalg.cholesky(rho))
+            whitened = whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
+            mu = np.linalg.eigvalsh(whitened)[:, 0]
+            alpha = tomography._TO_BOUNDARY / np.maximum(-mu, tomography._TO_BOUNDARY)
+            cut.append(int((alpha < 1.0).sum()))
+            return d_rho, alpha
+
+        expected = tomography._fit(table)
+        monkeypatch.setattr(tomography, "_newton_step", whiten_every_row)
+        reference = tomography._fit(table)
+        for actual, wanted in zip(expected, reference, strict=True):
+            assert actual.dtype == wanted.dtype
+            assert actual.tobytes() == wanted.tobytes()
+        if table is low_count_table:
+            assert sum(cut) > 0  # the whitening branch ran
+
+
 class TestBatchedSweep:
     @pytest.mark.parametrize("seed", [4242, 7, 99])
     def test_points_match_their_own_fits(self, tmp_path, seed):
