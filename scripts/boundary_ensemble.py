@@ -41,8 +41,9 @@ def werner_tables() -> np.ndarray:
     rho = 0.99 * singlet + 0.01 * np.eye(4) / 4.0
     detector = DetectorParams(eta_det=0.2)
     return np.array(
-        [tomography._table(simulate_tomography_dataset(rho, 500_000, detector, seed))
-         for seed in range(10)]
+        [simulate_tomography_dataset(rho, 500_000, detector, seed).counts.ravel()
+         for seed in range(10)],
+        dtype=float,
     )
 
 

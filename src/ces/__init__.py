@@ -58,7 +58,7 @@ from .tomography import (
     BootstrapErrors,
     ReconstructionResult,
     bootstrap_errors,
-    exact_dataset,
+    exact_table,
     linear_inversion,
     mle_reconstruct,
     mle_reconstruct_batch,

@@ -118,11 +118,7 @@ class DetectorParams:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Coincidence counts for one measurement setting.
-
-    Counts are integers when produced by the simulator; analysis routines
-    also accept exact-frequency records with float cells (used as oracles).
-    """
+    """Coincidence counts for one measurement setting."""
 
     setting: MeasurementSetting
     n_uu: int
@@ -235,28 +231,25 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
     return np.concatenate([cells, 1.0 - cells.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def _draw(probs, n_sequences, seed: int, spawn_prefix: tuple[int, ...], setting) -> CountRecord:
+def _draw(probs, n_sequences, seed: int, spawn_prefix: tuple[int, ...]) -> np.ndarray:
     """One Multinomial(n_sequences, probs) draw on the (seed, spawn_prefix) stream."""
     if not isinstance(n_sequences, (int, np.integer)) or n_sequences <= 0:
         raise DataError(f"n_sequences must be a positive integer, got {n_sequences!r}")
-    cells = make_stream(seed, spawn_prefix).multinomial(n_sequences, probs)
-    return CountRecord(setting, *(int(c) for c in cells))
+    return make_stream(seed, spawn_prefix).multinomial(n_sequences, probs)
 
 
 def simulate_counts(
-    rho,
-    setting: MeasurementSetting,
-    n_sequences: int,
-    det: DetectorParams,
-    seed: int,
+    rho, setting: MeasurementSetting, n_sequences: int, det: DetectorParams, seed: int
 ) -> CountRecord:
     """Run the detection chain for n_sequences protocol repetitions."""
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
     probs = _outcome_distribution(_one_state(rho), *projs, det)
-    return _draw(probs, n_sequences, seed, (), setting)
+    return CountRecord(setting, *map(int, _draw(probs, n_sequences, seed, ())))
 
 
-_BASIS_ANGLE = {"HV": 0.0, "DA": 45.0, "RL": 0.0}
+#: Analyzer angle (degrees, modulo 180) that measures each basis label; the
+#: tomography CSV records it in its angle columns.
+BASIS_ANGLES = {"HV": 0.0, "DA": 45.0, "RL": 0.0}
 #: The nine tomography basis pairs (arm A label, arm B label), in dataset order.
 BASIS_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
 # (9, 2, 2, 2) port projectors of arm A and of arm B at each basis pair, built once.
@@ -267,34 +260,42 @@ _TOMOGRAPHY_A, _TOMOGRAPHY_B = (
 
 @dataclass(frozen=True)
 class TomographyDataset:
-    """Nine labeled coincidence records, one per tomography basis pair."""
+    """Nine-basis counts as read-only int64 arrays: ``counts`` (9, 4) holds the
+    cells (uu, ud, du, dd) of each of the BASIS_PAIRS in order, ``discarded``
+    (9,) the discarded sequences of each."""
 
-    records: tuple[tuple[str, str, CountRecord], ...]
+    counts: np.ndarray
+    discarded: np.ndarray
 
-    def basis_pairs(self) -> list[tuple[str, str]]:
-        return [(a, b) for a, b, _ in self.records]
+    def __post_init__(self) -> None:
+        for name, shape in (("counts", (9, 4)), ("discarded", (9,))):
+            value = np.asarray(getattr(self, name))
+            if value.shape != shape or value.dtype.kind not in "iu" or np.any(value < 0):
+                raise ValueError(f"{name} must be a {shape} array of integers >= 0")
+            value = value.astype(np.int64)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-    def total_coincidences(self):
-        return sum(rec.total for _, _, rec in self.records)
+    @property
+    def records(self) -> tuple[tuple[str, str, CountRecord], ...]:
+        """One (label_a, label_b, CountRecord) row per basis pair, in BASIS_PAIRS order."""
+        rows = zip(BASIS_PAIRS, self.counts.tolist(), self.discarded.tolist())
+        return tuple(
+            (a, b, CountRecord(MeasurementSetting(BASIS_ANGLES[a], BASIS_ANGLES[b]), *cells, n))
+            for (a, b), cells, n in rows
+        )
 
 
 def simulate_tomography_dataset(
-    rho,
-    n_per_basis: int,
-    det: DetectorParams,
-    seed: int,
+    rho, n_per_basis: int, det: DetectorParams, seed: int
 ) -> TomographyDataset:
     """Simulate the nine-basis tomography measurement set.
 
     The state is validated once, and one kernel call gives the outcome
-    probabilities of all nine basis pairs.  Each pair then runs n_per_basis
-    sequences on its own random substream, so the dataset is independent
-    of the order in which bases execute.
+    probabilities of all nine basis pairs.  Pair i then runs n_per_basis
+    sequences on its own random substream keyed by i, so the dataset is
+    independent of the order in which bases execute.
     """
-    mat = _one_state(rho)
-    probs = _outcome_distribution(mat, _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
-    records = []
-    for index, ((label_a, label_b), p) in enumerate(zip(BASIS_PAIRS, probs)):
-        setting = MeasurementSetting(_BASIS_ANGLE[label_a], _BASIS_ANGLE[label_b])
-        records.append((label_a, label_b, _draw(p, n_per_basis, seed, (index,), setting)))
-    return TomographyDataset(records=tuple(records))
+    probs = _outcome_distribution(_one_state(rho), _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
+    draws = np.array([_draw(p, n_per_basis, seed, (i,)) for i, p in enumerate(probs)])
+    return TomographyDataset(counts=draws[:, :4], discarded=draws[:, 4])

@@ -3,7 +3,8 @@
 Formats (all line-diffable, documented in the README):
 
 * counts CSV: ``alpha_deg,beta_deg,n_uu,n_ud,n_du,n_dd,n_discarded``
-* tomography CSV: the same columns prefixed by ``basis_a,basis_b``
+* tomography CSV: the same columns prefixed by ``basis_a,basis_b``; one
+  row per basis pair, in any order, its angles those of its labels
 * series CSV: ``dt_us,value,kind,sigma`` with kind in {N, EN} and sigma
   optionally empty
 * density-matrix JSON: ``{"dim": d, "re": [...], "im": [...]}`` row-major
@@ -17,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import CountRecord, MeasurementSetting, TomographyDataset
+from .detection import (
+    BASIS_ANGLES,
+    BASIS_LABELS,
+    BASIS_PAIRS,
+    CountRecord,
+    MeasurementSetting,
+    TomographyDataset,
+)
 from .errors import DataError
 from .qcore import DensityMatrix
 
@@ -33,15 +41,8 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _count_row(rec: CountRecord) -> list:
-    return [
-        f"{rec.setting.alpha_deg:.6f}",
-        f"{rec.setting.beta_deg:.6f}",
-        rec.n_uu,
-        rec.n_ud,
-        rec.n_du,
-        rec.n_dd,
-        rec.n_discarded,
-    ]
+    cells = [rec.n_uu, rec.n_ud, rec.n_du, rec.n_dd, rec.n_discarded]
+    return [f"{rec.setting.alpha_deg:.6f}", f"{rec.setting.beta_deg:.6f}", *cells]
 
 
 def _parse_count_row(row: dict) -> CountRecord:
@@ -99,14 +100,30 @@ def write_tomography_csv(path, dataset: TomographyDataset) -> None:
     )
 
 
+def _parse_tomography_row(row: dict) -> tuple[tuple[str, str], CountRecord]:
+    """The row's basis pair and counts; ValueError when an angle column is not
+    its label's angle (modulo 180, to the 6 decimals the writer keeps)."""
+    pair, rec = (row["basis_a"], row["basis_b"]), _parse_count_row(row)
+    for label, angle in zip(pair, (rec.setting.alpha_deg, rec.setting.beta_deg)):
+        if label in BASIS_ANGLES and round(angle, 6) % 180.0 != BASIS_ANGLES[label]:
+            raise ValueError(f"basis {label} is measured at {BASIS_ANGLES[label]:g} degrees")
+    return pair, rec
+
+
 def read_tomography_csv(path) -> TomographyDataset:
-    records = _read_rows(
-        path,
-        TOMOGRAPHY_COLUMNS,
-        lambda row: (row["basis_a"], row["basis_b"], _parse_count_row(row)),
-        "tomography",
-    )
-    return TomographyDataset(records=tuple(records))
+    """Place each row at its basis pair; every pair must appear exactly once."""
+    cells = {}
+    for pair, rec in _read_rows(path, TOMOGRAPHY_COLUMNS, _parse_tomography_row, "tomography"):
+        if pair not in BASIS_PAIRS:
+            raise DataError(f"unknown basis pair {pair}, expected labels from {BASIS_LABELS}")
+        if pair in cells:
+            raise DataError(f"basis pair {pair} appears more than once")
+        cells[pair] = [*rec.counts(), rec.n_discarded]
+    missing = [pair for pair in BASIS_PAIRS if pair not in cells]
+    if missing:
+        raise DataError(f"dataset does not cover all nine basis pairs; missing {missing}")
+    table = np.array([cells[pair] for pair in BASIS_PAIRS])
+    return TomographyDataset(counts=table[:, :4], discarded=table[:, 4])
 
 
 def write_series_csv(path, rows) -> None:

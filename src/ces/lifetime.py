@@ -50,7 +50,7 @@ def _to_negativity(values: np.ndarray, kind) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit:
     """Weighted least squares of the Gaussian decay model, with N0 profiled out.
 
@@ -65,7 +65,8 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     when RSS still falls at the grid's end, 10^3 times the longest storage
     time, because the data show no decay, or when RSS has no minimum that
     the storage times resolve.  A storage time whose square overflows has
-    model value 0 at every tau; its inf * 0 terms are taken as 0.
+    model value 0 at every tau; its inf * 0 terms are taken as 0.  A scan tau
+    whose cube underflows to 0 gets an inf or NaN slope, without a warning.
 
     Parameters
     ----------

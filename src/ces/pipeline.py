@@ -140,11 +140,11 @@ def bell_payload(result, records) -> dict:
     }
 
 
-def _reconstruct(dataset, method: str):
+def _reconstruct(counts, method: str):
     if method == "mle":
-        return mle_reconstruct(dataset)
+        return mle_reconstruct(counts)
     if method == "linear":
-        return linear_inversion(dataset)
+        return linear_inversion(counts)
     raise ConfigError(f"unknown reconstruction method {method!r}")
 
 
@@ -175,7 +175,7 @@ def run_tomo(
     else:
         dataset = read_tomography_csv(data)
 
-    fit = _reconstruct(dataset, method)
+    fit = _reconstruct(dataset.counts, method)
     payload = {
         "rho": fit.rho.to_json_dict(),
         "reconstruction": {
@@ -192,7 +192,7 @@ def run_tomo(
         payload["metrics"] = asdict(report(fit.rho))
     if bootstrap:
         payload["bootstrap"] = asdict(
-            bootstrap_errors(dataset, bootstrap, derive_seed(cfg.seed, 2000))
+            bootstrap_errors(dataset.counts, bootstrap, derive_seed(cfg.seed, 2000))
         )
     outputs.append(("reconstruction.json", write_json, payload))
     paths = write_run(out_dir, cfg, outputs, inputs=[] if data is None else [data])
@@ -209,16 +209,16 @@ def run_sweep(
     One ``mle_reconstruct_batch`` call fits every storage time.  ``converged``
     lists, per storage time, whether its reconstruction met the certificate.
     """
-    datasets = [
+    tables = [
         simulate_tomography_dataset(
             final_state(cfg.noise, dt_us),
             cfg.n_sequences,
             cfg.detector,
             derive_seed(cfg.seed, 3000 + i),
-        )
+        ).counts
         for i, dt_us in enumerate(dt_grid_us)
     ]
-    fits = mle_reconstruct_batch(datasets)
+    fits = mle_reconstruct_batch(tables)
     dts = np.array(dt_grid_us, dtype=float)
     values, _ = log_negativity(np.array([fit.rho.matrix for fit in fits]))
     life = fit_lifetime(dts, values, kind="N")

@@ -212,7 +212,9 @@ def noise_for_fidelity_dephasing(
     """
     if not (0.5 <= fidelity <= 1.0):
         raise ValueError(f"dephasing calibration needs fidelity in [0.5, 1], got {fidelity!r}")
-    v0 = (2.0 * fidelity - 1.0) * math.exp((dt_us / tau_e_us) ** 2)
+    # |dt/tau| is capped at 26, short of exp's overflow: v0 stays above 1 (2.2e-16
+    # * exp(26**2) > 1), which NoiseParams rejects, for any fidelity but 0.5's 0.
+    v0 = (2.0 * fidelity - 1.0) * math.exp(min(abs(dt_us / tau_e_us), 26.0) ** 2)
     return NoiseParams(v0=v0, tau_e_us=tau_e_us, p_white=0.0, eta_pump=1.0)
 
 

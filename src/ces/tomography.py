@@ -19,13 +19,13 @@ bounds how far an iterate is below the maximum (Glancy, Knill, Girard, NJP
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
-``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  A dataset
-must hold each pair exactly once, in any record order, and gives the same
-results in every order.  Error bars on derived quantities come from
-multinomial bootstrap resampling of the per-basis counts: each basis pair
-draws all its resamples in one call on its own keyed stream, the
-resamples are fitted as one batch, and the figures are evaluated once on
-the stack of kept states.
+``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  Every
+estimator takes (9, 4) count tables in that pair order, a dataset's
+``counts``, and needs coincidences in every pair.  Error bars on derived
+quantities come from multinomial bootstrap resampling of the per-basis
+counts: each basis pair draws all its resamples in one call on its own
+keyed stream, the resamples are fitted as one batch, and the figures are
+evaluated once on the stack of kept states.
 """
 
 from __future__ import annotations
@@ -34,15 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import (
-    BASIS_LABELS,
-    BASIS_PAIRS,
-    CountRecord,
-    MeasurementSetting,
-    TomographyDataset,
-    basis_projectors,
-    pair_projectors,
-)
+from .detection import BASIS_PAIRS, basis_projectors, pair_projectors
 from .errors import DataError
 from .measures import _report
 from .qcore import (
@@ -113,26 +105,20 @@ _OUTER = (_DESIGN[:, :, None] * _DESIGN[:, None, :]).reshape(len(_DESIGN), -1)
 _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 
 
-def _table(dataset: TomographyDataset) -> np.ndarray:
-    """The (36,) counts of a dataset in the column order of PROJECTORS.
-
-    The dataset must hold each of the nine basis pairs exactly once, each
-    with coincidences; its record order does not matter.
-    """
-    cells = {}
-    for basis_a, basis_b, rec in dataset.records:
-        pair = (basis_a, basis_b)
-        if pair not in BASIS_PAIRS:
-            raise DataError(f"unknown basis pair {pair}, expected labels from {BASIS_LABELS}")
-        if pair in cells:
-            raise DataError(f"basis pair {pair} appears more than once")
-        if rec.total <= 0:
-            raise DataError(f"basis pair {pair} has zero coincidences")
-        cells[pair] = rec.counts()
-    missing = [pair for pair in BASIS_PAIRS if pair not in cells]
-    if missing:
-        raise DataError(f"dataset does not cover all nine basis pairs; missing {missing}")
-    return np.concatenate([cells[pair] for pair in BASIS_PAIRS]).astype(float)
+def _checked(tables) -> np.ndarray:
+    """A stack of (9, 4) count tables as the float (B, 36) table of the
+    columns of PROJECTORS; DataError unless every cell is finite and >= 0
+    and every basis pair has coincidences."""
+    shapes = {np.shape(counts) for counts in tables}
+    if shapes != {(9, 4)}:
+        raise DataError(f"expected (9, 4) count tables, got shapes {sorted(shapes)}")
+    table = np.array(tables, dtype=float)
+    if not np.all(np.isfinite(table) & (table >= 0.0)):
+        raise DataError("counts must be finite and >= 0")
+    empty = np.flatnonzero(np.any(table.sum(axis=2) <= 0.0, axis=0))
+    if empty.size:
+        raise DataError(f"basis pair {BASIS_PAIRS[empty[0]]} has zero coincidences")
+    return table.reshape(-1, 36)
 
 
 def _log_likelihood(counts: np.ndarray, rho: np.ndarray):
@@ -154,14 +140,14 @@ def _linear_states(counts: np.ndarray) -> np.ndarray:
     return np.einsum("mb,mij->bij", c, PAULI_PRODUCTS) / 4.0
 
 
-def linear_inversion(dataset: TomographyDataset) -> ReconstructionResult:
+def linear_inversion(counts) -> ReconstructionResult:
     """Direct least-squares solution of the tomography equations.
 
-    Exact frequencies reproduce the state to numerical precision; finite
-    counts may give a non-positive matrix, reported via min_eigenvalue and
-    psd_ok rather than corrected.
+    ``counts`` is a (9, 4) count table.  Exact frequencies reproduce the
+    state to numerical precision; finite counts may give a non-positive
+    matrix, reported via min_eigenvalue and psd_ok rather than corrected.
     """
-    counts = _table(dataset)
+    counts = _checked([counts])[0]
     mat = _linear_states(counts[None])[0]
     return ReconstructionResult(
         rho=DensityMatrix(mat),
@@ -317,7 +303,7 @@ def _boundary_step(counts, rho, r_op):
 def _fit(counts: np.ndarray):
     """Batched maximum-likelihood fit of every row of a (B, 36) count table.
 
-    The columns are those of PROJECTORS, as ``_table`` lays them out.
+    The columns are those of PROJECTORS, as ``_checked`` lays them out.
 
     Starts each row from the PSD projection of its linear-inversion
     estimate, lightly mixed with the identity so that every probability is
@@ -382,20 +368,19 @@ def _fit(counts: np.ndarray):
     return rho, iterations, gap
 
 
-def mle_reconstruct_batch(datasets) -> list[ReconstructionResult]:
+def mle_reconstruct_batch(tables) -> list[ReconstructionResult]:
     """Maximum-likelihood reconstruction over physical density matrices.
 
-    Every dataset needs each of the nine basis pairs exactly once, with
-    nonzero coincidences, in any record order; the order does not change
-    the result.  Their counts, in the column order of PROJECTORS, are the
+    ``tables`` holds (9, 4) count tables, each with coincidences in every
+    basis pair.  Flattened to the column order of PROJECTORS, they are the
     rows of one table that a single ``_fit`` call reconstructs, in at most
     MAX_ITER steps per row.  ``certificate_gap`` is the bound
     lambda_max(R) - N on the log-likelihood still missing, and
     ``converged`` means it is at most GAP_TOL * N.
     """
-    if not datasets:
+    if not len(tables):
         raise DataError("no datasets to reconstruct")
-    counts = np.array([_table(dataset) for dataset in datasets])
+    counts = _checked(tables)
     rho, iterations, gap = _fit(counts)
     log_likelihood = _log_likelihood(counts, rho)
     min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
@@ -414,23 +399,16 @@ def mle_reconstruct_batch(datasets) -> list[ReconstructionResult]:
     ]
 
 
-def mle_reconstruct(dataset: TomographyDataset) -> ReconstructionResult:
-    """The one-dataset case of ``mle_reconstruct_batch``."""
-    return mle_reconstruct_batch([dataset])[0]
+def mle_reconstruct(counts) -> ReconstructionResult:
+    """The one-table case of ``mle_reconstruct_batch``."""
+    return mle_reconstruct_batch([counts])[0]
 
 
-def exact_dataset(rho, total_per_basis: float = 1.0) -> TomographyDataset:
-    """Dataset whose cells are exact Born probabilities times a scale.
-
-    Serves as the noiseless oracle input for estimator round-trip checks.
-    """
+def exact_table(rho, total_per_basis: float = 1.0) -> np.ndarray:
+    """The float (9, 4) count table of exact Born probabilities times a scale:
+    the noiseless oracle input for estimator round-trip checks."""
     probs = born_probabilities(PROJECTORS, require_valid_density(rho))
-    cells = np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
-    setting = MeasurementSetting(0.0, 0.0)
-    records = tuple(
-        (*pair, CountRecord(setting, *map(float, row))) for pair, row in zip(BASIS_PAIRS, cells)
-    )
-    return TomographyDataset(records=records)
+    return np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
 
 
 @dataclass(frozen=True)
@@ -447,22 +425,22 @@ class BootstrapErrors:
     n_failed: int
 
 
-def bootstrap_errors(dataset: TomographyDataset, n_resamples: int, seed: int) -> BootstrapErrors:
-    """Multinomial bootstrap over per-basis counts, re-fitting with MLE.
+def bootstrap_errors(counts, n_resamples: int, seed: int) -> BootstrapErrors:
+    """Multinomial bootstrap of a (9, 4) count table, re-fitting with MLE.
 
     Basis pair i of BASIS_PAIRS draws its counts for every resample from
     its observed frequencies in one sized multinomial call on its own
     random substream keyed by i; the nine draws side by side form the
     (n_resamples, 36) count table.  Results therefore do not depend on
-    evaluation or record order, and resample r is the same for every
-    n_resamples above r.  A single batched ``_fit`` reconstructs the table.
+    evaluation order, and resample r is the same for every n_resamples
+    above r.  A single batched ``_fit`` reconstructs the table.
     The resamples whose fit meets the certificate tolerance and is a valid
     density matrix are kept, and the figures are evaluated once on all of
     them; every other resample is counted in ``n_failed``.
     """
     if n_resamples < MIN_RESAMPLES:
         raise DataError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
-    cells = _table(dataset).reshape(-1, 4)
+    cells = _checked([counts])[0].reshape(9, 4)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)
     draws = [
         make_stream(seed, (i,)).multinomial(total, row / row.sum(), size=n_resamples)

@@ -38,7 +38,7 @@ from ces.protocol import (
 )
 from ces.qcore import trace_distance, validate_density
 from ces.rng import derive_seed
-from ces.tomography import exact_dataset, linear_inversion, mle_reconstruct
+from ces.tomography import exact_table, linear_inversion, mle_reconstruct
 from conftest import random_density, random_unitary
 
 SEED = 271828
@@ -103,8 +103,8 @@ def test_criterion_2_measured_state_reproduction():
 
     # Tomography leg at ~1e4 coincidences per basis.
     dataset = simulate_tomography_dataset(rho, 500_000, REALISTIC_DET, derive_seed(SEED, 10))
-    per_basis = dataset.total_coincidences() / 9.0
-    fit = mle_reconstruct(dataset)
+    per_basis = dataset.counts.sum() / 9.0
+    fit = mle_reconstruct(dataset.counts)
     rep = report(fit.rho)
     checks = [
         ("F", rep.fidelity_singlet, 0.902, 0.02),
@@ -158,7 +158,7 @@ def test_criterion_4_lifetime_recovery():
         dataset = simulate_tomography_dataset(
             final_state(noise, float(dt)), 500_000, REALISTIC_DET, derive_seed(SEED, 30 + i)
         )
-        negativity, _ = log_negativity(mle_reconstruct(dataset).rho)
+        negativity, _ = log_negativity(mle_reconstruct(dataset.counts).rho)
         values.append(negativity)
     fit = fit_lifetime(grid, np.array(values), kind="N")
     elapsed = time.time() - start
@@ -204,7 +204,7 @@ def test_criterion_6_tomography_oracle_equivalence():
     worst = 0.0
     for _ in range(100):
         rho = random_density(rng, 4)
-        ds = exact_dataset(rho)
+        ds = exact_table(rho)
         d = trace_distance(mle_reconstruct(ds).rho, linear_inversion(ds).rho)
         worst = max(worst, d)
     agreement_ok = worst < 1e-6
@@ -214,7 +214,7 @@ def test_criterion_6_tomography_oracle_equivalence():
         truth, 210_000, DetectorParams(), derive_seed(SEED, 40)
     )
     per_basis = min(rec.total for _, _, rec in dataset.records)
-    fidelity = _uhlmann_fidelity(mle_reconstruct(dataset).rho.matrix, truth.matrix)
+    fidelity = _uhlmann_fidelity(mle_reconstruct(dataset.counts).rho.matrix, truth.matrix)
     round_trip_ok = fidelity > 0.995 and per_basis >= 100_000
     _verdict(
         "6 tomography oracle equivalence",
@@ -232,8 +232,8 @@ def test_criterion_7_window_feature():
     for w in (1.0, 0.4):
         det = DetectorParams(eta_det=0.2, window_fraction=w, late_emission_error=LATE_ERROR)
         dataset = simulate_tomography_dataset(rho, 400_000, det, derive_seed(SEED, 50))
-        fit = mle_reconstruct(dataset)
-        results[w] = (fidelity_singlet(fit.rho), dataset.total_coincidences())
+        fit = mle_reconstruct(dataset.counts)
+        results[w] = (fidelity_singlet(fit.rho), dataset.counts.sum())
     f_full, n_full = results[1.0]
     f_cut, n_cut = results[0.4]
     rate_ratio = n_cut / n_full

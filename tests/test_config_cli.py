@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -23,7 +22,6 @@ from ces.config import (
     load_config,
     save_config,
 )
-from ces.detection import TomographyDataset
 from ces.errors import ConfigError
 from ces.pipeline import run_bell, run_rates, run_tomo
 from ces.tomography import GAP_TOL
@@ -113,6 +111,22 @@ def _fast_cfg(seed=7, n=20_000):
             "n_sequences": n,
         }
     )
+
+
+def _tomography_csv_lines(tmp_path, rho=None, n=1_000, seed=79) -> list[str]:
+    """The header and nine rows of a written tomography CSV, to be edited as
+    raw rows: a TomographyDataset cannot hold an unknown, duplicated or
+    missing pair, nor rows out of BASIS_PAIRS order."""
+    from ces.detection import DetectorParams, simulate_tomography_dataset
+    from ces.fileio import write_tomography_csv
+    from conftest import singlet_dm
+
+    dataset = simulate_tomography_dataset(
+        singlet_dm() if rho is None else rho, n, DetectorParams(), seed
+    )
+    path = tmp_path / "written.csv"
+    write_tomography_csv(path, dataset)
+    return path.read_text().splitlines(keepends=True)
 
 
 def _sha256(path) -> str:
@@ -639,19 +653,15 @@ class TestCliExitCodes:
         assert (out / "sweep_series.csv").exists()
 
     def test_tomo_csv_with_unknown_basis_label_is_data_error(self, tmp_path):
-        from ces.detection import DetectorParams, simulate_tomography_dataset
         from ces.errors import DataError
-        from ces.fileio import read_tomography_csv, write_tomography_csv
-        from ces.tomography import linear_inversion
-        from conftest import singlet_dm
+        from ces.fileio import read_tomography_csv
 
-        ds = simulate_tomography_dataset(singlet_dm(), 1_000, DetectorParams(), seed=79)
-        _, basis_b, rec = ds.records[0]
-        bad = dataclasses.replace(ds, records=(("XY", basis_b, rec),) + ds.records[1:])
+        lines = _tomography_csv_lines(tmp_path)
+        lines[1] = "XY" + lines[1][2:]
         csv_path = tmp_path / "tomography.csv"
-        write_tomography_csv(csv_path, bad)
+        csv_path.write_text("".join(lines))
         with pytest.raises(DataError, match="unknown basis"):
-            linear_inversion(read_tomography_csv(csv_path))
+            read_tomography_csv(csv_path)
         code = cli.main(
             ["tomo", "--data", str(csv_path), "--method", "linear", "--out", str(tmp_path / "o")]
         )
@@ -668,22 +678,17 @@ class TestCliExitCodes:
         ids=["duplicated", "missing", "zero"],
     )
     def test_tomo_csv_with_malformed_basis_set_is_3(self, tmp_path, capsys, method, case, message):
-        from ces.detection import CountRecord, DetectorParams, simulate_tomography_dataset
-        from ces.fileio import write_tomography_csv
-        from conftest import singlet_dm
-
-        ds = simulate_tomography_dataset(singlet_dm(), 1_000, DetectorParams(), seed=79)
-        records = ds.records
+        lines = _tomography_csv_lines(tmp_path)
         if case == "duplicated":
-            records += records[:1]
+            lines.append(lines[1])
         elif case == "missing":
-            records = records[:4] + records[5:]
+            del lines[5]
         else:
-            basis_a, basis_b, rec = records[3]
-            empty = CountRecord(rec.setting, 0, 0, 0, 0, n_discarded=rec.n_discarded)
-            records = records[:3] + ((basis_a, basis_b, empty),) + records[4:]
+            cells = lines[4].split(",")
+            cells[4:8] = ["0"] * 4
+            lines[4] = ",".join(cells)
         csv_path = tmp_path / "tomography.csv"
-        write_tomography_csv(csv_path, TomographyDataset(records=records))
+        csv_path.write_text("".join(lines))
         code = cli.main(
             ["tomo", "--data", str(csv_path), "--method", method, "--out", str(tmp_path / "o")]
         )
@@ -692,21 +697,53 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("method", ["mle", "linear"])
     def test_tomo_csv_row_order_does_not_change_output(self, tmp_path, method):
-        from ces.detection import DetectorParams, simulate_tomography_dataset
-        from ces.fileio import write_tomography_csv
         from conftest import dephased_singlet
 
-        ds = simulate_tomography_dataset(dephased_singlet(0.8), 20_000, DetectorParams(), seed=83)
-        reversed_ds = TomographyDataset(records=ds.records[::-1])
+        lines = _tomography_csv_lines(tmp_path, dephased_singlet(0.8), 20_000, seed=83)
         outputs = []
-        for name, dataset in (("forward", ds), ("reversed", reversed_ds)):
+        for name, rows in (("forward", lines[1:]), ("reversed", lines[:0:-1])):
             csv_path = tmp_path / f"{name}.csv"
-            write_tomography_csv(csv_path, dataset)
+            csv_path.write_text("".join([lines[0], *rows]))
             out = tmp_path / name
             args = ["tomo", "--data", str(csv_path), "--method", method, "--out", str(out)]
             assert cli.main(args + (["--bootstrap", "100"] if method == "mle" else [])) == 0
             outputs.append((out / "reconstruction.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        ("row", "column", "value", "code"),
+        [
+            (1, 2, "1.5", 3),  # HV/HV measured at 1.5 degrees
+            (5, 3, "-45.000000", 3),  # DA/DA arm B at 135 degrees
+            (3, 3, "45.000000", 3),  # HV/RL arm B: RL is measured at 0 degrees
+            (1, 2, "180.000000", 0),  # angles are modulo 180
+            (4, 2, "225.0000004", 0),  # DA at 45 degrees within the six written decimals
+        ],
+        ids=["hv-alpha", "da-beta", "rl-beta", "modulo-180", "rounding"],
+    )
+    def test_tomo_csv_angle_columns_must_match_labels(
+        self, tmp_path, capsys, row, column, value, code
+    ):
+        # The angle columns of each row must be those of its basis labels:
+        # HV and RL at 0 degrees, DA at 45, modulo 180.
+        run = tmp_path / "run"
+        assert cli.main(["tomo", "--trials", "20000", "--out", str(run)]) == 0
+        lines = (run / "tomography.csv").read_text().splitlines(keepends=True)
+        cells = lines[row].split(",")
+        cells[column] = value
+        lines[row] = ",".join(cells)
+        data = tmp_path / "edited.csv"
+        data.write_text("".join(lines))
+        out = tmp_path / "o"
+        assert cli.main(["tomo", "--data", str(data), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert not out.exists()
+            assert f"bad row {{'basis_a': '{cells[0]}', 'basis_b': '{cells[1]}'" in err
+        else:
+            reconstruction = "reconstruction.json"
+            assert (out / reconstruction).read_bytes() == (run / reconstruction).read_bytes()
 
     def test_tomo_from_recorded_csv(self, tmp_path):
         from ces.detection import DetectorParams, simulate_tomography_dataset
@@ -719,10 +756,9 @@ class TestCliExitCodes:
         csv_path = tmp_path / "tomography.csv"
         write_tomography_csv(csv_path, ds)
         again = read_tomography_csv(csv_path)
-        assert again.basis_pairs() == ds.basis_pairs()
-        assert [r.counts().tolist() for _, _, r in again.records] == [
-            r.counts().tolist() for _, _, r in ds.records
-        ]
+        np.testing.assert_array_equal(again.counts, ds.counts)
+        np.testing.assert_array_equal(again.discarded, ds.discarded)
+        assert again.records == ds.records
 
         out = tmp_path / "o"
         code = cli.main(["tomo", "--data", str(csv_path), "--out", str(out)])
@@ -730,7 +766,7 @@ class TestCliExitCodes:
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["metrics"]["concurrence"] == pytest.approx(0.8, abs=0.03)
         gap = payload["reconstruction"]["certificate_gap"]
-        assert 0.0 <= gap <= GAP_TOL * ds.total_coincidences()
+        assert 0.0 <= gap <= GAP_TOL * ds.counts.sum()
 
         code = cli.main(["tomo", "--data", str(csv_path), "--method", "linear", "--out", str(out)])
         assert code == 0

@@ -11,10 +11,13 @@ import numpy as np
 import pytest
 
 from ces.detection import (
+    BASIS_ANGLES,
     BASIS_LABELS,
+    BASIS_PAIRS,
     DetectorParams,
     LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
+    TomographyDataset,
     _draw,
     _outcome_distribution,
     analyzer_projectors,
@@ -229,7 +232,8 @@ class TestSimulateCounts:
                              late_emission_error=0.2)
         n = 200_003
         seed = 31337
-        reference = simulate_tomography_dataset(rho, n, det, seed).records
+        dataset = simulate_tomography_dataset(rho, n, det, seed)
+        reference = np.column_stack([dataset.counts, dataset.discarded])
         plan = list(enumerate(product(BASIS_LABELS, BASIS_LABELS)))
 
         def draw(unit):
@@ -238,13 +242,12 @@ class TestSimulateCounts:
             probs = _outcome_distribution(
                 rho, basis_projectors(label_a), basis_projectors(label_b), det
             )
-            rec = _draw(probs, n, seed, (index,), reference[index][2].setting)
-            return index, (label_a, label_b, rec)
+            return index, _draw(probs, n, seed, (index,))
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             pooled = dict(pool.map(draw, plan))
         for results in (dict(map(draw, plan)), dict(map(draw, plan[::-1])), pooled):
-            assert tuple(results[i] for i in range(9)) == reference
+            np.testing.assert_array_equal([results[i] for i in range(9)], reference)
 
     def test_frequencies_converge_to_born_rule(self):
         # 5-sigma binomial agreement per cell at 1e5+ coincidences.
@@ -450,7 +453,7 @@ class TestTomographyDatasetSimulation:
 
     def test_nine_distinct_bases(self):
         ds = simulate_tomography_dataset(singlet_dm(), 100, IDEAL, seed=14)
-        pairs = ds.basis_pairs()
+        pairs = [(a, b) for a, b, _ in ds.records]
         assert len(pairs) == 9
         assert len(set(pairs)) == 9
         assert {a for a, _ in pairs} == set(BASIS_LABELS)
@@ -461,8 +464,45 @@ class TestTomographyDatasetSimulation:
 
         rho = dephased_singlet(0.83)
         ds = simulate_tomography_dataset(rho, 200_000, IDEAL, seed=15)
-        fit = mle_reconstruct(ds)
+        fit = mle_reconstruct(ds.counts)
         assert trace_distance(fit.rho, rho) < 0.02
+
+    def test_dataset_holds_read_only_int64_tables(self):
+        # counts (9, 4) and discarded (9,) in BASIS_PAIRS order; records
+        # gives the same numbers as one CountRecord per pair, at its angles.
+        ds = simulate_tomography_dataset(singlet_dm(), 1_000, IDEAL, seed=16)
+        assert ds.counts.shape == (9, 4) and ds.discarded.shape == (9,)
+        for table in (ds.counts, ds.discarded):
+            assert table.dtype == np.int64 and not table.flags.writeable
+        assert np.all(ds.counts.sum(axis=1) + ds.discarded == 1_000)
+        rows = zip(ds.records, BASIS_PAIRS, ds.counts, ds.discarded, strict=True)
+        for (a, b, rec), pair, cells, discarded in rows:
+            assert (a, b) == pair
+            assert rec.counts().tolist() == cells.tolist() and rec.n_discarded == discarded
+            assert rec.setting == MeasurementSetting(BASIS_ANGLES[a], BASIS_ANGLES[b])
+
+    @pytest.mark.parametrize(
+        ("counts", "discarded"),
+        [
+            (np.ones((8, 4), dtype=int), np.zeros(9, dtype=int)),
+            (np.ones((9, 4)), np.zeros(9, dtype=int)),
+            (np.ones((9, 4), dtype=int), np.zeros((9, 1), dtype=int)),
+            (np.ones((9, 4), dtype=int), np.zeros(9)),
+            (-np.ones((9, 4), dtype=int), np.zeros(9, dtype=int)),
+            (np.ones((9, 4), dtype=int), -np.ones(9, dtype=int)),
+        ],
+        ids=["short", "float-counts", "column-discarded", "float-discarded", "negative-counts",
+             "negative-discarded"],
+    )
+    def test_dataset_rejects_malformed_tables(self, counts, discarded):
+        with pytest.raises(ValueError, match=r"must be a \(9,( 4)?\) array of integers >= 0"):
+            TomographyDataset(counts=counts, discarded=discarded)
+
+    def test_dataset_copies_its_input(self):
+        counts = np.ones((9, 4), dtype=np.int32)
+        ds = TomographyDataset(counts=counts, discarded=np.zeros(9, dtype=np.int32))
+        counts[0, 0] = 7
+        assert ds.counts[0, 0] == 1 and ds.counts.dtype == np.int64
 
     def test_basis_projector_completeness(self):
         for label in BASIS_LABELS:

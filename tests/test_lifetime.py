@@ -121,6 +121,26 @@ class TestNoiselessRecovery:
         assert fit.tau_e_us == pytest.approx(5.7, rel=1e-6)
         assert np.all(np.isfinite(fit.covariance))
 
+    def test_subnormal_storage_time_warns_nothing(self, tmp_path, capsys):
+        # The tau scan starts at a tenth of the shortest nonzero storage
+        # time, 1e-321 here, whose cube underflows to 0.
+        from ces import cli
+
+        dt = np.array([1e-320, 2.0, 4.0, 6.0, 8.0])
+        values = decay(0.434, 5.7, dt)
+        series = tmp_path / "series.csv"
+        series.write_text(
+            "dt_us,value,kind,sigma\n" + "".join(f"{t},{v},N,\n" for t, v in zip(dt, values))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_lifetime(dt, values, kind="N")
+            assert cli.main(["fit", str(series)]) == 0
+        assert "Warning" not in capsys.readouterr().err
+        assert fit.converged
+        assert fit.n0 == pytest.approx(0.434, rel=1e-6)
+        assert fit.tau_e_us == pytest.approx(5.7, rel=1e-6)
+
 
 class TestNoisyRecovery:
     def test_tau_unbiased_under_noise(self):

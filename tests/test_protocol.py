@@ -160,6 +160,16 @@ class TestCalibrations:
         noise = noise_for_fidelity_dephasing(0.902, tau_e_us=5.7, dt_us=0.8)
         assert fidelity_singlet(final_state(noise, 0.8)) == pytest.approx(0.902, abs=1e-12)
 
+    @pytest.mark.parametrize("dt_us", [1e3, 1e200, float("inf")])
+    def test_dephasing_calibration_past_exp_overflow_is_v0_error(self, dt_us):
+        # exp((dt/tau)^2) overflows a float here; v0 would exceed 1.
+        with pytest.raises(ValueError, match="v0 must be within"):
+            noise_for_fidelity_dephasing(0.9, dt_us=dt_us)
+
+    @pytest.mark.parametrize("dt_us", [0.0, 0.8, 150.0, 1e3, 1e200, float("inf")])
+    def test_dephasing_calibration_at_half_fidelity_has_no_coherence(self, dt_us):
+        assert noise_for_fidelity_dephasing(0.5, dt_us=dt_us).v0 == 0.0
+
     def test_werner_calibration(self):
         noise = noise_for_fidelity_werner(0.902)
         rho = final_state(noise, 0.0)

@@ -178,7 +178,7 @@ class TestValidateDensity:
 
         ds = simulate_tomography_dataset(singlet_dm(), 100, DetectorParams(), seed=5)
         assert min(rec.total for _, _, rec in ds.records) >= 30  # ~50 pairs/basis
-        result = linear_inversion(ds)
+        result = linear_inversion(ds.counts)
         diag = validate_density(result.rho)
         assert diag.min_eigenvalue < -1e-9
         assert not diag.passed

@@ -12,10 +12,7 @@ from ces import tomography
 from ces.config import load_config
 from ces.detection import (
     BASIS_PAIRS,
-    CountRecord,
     DetectorParams,
-    MeasurementSetting,
-    TomographyDataset,
     basis_projectors,
     pair_projectors,
     simulate_tomography_dataset,
@@ -31,9 +28,8 @@ from ces.tomography import (
     GAP_TOL,
     PROJECTORS,
     _linear_states,
-    _table,
     bootstrap_errors,
-    exact_dataset,
+    exact_table,
     linear_inversion,
     mle_reconstruct,
     mle_reconstruct_batch,
@@ -134,35 +130,30 @@ def recomputed_gap(projectors, counts, rho) -> float:
     return float(np.linalg.eigvalsh(r_op)[-1] - counts.sum())
 
 
-def dataset_from_row(template: TomographyDataset, row: np.ndarray) -> TomographyDataset:
-    cells = row.reshape(-1, 4).astype(int)
-    return TomographyDataset(
-        records=tuple(
-            (a, b, CountRecord(rec.setting, *(int(x) for x in c), n_discarded=rec.n_discarded))
-            for (a, b, rec), c in zip(template.records, cells)
-        )
-    )
+def columns(counts) -> np.ndarray:
+    """A (9, 4) count table as the (36,) float row of the columns of PROJECTORS."""
+    return np.asarray(counts, dtype=float).ravel()
 
 
-def per_resample_keyed_row(dataset: TomographyDataset, seed: int, r: int) -> np.ndarray:
-    """Resample r drawn on its own stream ``make_stream(seed, (r,))``, nine
-    basis draws in record order: fixed regression data from the bootstrap's
-    former keying, not what ``bootstrap_errors`` draws now."""
+def per_resample_keyed_row(counts: np.ndarray, seed: int, r: int) -> np.ndarray:
+    """Resample r of a (9, 4) count table drawn on its own stream
+    ``make_stream(seed, (r,))``, nine basis draws in pair order: fixed
+    regression data from the bootstrap's former keying, not what
+    ``bootstrap_errors`` draws now."""
     rng = make_stream(seed, (r,))
-    draws = [rng.multinomial(int(rec.total), rec.counts() / rec.total)
-             for _, _, rec in dataset.records]
+    draws = [rng.multinomial(int(row.sum()), row / row.sum()) for row in counts]
     return np.concatenate(draws).astype(float)
 
 
 @pytest.fixture(scope="module")
 def calibrated_bootstrap():
-    """A bootstrap of the calibrated tomography run, with the batched fit's
-    count table and result captured on the way."""
+    """A bootstrap of the calibrated tomography run's count table, with the
+    batched fit's resample table and result captured on the way."""
     cfg = load_config(CONFIGS / "calibrated.json")
-    dataset = simulate_tomography_dataset(
+    counts = simulate_tomography_dataset(
         final_state(cfg.noise, cfg.dt_us), cfg.n_sequences, cfg.detector,
         derive_seed(cfg.seed, 1000),
-    )
+    ).counts
     captured = {}
     real_fit = tomography._fit
 
@@ -174,10 +165,10 @@ def calibrated_bootstrap():
     seed = derive_seed(cfg.seed, 2000)
     tomography._fit = spy
     try:
-        errs = bootstrap_errors(dataset, 100, seed)
+        errs = bootstrap_errors(counts, 100, seed)
     finally:
         tomography._fit = real_fit
-    return dataset, seed, errs, captured
+    return counts, seed, errs, captured
 
 
 @pytest.fixture(scope="module")
@@ -201,17 +192,17 @@ def near_pure_werner():
     """The Werner state with p_white 0.01 (F = 0.9925) at 500 000 sequences
     per basis pair and eta_det 0.2: its optimum is on the boundary."""
     dataset = simulate_tomography_dataset(werner(0.99), 500_000, DetectorParams(eta_det=0.2), 1)
-    return _table(dataset)
+    return columns(dataset.counts)
 
 
 @pytest.fixture(scope="module")
-def sweep_datasets():
+def sweep_tables():
     cfg = load_config(CONFIGS / "sweep.json")
     return [
         simulate_tomography_dataset(
             final_state(cfg.noise, dt), cfg.n_sequences, cfg.detector,
             derive_seed(cfg.seed, 3000 + i),
-        )
+        ).counts
         for i, dt in enumerate(SWEEP_GRID_US)
     ]
 
@@ -228,27 +219,60 @@ class TestTableLayout:
         assert np.linalg.matrix_rank(tomography._DESIGN) == 15
 
 
+class TestTableCheck:
+    ESTIMATORS = {
+        "linear": linear_inversion,
+        "mle": mle_reconstruct,
+        "batch": lambda counts: mle_reconstruct_batch([exact_table(singlet_dm()), counts]),
+        "bootstrap": lambda counts: bootstrap_errors(counts, 100, seed=1),
+    }
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS.values(), ids=ESTIMATORS.keys())
+    @pytest.mark.parametrize(
+        ("edit", "message"),
+        [
+            (lambda t: t[:8], r"expected \(9, 4\) count tables"),
+            (lambda t: t.T, r"expected \(9, 4\) count tables"),
+            (lambda t: np.where(t == t.max(), np.nan, t), "finite and >= 0"),
+            (lambda t: np.where(t == t.max(), np.inf, t), "finite and >= 0"),
+            (lambda t: np.where(t == t.max(), -1.0, t), "finite and >= 0"),
+            (lambda t: np.where(np.arange(9)[:, None] == 7, 0.0, t),
+             r"basis pair \('RL', 'DA'\) has zero coincidences"),
+        ],
+        ids=["eight-pairs", "transposed", "nan", "inf", "negative", "zero-pair"],
+    )
+    def test_every_estimator_checks_its_table(self, estimator, edit, message):
+        table = edit(exact_table(dephased_singlet(0.8), total_per_basis=1000.0))
+        with pytest.raises(DataError, match=message):
+            estimator(table)
+
+    def test_exact_table_is_the_born_table(self):
+        rho = dephased_singlet(0.8)
+        table = exact_table(rho, total_per_basis=10.0)
+        assert table.shape == (9, 4) and table.dtype == float
+        np.testing.assert_allclose(table.ravel(), 10.0 * born_probabilities(PROJECTORS, rho))
+
+
 class TestLinearInversion:
     def test_exact_singlet(self):
-        result = linear_inversion(exact_dataset(singlet_dm()))
+        result = linear_inversion(exact_table(singlet_dm()))
         assert trace_distance(result.rho, singlet_dm()) < 1e-10
         assert result.psd_ok
 
     def test_exact_random_states_round_trip(self, rng):
         for _ in range(30):
             rho = random_density(rng, 4)
-            result = linear_inversion(exact_dataset(rho))
+            result = linear_inversion(exact_table(rho))
             assert trace_distance(result.rho, rho) < 1e-10
 
     def test_low_count_data_flags_psd(self):
         ds = simulate_tomography_dataset(singlet_dm(), 100, IDEAL, seed=5)
-        result = linear_inversion(ds)
+        result = linear_inversion(ds.counts)
         assert result.min_eigenvalue < 0.0
         assert not result.psd_ok
 
     def test_single_basis_is_rank_deficient(self):
-        full = exact_dataset(singlet_dm(), total_per_basis=1000.0)
-        only_hv = TomographyDataset(records=full.records[:1])
+        only_hv = exact_table(singlet_dm(), total_per_basis=1000.0)[:1]
         with pytest.raises(DataError):
             linear_inversion(only_hv)
 
@@ -256,45 +280,30 @@ class TestLinearInversion:
 class TestMleReconstruct:
     def test_ideal_singlet_high_counts(self):
         ds = simulate_tomography_dataset(singlet_dm(), 200_000, IDEAL, seed=17)
-        fit = mle_reconstruct(ds)
+        fit = mle_reconstruct(ds.counts)
         assert fit.converged
         assert fidelity_singlet(fit.rho) > 0.995
 
     def test_output_always_physical_with_adversarial_counts(self):
         # Every basis piles all counts into one cell.
-        records = []
-        for basis_a, basis_b, rec in exact_dataset(singlet_dm()).records:
-            records.append(
-                (
-                    basis_a,
-                    basis_b,
-                    CountRecord(setting=rec.setting, n_uu=500, n_ud=0, n_du=0, n_dd=0),
-                )
-            )
-        fit = mle_reconstruct(TomographyDataset(records=tuple(records)))
+        fit = mle_reconstruct(np.tile([500, 0, 0, 0], (9, 1)))
         assert validate_density(fit.rho).passed
 
     def test_single_basis_rejected(self):
-        full = exact_dataset(singlet_dm(), total_per_basis=1000.0)
-        only_hv = TomographyDataset(records=full.records[:1])
+        only_hv = exact_table(singlet_dm(), total_per_basis=1000.0)[:1]
         with pytest.raises(DataError):
             mle_reconstruct(only_hv)
 
     def test_zero_count_basis_rejected(self):
-        records = list(exact_dataset(singlet_dm(), total_per_basis=100.0).records)
-        basis_a, basis_b, rec = records[3]
-        records[3] = (
-            basis_a,
-            basis_b,
-            CountRecord(setting=rec.setting, n_uu=0, n_ud=0, n_du=0, n_dd=0),
-        )
-        with pytest.raises(DataError):
-            mle_reconstruct(TomographyDataset(records=tuple(records)))
+        table = exact_table(singlet_dm(), total_per_basis=100.0)
+        table[3] = 0.0
+        with pytest.raises(DataError, match=r"basis pair \('DA', 'HV'\) has zero coincidences"):
+            mle_reconstruct(table)
 
     def test_deterministic(self):
         ds = simulate_tomography_dataset(dephased_singlet(0.8), 20_000, IDEAL, seed=23)
-        a = mle_reconstruct(ds)
-        b = mle_reconstruct(ds)
+        a = mle_reconstruct(ds.counts)
+        b = mle_reconstruct(ds.counts)
         assert trace_distance(a.rho, b.rho) == 0.0
         assert a.log_likelihood == b.log_likelihood
         assert a.iterations == b.iterations
@@ -302,7 +311,7 @@ class TestMleReconstruct:
     def test_gradient_matches_finite_differences(self, rng):
         # Oracle for the optimizer plumbing: central finite differences.
         ds = simulate_tomography_dataset(dephased_singlet(0.7), 5_000, IDEAL, seed=29)
-        projectors, counts = PROJECTORS, _table(ds)
+        projectors, counts = PROJECTORS, columns(ds.counts)
         t0 = _params_from_t(_lower_factor(project_psd(random_density(rng, 4)) + 1e-3 * np.eye(4)))
         _, grad = _neg_log_likelihood_and_grad(t0, projectors, counts)
         eps = 1e-6
@@ -321,7 +330,7 @@ class TestOracleEquivalence:
     def test_exact_probabilities_agree(self, rng):
         for _ in range(20):
             rho = random_density(rng, 4)
-            ds = exact_dataset(rho)
+            ds = exact_table(rho)
             li = linear_inversion(ds)
             ml = mle_reconstruct(ds)
             assert trace_distance(ml.rho, li.rho) < 1e-6
@@ -329,14 +338,14 @@ class TestOracleEquivalence:
     def test_likelihood_at_optimum_dominates_projected_linear(self):
         for seed in (31, 37, 41):
             ds = simulate_tomography_dataset(dephased_singlet(0.85), 3_000, IDEAL, seed=seed)
-            projectors, counts = PROJECTORS, _table(ds)
+            projectors, counts = PROJECTORS, columns(ds.counts)
 
             def log_like(mat):
                 probs = np.clip(np.real(np.einsum("kij,ji->k", projectors, mat)), 1e-12, None)
                 return float(np.sum(counts * np.log(probs)))
 
-            li_projected = project_psd(linear_inversion(ds).rho.matrix)
-            ml = mle_reconstruct(ds)
+            li_projected = project_psd(linear_inversion(ds.counts).rho.matrix)
+            ml = mle_reconstruct(ds.counts)
             assert ml.log_likelihood >= log_like(li_projected) - 1e-9
 
 
@@ -353,10 +362,10 @@ class TestOracleEquivalence:
             assert abs(fidelity_singlet(rho[r]) - fidelity_singlet(oracle_rho)) <= 1e-5
             assert abs(log_negativity(rho[r])[0] - log_negativity(oracle_rho)[0]) <= 1e-5
 
-    def test_matches_lbfgs_at_every_sweep_time(self, sweep_datasets):
-        for ds in sweep_datasets:
-            projectors, counts = PROJECTORS, _table(ds)
-            fit = mle_reconstruct(ds)
+    def test_matches_lbfgs_at_every_sweep_time(self, sweep_tables):
+        for table in sweep_tables:
+            projectors, counts = PROJECTORS, columns(table)
+            fit = mle_reconstruct(table)
             oracle_rho, oracle_ll, oracle_ok = lbfgs_fit(projectors, counts)
             assert fit.converged and oracle_ok
             assert fit.log_likelihood >= oracle_ll - GAP_TOL * counts.sum()
@@ -374,16 +383,16 @@ class TestOracleEquivalence:
             assert abs(fidelity_singlet(mat) - fidelity_singlet(oracle_rho)) <= 1e-5
             assert abs(log_negativity(mat)[0] - log_negativity(oracle_rho)[0]) <= 1e-5
 
-    def test_certificate_holds_for_returned_states(self, calibrated_bootstrap, sweep_datasets):
+    def test_certificate_holds_for_returned_states(self, calibrated_bootstrap, sweep_tables):
         *_, captured = calibrated_bootstrap
         projectors, table = PROJECTORS, captured["table"]
         rho, _, gap = captured["result"]
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         for counts, mat in zip(table, rho):
             assert recomputed_gap(projectors, counts, mat) <= GAP_TOL * counts.sum()
-        for ds in sweep_datasets:
-            projectors, counts = PROJECTORS, _table(ds)
-            fit = mle_reconstruct(ds)
+        for sweep_table in sweep_tables:
+            projectors, counts = PROJECTORS, columns(sweep_table)
+            fit = mle_reconstruct(sweep_table)
             assert fit.converged
             gap = recomputed_gap(projectors, counts, fit.rho.matrix)
             assert gap <= GAP_TOL * counts.sum()
@@ -392,7 +401,7 @@ class TestOracleEquivalence:
     def test_rank_three_state_on_the_boundary(self, rng):
         for _ in range(5):
             rho = random_density(rng, 4, rank=3)
-            fit = mle_reconstruct(exact_dataset(rho))
+            fit = mle_reconstruct(exact_table(rho))
             assert fit.converged
             assert fit.min_eigenvalue >= -1e-9
             assert trace_distance(fit.rho, rho) < 1e-6
@@ -407,7 +416,7 @@ class TestFitPaths:
         assert np.all(gap <= GAP_TOL * table.sum(axis=1))
         assert iterations.max() <= 10
 
-    def test_mixed_table_rows_match_single_fits(self, calibrated_bootstrap, sweep_datasets):
+    def test_mixed_table_rows_match_single_fits(self, calibrated_bootstrap, sweep_tables):
         # One table through every path: calibrated resamples (Newton), low-count
         # resamples whose optimum is on the boundary (Newton cut short, then
         # boundary steps) or interior behind a boundary start (resample 84:
@@ -418,15 +427,15 @@ class TestFitPaths:
         cfg = load_config(CONFIGS / "calibrated.json")
         low = simulate_tomography_dataset(
             final_state(cfg.noise, cfg.dt_us), 20_000, cfg.detector, derive_seed(4242, 1000)
-        )
+        ).counts
         adversarial = np.tile([500.0, 0.0, 0.0, 0.0], 9)
         seed = derive_seed(4242, 2000)
         rows = [
             captured["table"][:4],
             np.array([per_resample_keyed_row(low, seed, r) for r in (0, 1, 84)]),
         ]
-        for ds in sweep_datasets:
-            rows.append(_table(ds)[None])
+        for sweep_table in sweep_tables:
+            rows.append(columns(sweep_table)[None])
         table = np.concatenate([*rows, adversarial[None]])
         assert np.all((table[7:] == 0).any(axis=1))
 
@@ -456,8 +465,7 @@ class TestFitPaths:
             return captured["result"]
 
         monkeypatch.setattr(tomography, "_fit", spy)
-        dataset = dataset_from_row(exact_dataset(singlet_dm()), near_pure_werner)
-        errs = bootstrap_errors(dataset, 100, seed=2)
+        errs = bootstrap_errors(near_pure_werner.reshape(9, 4), 100, seed=2)
         _, iterations, _ = captured["result"]
         assert errs.n_failed == 0
         assert iterations.max() <= 100
@@ -490,7 +498,7 @@ class TestFitPaths:
         """Twenty tables of werner(0.9) at 150 sequences per basis pair:
         cut Newton steps, and rows with zero cells that take none."""
         datasets = [simulate_tomography_dataset(werner(0.9), 150, IDEAL, seed) for seed in range(20)]
-        return np.array([_table(dataset) for dataset in datasets])
+        return np.array([columns(dataset.counts) for dataset in datasets])
 
     @pytest.mark.parametrize(
         "table", ["calibrated", "boundary", "near_pure", "low_count"]
@@ -539,26 +547,27 @@ class TestBatchedSweep:
         cfg = dataclasses.replace(load_config(CONFIGS / "sweep.json"), seed=seed)
         out = run_sweep(cfg, tmp_path, dt_grid_us=SWEEP_GRID_US)
         _, values, _, _ = read_series_csv(out["series"])
-        datasets = [
+        tables = [
             simulate_tomography_dataset(
                 final_state(cfg.noise, dt), cfg.n_sequences, cfg.detector,
                 derive_seed(seed, 3000 + i),
-            )
+            ).counts
             for i, dt in enumerate(SWEEP_GRID_US)
         ]
-        batch = mle_reconstruct_batch(datasets)
-        for i, ds in enumerate(datasets):
-            single = mle_reconstruct(ds)
+        batch = mle_reconstruct_batch(tables)
+        for i, table in enumerate(tables):
+            single = mle_reconstruct(table)
             assert abs(values[i] - log_negativity(single.rho)[0]) <= 1e-12
             assert batch[i].iterations == single.iterations <= 20
             assert batch[i].converged == single.converged == out["converged"][i]
 
-    def test_batch_accepts_datasets_in_any_basis_order(self, sweep_datasets):
-        first, second = sweep_datasets[:2]
-        reordered = TomographyDataset(records=second.records[::-1])
-        mixed = mle_reconstruct_batch([first, reordered])
-        assert mixed[1].converged
-        for got, want in zip(mixed, mle_reconstruct_batch([first, second]), strict=True):
+    def test_batch_takes_a_list_or_a_stack_of_tables(self, sweep_tables):
+        # Record order is gone from the estimator: a table is in BASIS_PAIRS
+        # order, and the reader places a recorded file's rows (test_config_cli).
+        first, second = sweep_tables[:2]
+        stacked = mle_reconstruct_batch(np.stack([first, second]))
+        assert stacked[1].converged
+        for got, want in zip(stacked, mle_reconstruct_batch([first, second]), strict=True):
             np.testing.assert_array_equal(got.rho.matrix, want.rho.matrix)
             assert got.iterations == want.iterations
             assert got.certificate_gap == want.certificate_gap
@@ -585,10 +594,10 @@ class TestBasisCovariance:
         rho = dephased_singlet(0.8)
         rotated = u @ rho @ u.conj().T
         fit_plain = mle_reconstruct(
-            simulate_tomography_dataset(rho, 300_000, IDEAL, seed=43)
+            simulate_tomography_dataset(rho, 300_000, IDEAL, seed=43).counts
         )
         fit_rotated = mle_reconstruct(
-            simulate_tomography_dataset(rotated, 300_000, IDEAL, seed=44)
+            simulate_tomography_dataset(rotated, 300_000, IDEAL, seed=44).counts
         )
         conjugated = u @ fit_plain.rho.matrix @ u.conj().T
         assert trace_distance(fit_rotated.rho, conjugated) < 0.02
@@ -631,7 +640,7 @@ class TestLowerFactor:
 class TestBootstrap:
     @pytest.fixture
     def dataset(self):
-        return simulate_tomography_dataset(dephased_singlet(0.804), 30_000, IDEAL, seed=47)
+        return simulate_tomography_dataset(dephased_singlet(0.804), 30_000, IDEAL, seed=47).counts
 
     def test_deterministic(self, dataset):
         a = bootstrap_errors(dataset, 100, seed=53)
@@ -641,8 +650,8 @@ class TestBootstrap:
     def test_uncertainty_shrinks_with_counts(self):
         small = simulate_tomography_dataset(dephased_singlet(0.8), 2_000, IDEAL, seed=59)
         large = simulate_tomography_dataset(dephased_singlet(0.8), 200_000, IDEAL, seed=61)
-        errs_small = bootstrap_errors(small, 100, seed=67)
-        errs_large = bootstrap_errors(large, 100, seed=67)
+        errs_small = bootstrap_errors(small.counts, 100, seed=67)
+        errs_large = bootstrap_errors(large.counts, 100, seed=67)
         for name in ("sigma_fidelity", "sigma_negativity"):
             sigma_small, sigma_large = getattr(errs_small, name), getattr(errs_large, name)
             assert 0.0 < sigma_large < sigma_small, name
@@ -683,15 +692,15 @@ class TestBootstrap:
 
     def test_resamples_are_per_pair_draws_on_keyed_streams(self, calibrated_bootstrap):
         # Pair i of every resample comes from one sized draw on stream i.
-        dataset, seed, _, captured = calibrated_bootstrap
+        counts, seed, _, captured = calibrated_bootstrap
         table = captured["table"]
-        for i, cells in enumerate(_table(dataset).reshape(9, 4)):
+        for i, cells in enumerate(counts):
             total = int(cells.sum())
             draws = make_stream(seed, (i,)).multinomial(total, cells / total, size=len(table))
             np.testing.assert_array_equal(table[:, 4 * i : 4 * i + 4], draws)
 
     def test_rows_do_not_depend_on_the_resample_count(self, calibrated_bootstrap, monkeypatch):
-        dataset, seed, _, captured = calibrated_bootstrap
+        counts, seed, _, captured = calibrated_bootstrap
         real_fit = tomography._fit
         tables, streams = [], []
 
@@ -707,7 +716,7 @@ class TestBootstrap:
         monkeypatch.setattr(tomography, "make_stream", counting_stream)
         for n_resamples in (100, 150):
             streams.clear()
-            bootstrap_errors(dataset, n_resamples, seed)
+            bootstrap_errors(counts, n_resamples, seed)
             assert streams == [(seed, (i,)) for i in range(9)]
         np.testing.assert_array_equal(tables[0], captured["table"])
         np.testing.assert_array_equal(tables[1][:100], tables[0])
@@ -719,12 +728,6 @@ class TestBootstrap:
         # of freedom that match the binomial fourth moment.
         n_resamples = 4000
         cells = np.array([[3 + i, 10 + 2 * i, 25 - i, 6 + 3 * i] for i in range(9)], float)
-        dataset = TomographyDataset(
-            records=tuple(
-                (*pair, CountRecord(MeasurementSetting(0.0, 0.0), *map(int, row)))
-                for pair, row in zip(BASIS_PAIRS, cells)
-            )
-        )
         tables = []
 
         def mixed_state_fit(counts):
@@ -734,7 +737,7 @@ class TestBootstrap:
             return rho, np.zeros(len(counts), dtype=int), np.zeros(len(counts))
 
         monkeypatch.setattr(tomography, "_fit", mixed_state_fit)
-        bootstrap_errors(dataset, n_resamples, seed=79)
+        bootstrap_errors(cells, n_resamples, seed=79)
         (table,) = tables
         assert table.shape == (n_resamples, 36)
         totals = cells.sum(axis=1)
@@ -760,10 +763,10 @@ class TestBootstrap:
         assert np.all(np.abs(corr[other_pair]) <= 5.0 / np.sqrt(n_resamples))
 
     def test_batch_matches_single_fits(self, calibrated_bootstrap):
-        dataset, _, _, captured = calibrated_bootstrap
+        *_, captured = calibrated_bootstrap
         rho = captured["result"][0]
         for r in (0, 1, 57, 99):
-            single = mle_reconstruct(dataset_from_row(dataset, captured["table"][r]))
+            single = mle_reconstruct(captured["table"][r].reshape(9, 4))
             np.testing.assert_allclose(single.rho.matrix, rho[r], rtol=0, atol=1e-12)
 
     def test_too_few_resamples_rejected(self, dataset):
@@ -776,5 +779,5 @@ class TestBootstrap:
         ds = simulate_tomography_dataset(
             dephased_singlet(0.804), 1_100, IDEAL, seed=71
         )
-        errs = bootstrap_errors(ds, 150, seed=73)
+        errs = bootstrap_errors(ds.counts, 150, seed=73)
         assert 0.0045 < errs.sigma_fidelity < 0.018
