@@ -62,20 +62,6 @@ def correlation_from_counts(rec: CountRecord) -> CorrelationEstimate:
     return CorrelationEstimate(value=float(value), std_err=std_err, n_total=int(total))
 
 
-def _angles_match(record_angle: float, target: float, tol: float = 1e-9) -> bool:
-    diff = (record_angle - target) % 180.0
-    return min(diff, 180.0 - diff) <= tol
-
-
-def _pick_record(records, alpha: float, beta: float) -> CountRecord:
-    for rec in records:
-        if _angles_match(rec.setting.alpha_deg, alpha) and _angles_match(
-            rec.setting.beta_deg, beta
-        ):
-            return rec
-    raise ConfigError(f"no count record for setting ({alpha} deg, {beta} deg)")
-
-
 def chsh_quad(settings) -> tuple[float, float, float, float] | None:
     """(alpha, alpha', beta, beta') of four settings filling a 2x2 grid once
     each, or None when the settings do not."""
@@ -87,20 +73,36 @@ def chsh_quad(settings) -> tuple[float, float, float, float] | None:
     return alphas[0], alphas[1], betas[0], betas[1]
 
 
+def _chsh(settings, correlation) -> BellResult:
+    """S = |E(a',b') - E(a,b')| + |E(a',b) + E(a,b)| over the quad (a, a', b, b'),
+    with ``correlation(alpha, beta)`` giving E and its standard error; the four
+    errors add in quadrature."""
+    alpha, alpha_p, beta, beta_p = settings
+    cells = [correlation(a, b) for a in (alpha, alpha_p) for b in (beta, beta_p)]
+    (e_ab, _), (e_abp, _), (e_apb, _), (e_apbp, _) = cells
+    s = abs(e_apbp - e_abp) + abs(e_apb + e_ab)
+    std_err = math.sqrt(sum(err**2 for _, err in cells))
+    return BellResult(s_value=s, std_err=std_err, settings=tuple(float(x) for x in settings))
+
+
 def chsh_from_counts(records, settings: tuple[float, float, float, float]) -> BellResult:
     """CHSH S from four records covering the (alpha, alpha') x (beta, beta') grid.
 
-    S = |E(a',b') - E(a,b')| + |E(a',b) + E(a,b)|; the standard error adds
-    the four per-setting errors in quadrature.
+    Each cell takes the first record whose setting equals it (angles modulo
+    180, as :class:`MeasurementSetting` stores them).
     """
-    alpha, alpha_p, beta, beta_p = settings
-    e_ab = correlation_from_counts(_pick_record(records, alpha, beta))
-    e_abp = correlation_from_counts(_pick_record(records, alpha, beta_p))
-    e_apb = correlation_from_counts(_pick_record(records, alpha_p, beta))
-    e_apbp = correlation_from_counts(_pick_record(records, alpha_p, beta_p))
-    s = abs(e_apbp.value - e_abp.value) + abs(e_apb.value + e_ab.value)
-    std_err = math.sqrt(sum(e.std_err**2 for e in (e_ab, e_abp, e_apb, e_apbp)))
-    return BellResult(s_value=s, std_err=std_err, settings=tuple(float(x) for x in settings))
+    first = {}
+    for rec in records:
+        first.setdefault(rec.setting, rec)
+
+    def correlation(a, b):
+        rec = first.get(MeasurementSetting(a, b))
+        if rec is None:
+            raise ConfigError(f"no count record for setting ({a} deg, {b} deg)")
+        estimate = correlation_from_counts(rec)
+        return estimate.value, estimate.std_err
+
+    return _chsh(settings, correlation)
 
 
 def analytic_correlation(rho, setting: MeasurementSetting) -> float:
@@ -111,14 +113,7 @@ def analytic_correlation(rho, setting: MeasurementSetting) -> float:
 
 def analytic_chsh(rho, settings: tuple[float, float, float, float]) -> BellResult:
     """Exact CHSH S of a state at a fixed analyzer-angle quad."""
-    alpha, alpha_p, beta, beta_p = settings
-    e = {
-        (a, b): analytic_correlation(rho, MeasurementSetting(a, b))
-        for a in (alpha, alpha_p)
-        for b in (beta, beta_p)
-    }
-    s = abs(e[(alpha_p, beta_p)] - e[(alpha, beta_p)]) + abs(e[(alpha_p, beta)] + e[(alpha, beta)])
-    return BellResult(s_value=s, std_err=0.0, settings=tuple(float(x) for x in settings))
+    return _chsh(settings, lambda a, b: (analytic_correlation(rho, MeasurementSetting(a, b)), 0.0))
 
 
 def _principal_values(mat: np.ndarray) -> np.ndarray:

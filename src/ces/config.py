@@ -1,4 +1,4 @@
-"""Experiment configuration: schema, defaults, canonical form, manifest.
+"""Experiment configuration: schema, defaults, file form and hash.
 
 Configs are JSON.  The ``noise``, ``efficiency`` and ``detector`` sections
 hold the fields of :class:`NoiseParams`, :class:`EfficiencyParams` and
@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .detection import DetectorParams, MeasurementSetting
 from .errors import ConfigError
+from .fileio import write_json
 from .protocol import EfficiencyParams, NoiseParams
 
 _MAX_SEED = 2**64 - 1
@@ -150,24 +151,10 @@ def load_config(path=None) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
-
-
-def _canonical(obj) -> str:
-    """Deterministic text form: sorted keys, 17-significant-digit floats."""
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_canonical(obj[k])}" for k in sorted(obj))
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(x) for x in obj) + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return format(obj, ".17g")
-    if isinstance(obj, int):
-        return str(obj)
-    return json.dumps(obj)
+    write_json(path, cfg.to_dict())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    return hashlib.sha256(_canonical(cfg.to_dict()).encode("utf-8")).hexdigest()
+    """SHA-256 of the config's compact JSON form with sorted keys."""
+    text = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()

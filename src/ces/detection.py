@@ -53,10 +53,8 @@ import numpy as np
 from .errors import DataError, DimensionError
 from .qcore import (
     IDENTITY_2,
-    KET_A,
     KET_D,
     KET_H,
-    KET_L,
     KET_R,
     KET_V,
     as_matrix,
@@ -74,11 +72,8 @@ LATE_BOUNDARY_QUANTILE = 0.4
 #: Tomography basis pairs, each measured at both analyzer ports.
 BASIS_LABELS = ("HV", "DA", "RL")
 
-_BASIS_KETS = {
-    "HV": (KET_H, KET_V),
-    "DA": (KET_D, KET_A),
-    "RL": (KET_R, KET_L),
-}
+#: Up-port ket of each basis; the down port is its complement.
+_BASIS_KETS = {"HV": KET_H, "DA": KET_D, "RL": KET_R}
 
 
 @dataclass(frozen=True)
@@ -148,9 +143,7 @@ def analyzer_projectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     is its complement, so P_up + P_down is the identity exactly.
     """
     theta = math.radians(theta_deg)
-    ket = math.cos(theta) * KET_H + math.sin(theta) * KET_V
-    p_up = np.outer(ket, ket.conj())
-    return p_up, IDENTITY_2 - p_up
+    return _ports(math.cos(theta) * KET_H + math.sin(theta) * KET_V)
 
 
 def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -160,11 +153,14 @@ def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
     a quarter-wave retarder with |H> -> (|H> + i|V>)/sqrt(2) in front of a
     0-degree analyzer, i.e. projectors onto |R> and |L>.
     """
-    try:
-        up, down = _BASIS_KETS[label]
-    except KeyError:
+    if label not in _BASIS_KETS:
         raise DataError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
-    p_up = np.outer(up, up.conj())
+    return _ports(_BASIS_KETS[label])
+
+
+def _ports(ket) -> tuple[np.ndarray, np.ndarray]:
+    """(|k><k|, I - |k><k|): the up port onto ``ket`` and its complement."""
+    p_up = np.outer(ket, ket.conj())
     return p_up, IDENTITY_2 - p_up
 
 

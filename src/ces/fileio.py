@@ -53,19 +53,16 @@ def _parse_count_row(row: dict) -> CountRecord:
     return CountRecord(setting, *cells)
 
 
-def _open_csv(path):
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_rows(path, columns, parse, kind: str) -> list:
     """Parse every row of a CSV holding ``columns``; DataError on any bad row,
     including a row too short to fill every one of ``columns`` and a row with
     more fields than the header (``csv.DictReader`` files those under None)."""
     parsed = []
-    with _open_csv(path) as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    with fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or [c for c in columns if c not in reader.fieldnames]:
             raise DataError(f"{path}: expected columns {columns}")

@@ -8,6 +8,7 @@ timestamp is the only field excluded from that guarantee.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 from datetime import datetime, timezone
 from hashlib import sha256
@@ -49,18 +50,35 @@ def _digest(label: str, path) -> dict:
     return {"path": label, "sha256": sha256(Path(path).read_bytes()).hexdigest()}
 
 
+def _check_manifest(out: Path, names) -> None:
+    """ConfigError when ``out`` holds a manifest that does not parse or that
+    lists an output other than ``names``, so another run's manifest stays."""
+    path = out / "manifest.json"
+    if not path.exists():
+        return
+    try:
+        listed = [entry["path"] for entry in json.loads(path.read_text())["outputs"]]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path} is not a run manifest: {exc!r}") from exc
+    others = [name for name in listed if name not in names]
+    if others:
+        raise ConfigError(f"{out} holds the outputs {others} of another run")
+
+
 def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict[str, str]:
     """Make ``out_dir``, write each output into it, then ``manifest.json``.
 
     ``outputs`` holds (file name, fileio writer, data) triples and ``inputs``
-    the paths of the data files the run read.  ``cfg`` is None where no
-    config was read; the manifest's ``config_hash`` and ``seed`` are then
-    null.  Returns the path of each output by file name.
+    the paths of the data files the run read, recorded as absolute paths.
+    ``cfg`` is None where no config was read; the manifest's ``config_hash``
+    and ``seed`` are then null.  ``_check_manifest`` runs before anything is
+    created.  Returns the path of each output by file name.
     """
-    read = [_digest(str(path), path) for path in inputs]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {name: out / name for name, _, _ in outputs}
+    _check_manifest(out, paths)
+    read = [_digest(str(Path(path).resolve()), path) for path in inputs]
+    out.mkdir(parents=True, exist_ok=True)
     for name, writer, data in outputs:
         writer(paths[name], data)
     write_json(
@@ -140,14 +158,6 @@ def bell_payload(result, records) -> dict:
     }
 
 
-def _reconstruct(counts, method: str):
-    if method == "mle":
-        return mle_reconstruct(counts)
-    if method == "linear":
-        return linear_inversion(counts)
-    raise ConfigError(f"unknown reconstruction method {method!r}")
-
-
 def run_tomo(
     cfg: ExperimentConfig,
     out_dir,
@@ -159,12 +169,17 @@ def run_tomo(
 
     ``data`` may name a recorded tomography CSV; when omitted the dataset is
     simulated from the configured state and written as ``tomography.csv``.
-    ``bootstrap`` is 0 (none) or at least MIN_RESAMPLES.
+    ``bootstrap`` is 0 (none) or at least MIN_RESAMPLES, and needs
+    ``method="mle"``: every resample is refit by MLE.
     """
+    if method not in ("mle", "linear"):
+        raise ConfigError(f"unknown reconstruction method {method!r}")
     if bootstrap < 0 or 0 < bootstrap < MIN_RESAMPLES:
         raise ConfigError(
             f"bootstrap must be 0 or at least {MIN_RESAMPLES} resamples, got {bootstrap!r}"
         )
+    if bootstrap and method != "mle":
+        raise ConfigError(f"bootstrap resamples are refit by MLE; method {method!r} has none")
     outputs = []
     if data is None:
         rho_true = final_state(cfg.noise, cfg.dt_us)
@@ -175,7 +190,7 @@ def run_tomo(
     else:
         dataset = read_tomography_csv(data)
 
-    fit = _reconstruct(dataset.counts, method)
+    fit = mle_reconstruct(dataset.counts) if method == "mle" else linear_inversion(dataset.counts)
     payload = {
         "rho": fit.rho.to_json_dict(),
         "reconstruction": {

@@ -127,7 +127,7 @@ class DensityMatrix:
             dim = int(obj["dim"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
         for part, values in (("re", re), ("im", im)):
             if not np.isfinite(values).all():

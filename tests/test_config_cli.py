@@ -211,6 +211,45 @@ class TestPipelineDeterminism:
         assert manifest["seed"] == cfg.seed
 
 
+def _tree(path: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(path)): p.read_bytes() for p in sorted(path.rglob("*"))}
+
+
+class TestRunDirectory:
+    def test_run_into_another_runs_directory_is_2(self, tmp_path, capsys, monkeypatch):
+        # measures would replace the manifest of the tomo run, which lists
+        # files measures does not write; a second tomo run replaces its own.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["tomo", "--trials", "20000", "--out", "fo"]) == 0
+        before = _tree(tmp_path / "fo")
+        assert cli.main(["measures", "fo/reconstruction.json", "--out", "fo"]) == 2
+        err = capsys.readouterr().err
+        assert "tomography.csv" in err and "Traceback" not in err
+        assert _tree(tmp_path / "fo") == before
+        assert cli.main(["tomo", "--trials", "20000", "--out", "fo"]) == 0
+
+    @pytest.mark.parametrize(
+        "text", ["", "{", "[]", '{"outputs": 3}', '{"outputs": ["rates.json"]}', '{"seed": 1}']
+    )
+    def test_directory_with_a_foreign_manifest_is_2(self, tmp_path, capsys, text):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "manifest.json").write_text(text)
+        assert cli.main(["rates", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "is not a run manifest" in err and "Traceback" not in err
+        assert _tree(out) == {"manifest.json": text.encode()}
+
+    def test_manifest_inputs_are_absolute(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_bell(_fast_cfg(), "sim")
+        assert cli.main(["bell", "--data", "sim/counts.csv", "--out", "an"]) == 0
+        (entry,) = json.loads((tmp_path / "an" / "manifest.json").read_text())["inputs"]
+        assert entry["path"] == str((tmp_path / "sim" / "counts.csv").resolve())
+        assert Path(entry["path"]).is_absolute()
+        assert entry["sha256"] == _sha256(tmp_path / "sim" / "counts.csv")
+
+
 class TestCliExitCodes:
     def test_rates_ok(self, tmp_path, capsys):
         code = cli.main(["rates", "--out", str(tmp_path)])
@@ -318,6 +357,21 @@ class TestCliExitCodes:
         )
         assert code == 2
         assert "bootstrap must be 0 or at least 100" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_linear_with_bootstrap_is_2(self, tmp_path, capsys, monkeypatch):
+        # Every resample is refit by MLE, so its error bars do not belong
+        # next to a linear-inversion state; the pair is refused before any
+        # simulation.
+        from ces import pipeline
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the flags were checked")
+
+        monkeypatch.setattr(pipeline, "simulate_tomography_dataset", no_simulation)
+        argv = ["tomo", "--trials", "20000", "--method", "linear", "--bootstrap", "100"]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+        assert "refit by MLE" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bootstrap_zero_runs_none(self, tmp_path):
