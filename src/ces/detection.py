@@ -50,14 +50,13 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .qcore import (
     IDENTITY_2,
     KET_D,
     KET_H,
     KET_R,
     KET_V,
-    as_matrix,
     born_probabilities,
     require_two_qubit_density,
     tensor,
@@ -164,15 +163,6 @@ def _ports(ket) -> tuple[np.ndarray, np.ndarray]:
     return p_up, IDENTITY_2 - p_up
 
 
-def _one_state(rho) -> np.ndarray:
-    """``require_two_qubit_density`` for exactly one state: the detection
-    chain runs one 4x4 state, and a stack of them is a DimensionError."""
-    shape = as_matrix(rho).shape
-    if len(shape) != 2:
-        raise DimensionError(f"expected one two-qubit (4x4) state, got shape {shape}")
-    return require_two_qubit_density(rho)
-
-
 def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, float, float, float]:
     """Exact joint port probabilities (p_uu, p_ud, p_du, p_dd).
 
@@ -180,7 +170,7 @@ def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, floa
     and photon 2 at beta.
     """
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    mat = _one_state(rho)
+    mat = require_two_qubit_density(rho, one=True)
     table = np.clip(born_probabilities(pair_projectors(*projs), mat), 0.0, None)
     return tuple(float(x) for x in table / table.sum())
 
@@ -239,7 +229,7 @@ def simulate_counts(
 ) -> CountRecord:
     """Run the detection chain for n_sequences protocol repetitions."""
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    probs = _outcome_distribution(_one_state(rho), *projs, det)
+    probs = _outcome_distribution(require_two_qubit_density(rho, one=True), *projs, det)
     return CountRecord(setting, *map(int, _draw(probs, n_sequences, seed, ())))
 
 
@@ -292,6 +282,7 @@ def simulate_tomography_dataset(
     sequences on its own random substream keyed by i, so the dataset is
     independent of the order in which bases execute.
     """
-    probs = _outcome_distribution(_one_state(rho), _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
+    mat = require_two_qubit_density(rho, one=True)
+    probs = _outcome_distribution(mat, _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
     draws = np.array([_draw(p, n_per_basis, seed, (i,)) for i, p in enumerate(probs)])
     return TomographyDataset(counts=draws[:, :4], discarded=draws[:, 4])

@@ -207,7 +207,7 @@ def run_tomo(
         payload["metrics"] = asdict(report(fit.rho))
     if bootstrap:
         payload["bootstrap"] = asdict(
-            bootstrap_errors(dataset.counts, bootstrap, derive_seed(cfg.seed, 2000))
+            bootstrap_errors(dataset.counts, fit.rho, bootstrap, derive_seed(cfg.seed, 2000))
         )
     outputs.append(("reconstruction.json", write_json, payload))
     paths = write_run(out_dir, cfg, outputs, inputs=[] if data is None else [data])

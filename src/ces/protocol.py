@@ -19,14 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorParams
-from .errors import DimensionError
 from .qcore import (
     IDENTITY_4,
     KET_SM,
     KET_SP,
     DensityMatrix,
-    as_matrix,
     tensor,
+    two_qubit_matrix,
 )
 
 
@@ -130,21 +129,13 @@ _FLIP_ATOM = tensor(np.array([[0, 1], [1, 0]]), np.eye(2))
 _MAP = _SWAP @ _FLIP_ATOM
 
 
-def _four_by_four(rho) -> np.ndarray:
-    """``as_matrix(rho)``; a DimensionError unless it is one 4x4 matrix."""
-    mat = as_matrix(rho)
-    if mat.shape != (4, 4):
-        raise DimensionError(f"expected a 4x4 state, got {mat.shape}")
-    return mat
-
-
 def map_to_photon_pair(rho_ap) -> DensityMatrix:
     """Relabel the atomic qubit as photon-2 polarization.
 
     The ideal atom-photon state maps exactly onto the photon-pair singlet
     (|s+ s-> - |s- s+>)/sqrt(2).
     """
-    return DensityMatrix(_MAP @ _four_by_four(rho_ap) @ _MAP.conj().T)
+    return DensityMatrix(_MAP @ two_qubit_matrix(rho_ap, one=True) @ _MAP.conj().T)
 
 
 def apply_storage_noise(rho_ap, noise: NoiseParams, dt_us: float) -> DensityMatrix:
@@ -155,7 +146,7 @@ def apply_storage_noise(rho_ap, noise: NoiseParams, dt_us: float) -> DensityMatr
     dephasing part.  A white-noise admixture then mixes in the maximally
     mixed state with weight p_white.
     """
-    mat = np.array(_four_by_four(rho_ap))
+    mat = np.array(two_qubit_matrix(rho_ap, one=True))
     v = noise.coherence(dt_us)
     mat[0:2, 2:4] *= v
     mat[2:4, 0:2] *= v
@@ -167,7 +158,7 @@ def apply_storage_noise(rho_ap, noise: NoiseParams, dt_us: float) -> DensityMatr
 def pumping_channel(rho, eta_pump: float) -> DensityMatrix:
     """Mix in a fully depolarized outcome for failed optical pumping."""
     _check_unit_interval("eta_pump", eta_pump)
-    mat = _four_by_four(rho)
+    mat = two_qubit_matrix(rho, one=True)
     return DensityMatrix(eta_pump * mat + (1.0 - eta_pump) * (IDENTITY_4 / 4.0))
 
 

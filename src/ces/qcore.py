@@ -124,11 +124,13 @@ class DensityMatrix:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DensityMatrix":
         try:
-            dim = int(obj["dim"])
+            dim = obj["dim"]
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed density-matrix JSON: {exc}") from exc
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValidationError(f"density-matrix JSON needs an integer dim, got {dim!r}")
         for part, values in (("re", re), ("im", im)):
             if not np.isfinite(values).all():
                 raise ValidationError(f"density-matrix JSON: {part} holds a non-finite entry")
@@ -177,9 +179,7 @@ def partial_transpose(rho, subsystem: int) -> np.ndarray:
     its negative eigenvalues feed the negativity.  Only dim-4 (qubit x qubit)
     operators are supported.
     """
-    mat = as_matrix(rho)
-    if mat.shape[-2:] != (4, 4):
-        raise DimensionError(f"partial transpose requires 4x4 matrices, got {mat.shape}")
+    mat = two_qubit_matrix(rho)
     if subsystem not in (0, 1):
         raise DimensionError(f"subsystem must be 0 or 1, got {subsystem}")
     blocks = mat.reshape(*mat.shape[:-2], 2, 2, 2, 2)  # (row A, row B, col A, col B)
@@ -273,12 +273,19 @@ def require_valid_density(rho) -> np.ndarray:
     return mat
 
 
-def require_two_qubit_density(rho) -> np.ndarray:
-    """``require_valid_density`` for two-qubit states: DimensionError unless
-    the state, or every state of a stack, is 4x4."""
+def two_qubit_matrix(rho, one: bool = False) -> np.ndarray:
+    """``as_matrix(rho)``; DimensionError unless it is a 4x4 matrix or, when
+    not ``one``, a stack of them."""
     mat = as_matrix(rho)
-    if mat.shape[-2:] != (4, 4):
-        raise DimensionError(f"expected two-qubit (4x4) states, got shape {mat.shape}")
+    if mat.shape[-2:] != (4, 4) or (one and mat.ndim != 2):
+        what = "one two-qubit (4x4) state" if one else "two-qubit (4x4) states"
+        raise DimensionError(f"expected {what}, got shape {mat.shape}")
+    return mat
+
+
+def require_two_qubit_density(rho, one: bool = False) -> np.ndarray:
+    """``require_valid_density`` after ``two_qubit_matrix(rho, one)``."""
+    two_qubit_matrix(rho, one)
     return require_valid_density(rho)
 
 
@@ -295,9 +302,7 @@ def correlation_matrix(rho) -> np.ndarray:
     Pauli axes follow the polarization Bloch frame (x = D/A, y = R/L,
     z = H/V).  A stack of states gives a stack of matrices.
     """
-    mat = as_matrix(rho)
-    if mat.shape[-2:] != (4, 4):
-        raise DimensionError(f"correlation matrix requires 4x4 states, got {mat.shape}")
+    mat = two_qubit_matrix(rho)
     expectations = np.real(np.einsum("mij,...ji->...m", PAULI_PRODUCTS, mat))
     return expectations.reshape(*mat.shape[:-2], 4, 4)[..., 1:, 1:]
 

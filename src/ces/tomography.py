@@ -15,7 +15,10 @@ toward the top eigenvector of R adds a direction the factor lacks.
 Because the multinomial log-likelihood is concave, lambda_max(R) - N
 bounds how far an iterate is below the maximum (Glancy, Knill, Girard, NJP
 14, 095017 (2012)); the fit stops on that certificate.  Many count tables
-(the bootstrap resamples) are fitted as one batch.
+(the bootstrap resamples) are fitted as one batch.  The resamples start at
+the estimate of the observed table and take their first Newton steps with
+one fixed Hessian, its Fisher information (a chord method), under the same
+certificate and the same caps as every fit.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
@@ -43,6 +46,7 @@ from .qcore import (
     DensityMatrix,
     born_probabilities,
     flatten_real,
+    require_two_qubit_density,
     require_valid_density,
     validate_density,
 )
@@ -69,6 +73,17 @@ _MIX_WEIGHTS = np.concatenate([[0.0], np.geomspace(1e-16, 1.0, 97)])
 #: eigenvector of R takes a Frank-Wolfe step toward it: the factor step
 #: cannot grow a direction the factor lacks.
 _ABSENT = 1e-6
+#: Passes on which the Newton rows of an anchored (bootstrap) fit step with
+#: the shared Hessian of ``_chord``; later passes use each row's own.  The
+#: chord converges linearly, at a rate near 1 where a resample's optimum is
+#: far from the estimate's (a near-pure estimate on the PSD boundary), and
+#: from where the first passes leave a row one exact Newton step certifies.
+_CHORD_PASSES = 3
+#: On a 2-core x86 VM with numpy 2.4, ``_positive_definite`` costs about
+#: 30 us a stack and ``eigvalsh`` about 3 us a row, so a fit uses the former
+#: only on stacks of at least this many rows: for the cut test of a Newton
+#: step, and to screen rows before the certificate's ``eigvalsh(R)``.
+_SCREEN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -172,17 +187,59 @@ def project_psd(mat: np.ndarray) -> np.ndarray:
     return out / np.trace(out, axis1=-2, axis2=-1)[..., None, None]
 
 
-def _newton_step(weights, probs, rho):
+def _positive_definite(stack: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian matrix of a (B, 4, 4) stack is positive definite.
+
+    Reads the pivots of an LDL^H decomposition, one Schur complement per
+    column: a Hermitian matrix is positive definite exactly when every pivot
+    is positive.  Like ``eigvalsh`` it reads only the lower triangle.  A row
+    holding NaN or inf is not positive definite.
+    """
+    pivots = []
+    schur = stack
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            pivots.append(schur[:, 0, 0].real)
+            column = schur[:, 1:, :1]
+            row = np.swapaxes(column.conj(), 1, 2) / schur[:, :1, :1].real
+            schur = schur[:, 1:, 1:] - column * row
+    pivots.append(schur[:, 0, 0].real)
+    return (np.array(pivots) > 0.0).all(axis=0) & np.isfinite(stack).all(axis=(1, 2))
+
+
+def _chord(observed: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The (36, 32) map weights -> Delta_rho (real view) of a Newton step with
+    the fixed Hessian H0 = A^T diag(n0/p0^2) A: the Fisher information of the
+    observed counts n0 at the state ``start``, whose p0 are all positive.
+
+    The map is real: OpenBLAS runs the complex product of a few hundred rows
+    on every core, which doubles the CPU time of a bootstrap.
+    """
+    fisher = ((observed / born_probabilities(PROJECTORS, start) ** 2) @ _OUTER).reshape(15, 15)
+    return _DESIGN @ np.linalg.solve(fisher, flatten_real(PAULI_PRODUCTS[1:]) / 4.0)
+
+
+def _newton_step(weights, probs, rho, chord=None):
     """Newton step Delta_rho of each row and its length alpha (see _fit).
 
     weights = n/p; the Hessian A^T diag(n/p^2) A is one product with _OUTER.
-    alpha = 1 where rho + Delta_rho / _TO_BOUNDARY is PSD; only the rest whiten.
+    With a ``chord`` (see _chord) every row steps with that one fixed
+    Hessian instead, and Delta_rho is weights @ chord.
+    alpha = 1 where rho + Delta_rho / _TO_BOUNDARY is PSD (``_positive_definite``
+    on _SCREEN_ROWS rows or more); only the rest whiten.
     """
-    hessian = ((weights / probs)[:, None, :] @ _OUTER).reshape(-1, 15, 15)
-    delta = np.linalg.solve(hessian, (weights @ _DESIGN)[..., None])[..., 0]
-    d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
+    if chord is None:
+        hessian = ((weights / probs)[:, None, :] @ _OUTER).reshape(-1, 15, 15)
+        delta = np.linalg.solve(hessian, (weights @ _DESIGN)[..., None])[..., 0]
+        d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
+    else:
+        d_rho = (weights @ chord).view(complex).reshape(-1, 4, 4)
     alpha = np.ones(len(d_rho))
-    cut = np.linalg.eigvalsh(rho + d_rho / _TO_BOUNDARY)[:, 0] < 0.0
+    trial = rho + d_rho / _TO_BOUNDARY
+    if len(trial) >= _SCREEN_ROWS:
+        cut = ~_positive_definite(trial)
+    else:
+        cut = np.linalg.eigvalsh(trial)[:, 0] < 0.0
     if cut.any():
         whiten = np.linalg.inv(np.linalg.cholesky(rho[cut]))
         mu = np.linalg.eigvalsh(whiten @ d_rho[cut] @ np.swapaxes(whiten.conj(), -1, -2))[:, 0]
@@ -300,7 +357,7 @@ def _boundary_step(counts, rho, r_op):
     return new
 
 
-def _fit(counts: np.ndarray):
+def _fit(counts: np.ndarray, anchor=None):
     """Batched maximum-likelihood fit of every row of a (B, 36) count table.
 
     The columns are those of PROJECTORS, as ``_checked`` lays them out.
@@ -309,6 +366,15 @@ def _fit(counts: np.ndarray):
     estimate, lightly mixed with the identity so that every probability is
     positive.  Every step of a row is a Newton step in rho or a boundary
     step; MAX_ITER, read at call time, caps both kinds together.
+
+    An ``anchor`` (observed, estimate), a (36,) count row and a 4x4 state,
+    fits the bootstrap resamples of ``observed``: every row starts at
+    ``estimate`` mixed with the identity in the same way, and the Newton
+    steps of the first _CHORD_PASSES passes use one fixed Hessian, the
+    Fisher information of ``observed`` at that start (``_chord``).  A chord
+    step converges linearly rather than quadratically but costs one matrix
+    product for all rows; the rest of the fit, the certificate included, is
+    the same.
 
     Newton works in the 15 Pauli coordinates c of rho, where
     p = a_0 + A c with A = _DESIGN.  It solves
@@ -334,10 +400,23 @@ def _fit(counts: np.ndarray):
     row's log-likelihood is below the maximum; a row stops once
     gap <= GAP_TOL * N, or after MAX_ITER steps.  Each pass computes R and
     the gap of the active rows first and drops the rows that certify, so
-    steps are built only for rows that still take one.  Returns rho
-    (B, 4, 4), the steps taken and the final gap of each row.
+    steps are built only for rows that still take one.  Only rows where
+    (N + GAP_TOL * N) I - R is positive definite (``_positive_definite``)
+    can certify, so on a pass of at least _SCREEN_ROWS rows only they pay
+    for ``eigvalsh``; the other rows' gap stays inf until they do, or until
+    the last pass.  A row whose R is not finite (a probability reached zero
+    under a positive count) stops there, unconverged with gap inf.  Returns
+    rho (B, 4, 4), the steps taken and the final gap of each row.
     """
-    rho = 0.999999 * project_psd(_linear_states(counts)) + 1e-6 * np.eye(4) / 4.0
+    if anchor is None:
+        rho = project_psd(_linear_states(counts))
+    else:
+        observed, estimate = anchor
+        rho = np.repeat(estimate[None], len(counts), axis=0)
+    rho = 0.999999 * rho + 1e-6 * np.eye(4) / 4.0
+    # A cell empty in ``observed`` is empty in every resample, so no row
+    # takes a Newton step; the Fisher information may then be singular.
+    chord = _chord(observed, rho[0]) if anchor is not None and (observed > 0).all() else None
     tol = GAP_TOL * counts.sum(axis=1)
     iterations = np.zeros(len(counts), dtype=int)
     gap = np.empty(len(counts))
@@ -346,19 +425,26 @@ def _fit(counts: np.ndarray):
     last_alpha = np.zeros(len(counts))
     for step in range(MAX_ITER + 1):
         n = counts[active]
+        total = n.sum(axis=1)
         probs = born_probabilities(PROJECTORS, rho[active])
-        weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
-        r_op = (weights @ _FLAT_PROJECTORS).view(complex).reshape(-1, 4, 4)
-        gap[active] = np.linalg.eigvalsh(r_op)[:, -1] - n.sum(axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            weights = np.divide(n, probs, out=np.zeros_like(n), where=n > 0)
+            r_op = (weights @ _FLAT_PROJECTORS).view(complex).reshape(-1, 4, 4)
+        finite = near = np.isfinite(r_op).all(axis=(1, 2))
+        if step < MAX_ITER and len(active) >= _SCREEN_ROWS:
+            near = _positive_definite((total + tol[active])[:, None, None] * np.eye(4) - r_op)
+        gap[active] = np.inf
+        gap[active[near]] = np.linalg.eigvalsh(r_op[near])[:, -1] - total[near]
         iterations[active] = step
-        keep = gap[active] > tol[active]
+        keep = finite & (gap[active] > tol[active])
         if step == MAX_ITER or not keep.any():
             break
         active, probs, weights, r_op = active[keep], probs[keep], weights[keep], r_op[keep]
         in_newton = newton[active]
         if in_newton.any():
             rows = active[in_newton]
-            d_rho, alpha = _newton_step(weights[in_newton], probs[in_newton], rho[rows])
+            shared = chord if step < _CHORD_PASSES else None
+            d_rho, alpha = _newton_step(weights[in_newton], probs[in_newton], rho[rows], shared)
             rho[rows] += alpha[:, None, None] * d_rho
             newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
             last_alpha[rows] = alpha
@@ -425,29 +511,34 @@ class BootstrapErrors:
     n_failed: int
 
 
-def bootstrap_errors(counts, n_resamples: int, seed: int) -> BootstrapErrors:
+def bootstrap_errors(counts, estimate, n_resamples: int, seed: int) -> BootstrapErrors:
     """Multinomial bootstrap of a (9, 4) count table, re-fitting with MLE.
 
-    Basis pair i of BASIS_PAIRS draws its counts for every resample from
-    its observed frequencies in one sized multinomial call on its own
-    random substream keyed by i; the nine draws side by side form the
-    (n_resamples, 36) count table.  Results therefore do not depend on
-    evaluation order, and resample r is the same for every n_resamples
-    above r.  A single batched ``_fit`` reconstructs the table.
+    ``estimate`` is the table's own maximum-likelihood state.  Basis pair i
+    of BASIS_PAIRS draws its counts for every resample from its observed
+    frequencies in one sized multinomial call on its own random substream
+    keyed by i; the nine draws side by side form the (n_resamples, 36)
+    count table.  Results therefore do not depend on evaluation order, and
+    resample r is the same for every n_resamples above r.  A single batched
+    ``_fit`` anchored at the estimate and the observed table reconstructs
+    the resamples: each starts at the estimate and takes its first Newton
+    steps with the estimate's fixed Hessian, under the same certificate and
+    MAX_ITER as every fit.
     The resamples whose fit meets the certificate tolerance and is a valid
     density matrix are kept, and the figures are evaluated once on all of
     them; every other resample is counted in ``n_failed``.
     """
     if n_resamples < MIN_RESAMPLES:
         raise DataError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
-    cells = _checked([counts])[0].reshape(9, 4)
+    observed = _checked([counts])[0]
+    cells = observed.reshape(9, 4)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)
     draws = [
         make_stream(seed, (i,)).multinomial(total, row / row.sum(), size=n_resamples)
         for i, (total, row) in enumerate(zip(totals, cells))
     ]
     table = np.concatenate(draws, axis=1).astype(float)
-    rho, _, gap = _fit(table)
+    rho, _, gap = _fit(table, (observed, require_two_qubit_density(estimate, one=True)))
     kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")

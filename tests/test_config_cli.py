@@ -542,6 +542,16 @@ class TestCliExitCodes:
         assert "data error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("dim", [4.9, "4", True], ids=["float", "string", "bool"])
+    def test_measures_of_a_state_whose_dim_is_not_an_integer_is_3(self, tmp_path, capsys, dim):
+        state = tmp_path / "state.json"
+        state.write_text(
+            json.dumps({"dim": dim, "re": (np.eye(4) / 4).ravel().tolist(), "im": [0.0] * 16})
+        )
+        assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
+        assert "needs an integer dim" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
     def test_measures_of_a_non_finite_state_is_3(self, tmp_path, capsys, part, value):
@@ -621,6 +631,24 @@ class TestCliExitCodes:
             fit = json.loads((out / "lifetime_fit.json").read_text())
             rows = (out / "sweep_series.csv").read_text().splitlines()
             assert fit["converged"] and float(rows[1].split(",")[1]) == 0.0
+
+    def test_tomography_whose_r_turns_infinite_is_4(self, tmp_path, capsys):
+        # A huge count drives the fit to a zero probability under a positive
+        # count; the run reports it unconverged instead of a LinAlgError.
+        assert cli.main(["tomo", "--trials", "20000", "--seed", "1", "--out", str(tmp_path / "w")]) == 0
+        data = tmp_path / "tomography.csv"
+        header, first, *rows = (tmp_path / "w" / "tomography.csv").read_text().splitlines()
+        cells = first.split(",")
+        assert cells[:2] == ["HV", "HV"]
+        cells[header.split(",").index("n_ud")] = "100000000000000"
+        data.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["tomo", "--data", str(data), "--out", str(out)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        fit = json.loads((out / "reconstruction.json").read_text())["reconstruction"]
+        assert not fit["converged"] and fit["certificate_gap"] == float("inf")
 
     @pytest.mark.parametrize(
         ("command", "text"),
@@ -857,3 +885,19 @@ def test_run_modes_load_no_scipy(statement, tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0
+
+
+def test_cli_import_loads_no_third_party_module_but_numpy():
+    # A cold start (perfbench's setup_s) should time ces itself: importing
+    # the command line in a fresh interpreter loads ces, numpy and standard
+    # library modules only, so no scipy.
+    src = str(Path(ces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys; before = set(sys.modules); import ces.cli; "
+        "loaded = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "sys.exit(sorted(loaded - set(sys.stdlib_module_names) - {'ces', 'numpy'}) or None)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

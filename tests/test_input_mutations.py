@@ -20,6 +20,7 @@ from ces import cli
 
 VALUE_CLASSES = [
     "", "nan", "inf", "-1", "1e400", "1.5", "abc", "1e23", "-0", " 3", "1e-320", "0x10", "true",
+    "100000000000000",
 ]
 
 #: Data file of each kind, the run that writes it, and the mode that reads it.

@@ -279,6 +279,11 @@ class TestDensityMatrixJson:
         with pytest.raises(ValidationError):
             DensityMatrix.from_json_dict({"dim": 4, "re": [1.0], "im": [0.0]})
 
+    @pytest.mark.parametrize("dim", [4.9, 4.0, "4", True])
+    def test_dimension_that_is_not_an_integer_rejected(self, dim):
+        with pytest.raises(ValidationError, match="integer dim"):
+            DensityMatrix.from_json_dict({"dim": dim, "re": [0.25] * 16, "im": [0.0] * 16})
+
     @pytest.mark.parametrize(("dim", "size"), [(0, 0), (-1, 1)])
     def test_dimension_below_one_rejected(self, dim, size):
         with pytest.raises(DimensionError, match="dim >= 1"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -157,15 +158,15 @@ def calibrated_bootstrap():
     captured = {}
     real_fit = tomography._fit
 
-    def spy(counts):
-        result = real_fit(counts)
-        captured.update(table=counts, result=result)
+    def spy(counts, anchor=None):
+        result = real_fit(counts, anchor)
+        captured.update(table=counts, anchor=anchor, result=result)
         return result
 
     seed = derive_seed(cfg.seed, 2000)
     tomography._fit = spy
     try:
-        errs = bootstrap_errors(counts, 100, seed)
+        errs = bootstrap_errors(counts, mle_reconstruct(counts).rho, 100, seed)
     finally:
         tomography._fit = real_fit
     return counts, seed, errs, captured
@@ -224,7 +225,7 @@ class TestTableCheck:
         "linear": linear_inversion,
         "mle": mle_reconstruct,
         "batch": lambda counts: mle_reconstruct_batch([exact_table(singlet_dm()), counts]),
-        "bootstrap": lambda counts: bootstrap_errors(counts, 100, seed=1),
+        "bootstrap": lambda counts: bootstrap_errors(counts, dephased_singlet(0.8), 100, seed=1),
     }
 
     @pytest.mark.parametrize("estimator", ESTIMATORS.values(), ids=ESTIMATORS.keys())
@@ -460,12 +461,13 @@ class TestFitPaths:
         captured = {}
         real_fit = tomography._fit
 
-        def spy(counts):
-            captured["result"] = real_fit(counts)
+        def spy(counts, anchor=None):
+            captured["result"] = real_fit(counts, anchor)
             return captured["result"]
 
         monkeypatch.setattr(tomography, "_fit", spy)
-        errs = bootstrap_errors(near_pure_werner.reshape(9, 4), 100, seed=2)
+        table = near_pure_werner.reshape(9, 4)
+        errs = bootstrap_errors(table, mle_reconstruct(table).rho, 100, seed=2)
         _, iterations, _ = captured["result"]
         assert errs.n_failed == 0
         assert iterations.max() <= 100
@@ -482,9 +484,9 @@ class TestFitPaths:
         real_step = tomography._newton_step
         sizes = []
 
-        def counting_step(weights, probs, rho):
+        def counting_step(weights, probs, rho, chord=None):
             sizes.append(len(weights))
-            return real_step(weights, probs, rho)
+            return real_step(weights, probs, rho, chord)
 
         monkeypatch.setattr(tomography, "_newton_step", counting_step)
         _, iterations, gap = tomography._fit(table)
@@ -520,8 +522,8 @@ class TestFitPaths:
         real_step = tomography._newton_step
         cut = []
 
-        def whiten_every_row(weights, probs, rho):
-            d_rho, _ = real_step(weights, probs, rho)
+        def whiten_every_row(weights, probs, rho, chord=None):
+            d_rho, _ = real_step(weights, probs, rho, chord)
             whiten = np.linalg.inv(np.linalg.cholesky(rho))
             whitened = whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
             mu = np.linalg.eigvalsh(whitened)[:, 0]
@@ -537,6 +539,145 @@ class TestFitPaths:
             assert actual.tobytes() == wanted.tobytes()
         if table is low_count_table:
             assert sum(cut) > 0  # the whitening branch ran
+
+
+class TestPositiveDefinite:
+    def test_agrees_with_eigvalsh_on_random_hermitian_stacks(self, rng):
+        g = rng.normal(size=(4000, 4, 4)) + 1j * rng.normal(size=(4000, 4, 4))
+        shift = rng.uniform(0.0, 1.0, size=(4000, 1, 1)) * np.eye(4)
+        stack = g @ np.swapaxes(g.conj(), 1, 2) - shift
+        expected = np.linalg.eigvalsh(stack)[:, 0] > 0.0
+        assert 500 < expected.sum() < 3500
+        np.testing.assert_array_equal(tomography._positive_definite(stack), expected)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_agrees_where_the_smallest_eigenvalue_is_1e_12_of_the_norm(self, rng, sign):
+        g = rng.normal(size=(2000, 4, 4)) + 1j * rng.normal(size=(2000, 4, 4))
+        hermitian = g + np.swapaxes(g.conj(), 1, 2)
+        eig = np.linalg.eigvalsh(hermitian)
+        lowest = eig[:, 0] - sign * 1e-12 * (eig[:, -1] - eig[:, 0])
+        stack = hermitian - lowest[:, None, None] * np.eye(4)
+        smallest = np.linalg.eigvalsh(stack)[:, 0]
+        assert np.all(np.sign(smallest) == sign)
+        np.testing.assert_array_equal(tomography._positive_definite(stack), smallest > 0.0)
+
+    def test_rows_holding_nan_or_inf_are_not_positive_definite(self):
+        stack = np.tile(np.eye(4, dtype=complex), (6, 1, 1))
+        stack[0, 0, 0] = np.nan
+        stack[1, 3, 3] = np.inf
+        stack[2, 0, 3] = np.inf  # upper triangle, which the pivots never read
+        stack[3, 2, 1] = complex(0.0, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = tomography._positive_definite(stack)
+        assert result.tolist() == [False, False, False, False, True, True]
+
+
+def _config_table(name: str) -> np.ndarray:
+    cfg = load_config(CONFIGS / f"{name}.json")
+    return simulate_tomography_dataset(
+        final_state(cfg.noise, cfg.dt_us), cfg.n_sequences, cfg.detector,
+        derive_seed(cfg.seed, 1000),
+    ).counts
+
+
+class TestAnchoredBootstrap:
+    """Resamples start at the estimate and take chord steps; the cold-start
+    fit of the same resample table is the reference."""
+
+    CASES = {
+        "calibrated": lambda: _config_table("calibrated"),
+        "window_study": lambda: _config_table("window_study"),
+        "sweep": lambda: _config_table("sweep"),
+        # Resample 74 of seed 7 oscillates under the chord, contracting by
+        # about 0.99 a step: 194 steps without _CHORD_PASSES.
+        "near_pure": lambda: simulate_tomography_dataset(
+            werner(0.99), 500_000, DetectorParams(eta_det=0.2), 1
+        ).counts,
+        "low_count": lambda: simulate_tomography_dataset(werner(0.9), 150, IDEAL, 1).counts,
+    }
+
+    @pytest.fixture(scope="class", params=list(CASES))
+    def both_ways(self, request):
+        """(errors, resample table, (rho, iterations, gap)) of the anchored
+        bootstrap at seed 7 and of the same bootstrap with cold-start fits."""
+        counts = self.CASES[request.param]()
+        estimate = mle_reconstruct(counts).rho
+        real_fit = tomography._fit
+        runs = {}
+        for way in ("anchored", "cold"):
+            fits = []
+
+            def spy(table, anchor=None):
+                fits.append((table, real_fit(table, anchor if way == "anchored" else None)))
+                return fits[-1][1]
+
+            tomography._fit = spy
+            try:
+                errs = bootstrap_errors(counts, estimate, 100, seed=7)
+            finally:
+                tomography._fit = real_fit
+            runs[way] = (errs, *fits[0])
+        return request.param, runs
+
+    def test_every_resample_certifies_near_its_cold_fit(self, both_ways):
+        _, runs = both_ways
+        (errs, table, (rho, iterations, gap)), (cold_errs, _, cold) = runs["anchored"], runs["cold"]
+        tol = GAP_TOL * table.sum(axis=1)
+        assert np.all(gap <= tol) and np.all(cold[2] <= tol)
+        assert iterations.max() <= 20
+        difference = tomography._log_likelihood(table, rho) - tomography._log_likelihood(table, cold[0])
+        assert np.all(np.abs(difference) <= tol)
+        assert errs.n_failed == cold_errs.n_failed == 0
+
+    def test_sigmas_match_the_cold_start_bootstrap(self, both_ways):
+        # Fits on the PSD boundary stop anywhere below the tolerance, which
+        # moves the near-pure figures of a resample by up to about 5e-7.
+        case, runs = both_ways
+        errs, cold_errs = runs["anchored"][0], runs["cold"][0]
+        bound = 2e-5 if case == "near_pure" else 1e-6
+        for name, value in dataclasses.asdict(errs).items():
+            if name.startswith("sigma_"):
+                assert value == pytest.approx(getattr(cold_errs, name), rel=bound, abs=0.0), name
+
+    def test_resample_fits_do_not_depend_on_the_resample_count(
+        self, calibrated_bootstrap, monkeypatch
+    ):
+        # The shared Hessian comes from the observed table, so the first 100
+        # of 150 resamples are fitted as in the 100-resample bootstrap.
+        counts, seed, _, captured = calibrated_bootstrap
+        real_fit = tomography._fit
+        results = []
+
+        def capturing_fit(table, anchor=None):
+            results.append(real_fit(table, anchor))
+            return results[-1]
+
+        monkeypatch.setattr(tomography, "_fit", capturing_fit)
+        bootstrap_errors(counts, captured["anchor"][1], 150, seed)
+        assert len(results) == 1
+        rho, iterations, _ = results[0]
+        np.testing.assert_allclose(rho[:100], captured["result"][0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(iterations[:100], captured["result"][1])
+
+
+class TestNonFiniteR:
+    def test_a_row_whose_probability_reaches_zero_stops_unconverged(self):
+        # The `ces tomo --trials 20000 --seed 1` table with HV/HV n_ud set to
+        # 1e14: the fit drives a probability under a positive count to zero,
+        # and R turns infinite.
+        table = np.array(
+            [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
+             [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
+             [114, 103, 88, 113], [116, 107, 108, 74], [21, 124, 183, 16]],
+            dtype=float,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = mle_reconstruct(table)
+        assert not fit.converged
+        assert fit.certificate_gap == np.inf
+        assert validate_density(fit.rho).passed
 
 
 class TestBatchedSweep:
@@ -642,41 +783,45 @@ class TestBootstrap:
     def dataset(self):
         return simulate_tomography_dataset(dephased_singlet(0.804), 30_000, IDEAL, seed=47).counts
 
-    def test_deterministic(self, dataset):
-        a = bootstrap_errors(dataset, 100, seed=53)
-        b = bootstrap_errors(dataset, 100, seed=53)
+    @pytest.fixture
+    def estimate(self, dataset):
+        return mle_reconstruct(dataset).rho
+
+    def test_deterministic(self, dataset, estimate):
+        a = bootstrap_errors(dataset, estimate, 100, seed=53)
+        b = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert a == b
 
     def test_uncertainty_shrinks_with_counts(self):
         small = simulate_tomography_dataset(dephased_singlet(0.8), 2_000, IDEAL, seed=59)
         large = simulate_tomography_dataset(dephased_singlet(0.8), 200_000, IDEAL, seed=61)
-        errs_small = bootstrap_errors(small.counts, 100, seed=67)
-        errs_large = bootstrap_errors(large.counts, 100, seed=67)
+        errs_small = bootstrap_errors(small.counts, mle_reconstruct(small.counts).rho, 100, seed=67)
+        errs_large = bootstrap_errors(large.counts, mle_reconstruct(large.counts).rho, 100, seed=67)
         for name in ("sigma_fidelity", "sigma_negativity"):
             sigma_small, sigma_large = getattr(errs_small, name), getattr(errs_large, name)
             assert 0.0 < sigma_large < sigma_small, name
 
-    def test_unconverged_fits_counted_as_failed(self, dataset, monkeypatch):
+    def test_unconverged_fits_counted_as_failed(self, dataset, estimate, monkeypatch):
         real_fit = tomography._fit
         calls = []
 
-        def every_fourth_unconverged(counts):
+        def every_fourth_unconverged(counts, anchor=None):
             calls.append(counts)
-            rho, iterations, gap = real_fit(counts)
+            rho, iterations, gap = real_fit(counts, anchor)
             gap[3::4] = np.inf
             return rho, iterations, gap
 
         monkeypatch.setattr(tomography, "_fit", every_fourth_unconverged)
-        errs = bootstrap_errors(dataset, 100, seed=53)
+        errs = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert len(calls) == 1 and calls[0].shape == (100, 36)
         assert errs.n_failed == 25
 
-    def test_invalid_fits_fail_the_validity_mask(self, dataset, monkeypatch):
+    def test_invalid_fits_fail_the_validity_mask(self, dataset, estimate, monkeypatch):
         real_fit, real_report = tomography._fit, tomography._report
         reported = []
 
-        def every_fifth_invalid(counts):
-            rho, iterations, gap = real_fit(counts)
+        def every_fifth_invalid(counts, anchor=None):
+            rho, iterations, gap = real_fit(counts, anchor)
             rho[4::5] *= 1.1  # trace 1.1: not a density matrix
             return rho, iterations, gap
 
@@ -686,7 +831,7 @@ class TestBootstrap:
 
         monkeypatch.setattr(tomography, "_fit", every_fifth_invalid)
         monkeypatch.setattr(tomography, "_report", recording_report)
-        errs = bootstrap_errors(dataset, 100, seed=53)
+        errs = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert errs.n_failed == 20
         assert reported == [(80, 4, 4)]
 
@@ -704,9 +849,9 @@ class TestBootstrap:
         real_fit = tomography._fit
         tables, streams = [], []
 
-        def capturing_fit(counts):
+        def capturing_fit(counts, anchor=None):
             tables.append(counts)
-            return real_fit(counts)
+            return real_fit(counts, anchor)
 
         def counting_stream(*key):
             streams.append(key)
@@ -716,7 +861,7 @@ class TestBootstrap:
         monkeypatch.setattr(tomography, "make_stream", counting_stream)
         for n_resamples in (100, 150):
             streams.clear()
-            bootstrap_errors(counts, n_resamples, seed)
+            bootstrap_errors(counts, captured["anchor"][1], n_resamples, seed)
             assert streams == [(seed, (i,)) for i in range(9)]
         np.testing.assert_array_equal(tables[0], captured["table"])
         np.testing.assert_array_equal(tables[1][:100], tables[0])
@@ -730,14 +875,14 @@ class TestBootstrap:
         cells = np.array([[3 + i, 10 + 2 * i, 25 - i, 6 + 3 * i] for i in range(9)], float)
         tables = []
 
-        def mixed_state_fit(counts):
+        def mixed_state_fit(counts, anchor=None):
             # The draw is under test, not the fit: every row is I/4, certified.
             tables.append(counts)
             rho = np.tile(np.eye(4, dtype=complex) / 4.0, (len(counts), 1, 1))
             return rho, np.zeros(len(counts), dtype=int), np.zeros(len(counts))
 
         monkeypatch.setattr(tomography, "_fit", mixed_state_fit)
-        bootstrap_errors(cells, n_resamples, seed=79)
+        bootstrap_errors(cells, np.eye(4) / 4.0, n_resamples, seed=79)
         (table,) = tables
         assert table.shape == (n_resamples, 36)
         totals = cells.sum(axis=1)
@@ -763,15 +908,18 @@ class TestBootstrap:
         assert np.all(np.abs(corr[other_pair]) <= 5.0 / np.sqrt(n_resamples))
 
     def test_batch_matches_single_fits(self, calibrated_bootstrap):
+        # Resample r's anchored fit is the same alone as in the batch: the
+        # shared Hessian comes from the anchor, never from the other rows.
         *_, captured = calibrated_bootstrap
-        rho = captured["result"][0]
+        rho, iterations, _ = captured["result"]
         for r in (0, 1, 57, 99):
-            single = mle_reconstruct(captured["table"][r].reshape(9, 4))
-            np.testing.assert_allclose(single.rho.matrix, rho[r], rtol=0, atol=1e-12)
+            single = tomography._fit(captured["table"][r : r + 1], captured["anchor"])
+            np.testing.assert_allclose(single[0][0], rho[r], rtol=0, atol=1e-12)
+            assert single[1][0] == iterations[r]
 
     def test_too_few_resamples_rejected(self, dataset):
         with pytest.raises(DataError):
-            bootstrap_errors(dataset, 99, seed=1)
+            bootstrap_errors(dataset, np.eye(4) / 4.0, 99, seed=1)
 
     def test_sigma_scale_matches_published_error_bar(self):
         # ~550 coincidences per basis reproduces the quoted 0.009 fidelity
@@ -779,5 +927,5 @@ class TestBootstrap:
         ds = simulate_tomography_dataset(
             dephased_singlet(0.804), 1_100, IDEAL, seed=71
         )
-        errs = bootstrap_errors(ds.counts, 150, seed=73)
+        errs = bootstrap_errors(ds.counts, mle_reconstruct(ds.counts).rho, 150, seed=73)
         assert 0.0045 < errs.sigma_fidelity < 0.018
