@@ -40,11 +40,8 @@ def werner_tables() -> np.ndarray:
     singlet = np.outer(SINGLET_KET, SINGLET_KET.conj())
     rho = 0.99 * singlet + 0.01 * np.eye(4) / 4.0
     detector = DetectorParams(eta_det=0.2)
-    return np.array(
-        [simulate_tomography_dataset(rho, 500_000, detector, seed).counts.ravel()
-         for seed in range(10)],
-        dtype=float,
-    )
+    dataset = simulate_tomography_dataset(np.array([rho] * 10), 500_000, detector, range(10))
+    return dataset.counts.reshape(10, 36).astype(float)
 
 
 def random_state_tables(rank: int, seed: int) -> np.ndarray:
@@ -71,7 +68,7 @@ def main() -> None:
         start = time.perf_counter()
         _, iterations, gap = tomography._fit(table)
         seconds = time.perf_counter() - start
-        missed = int(np.sum(gap > tomography.GAP_TOL * table.sum(axis=1)))
+        missed = int(np.sum(gap > tomography.gap_tolerance(table.sum(axis=1))))
         print(f"{name:8s} {len(table):5d} {np.median(iterations):13.1f} "
               f"{iterations.max():10d} {missed:12d} {seconds:6.2f}")
 

@@ -2,7 +2,8 @@
 
 Runs ``simulate``, ``bell``, ``tomo`` (MLE, ``--method linear`` and
 ``--bootstrap 200``), ``sweep`` and ``rates`` on the packaged defaults and
-on each config in ``configs/``, all at seed 4242, in a temporary directory.
+on each config in ``configs/``, all at one seed (4242 unless a seed is
+given as the only argument), in a temporary directory.
 Then it runs the data modes on files those runs wrote: ``bell --data`` on
 the counts, ``tomo --data`` on the tomography CSV, ``measures --out`` on the
 reconstruction and ``fit --out`` on the sweep series.  It prints one
@@ -16,6 +17,8 @@ listings:
     python scripts/output_digests.py > before.txt   # on the old tree
     python scripts/output_digests.py > after.txt    # on the new tree
     diff before.txt after.txt
+
+and again with a second seed, ``python scripts/output_digests.py 777``.
 """
 
 from __future__ import annotations
@@ -67,12 +70,12 @@ def _print_run(argv: list[str], out: Path, label: str) -> None:
             print(f"{digest}  {label}/{path.name}")
 
 
-def print_digests() -> None:
+def print_digests(seed: str = SEED) -> None:
     configs = _configs()
     with tempfile.TemporaryDirectory() as tmp:
         for mode, mode_args in MODES.items():
             for config, config_args in configs.items():
-                argv = [*mode_args, *config_args, "--seed", SEED]
+                argv = [*mode_args, *config_args, "--seed", seed]
                 _print_run(argv, Path(tmp) / mode / config, f"{mode}/{config}")
         for mode, (mode_args, data) in DATA_MODES.items():
             for config in configs:
@@ -81,4 +84,4 @@ def print_digests() -> None:
 
 
 if __name__ == "__main__":
-    print_digests()
+    print_digests(*sys.argv[1:2])

@@ -38,8 +38,9 @@ draw on its own keyed counter-based stream (see :mod:`ces.rng`).  Counts
 are reproducible bit-for-bit for a given seed whatever order settings run
 in, and a draw costs the same for any n_sequences.
 
-One kernel, ``_outcome_distribution``, gives p for a stack of settings;
-a tomography dataset evaluates all nine basis pairs in one call.
+One kernel, ``_outcome_distribution``, gives p for a stack of settings and
+states; a tomography dataset of one state or of a stack (the whole sweep)
+evaluates all its basis pairs in one call and draws them in another.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DimensionError
 from .qcore import (
     IDENTITY_2,
     KET_D,
@@ -61,7 +62,7 @@ from .qcore import (
     require_two_qubit_density,
     tensor,
 )
-from .rng import make_stream
+from .rng import keyed_multinomial, make_stream, positive_count
 
 #: Emission-time quantile beyond which photon 2 carries the late-emission
 #: depolarization.  Fixed by the reported window study (the detection window
@@ -188,6 +189,8 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
 
     projs_a and projs_b hold the port projectors of arms A and B, shape
     (..., 2, 2, 2) for a stack of settings; the result has shape (..., 5).
+    States (..., 4, 4) broadcast against the settings, each bit for bit as
+    in its own call.
     Sums the event model over its branches: each different-arm assignment
     (probability 1/4), photon 2 inside the window either clean or
     late-depolarized, both photons detected, and each recorded port mixed
@@ -203,8 +206,8 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
     # rho indexed as rho[(a, b), (c, d)]; axis -3 puts photon 1 at arm A, then
     # at arm B.
     born = np.einsum(
-        "abcd,...ica,...jdb->...ij",
-        mat.reshape(2, 2, 2, 2),
+        "...abcd,...ica,...jdb->...ij",
+        mat.reshape(mat.shape[:-2] + (1, 2, 2, 2, 2)),
         np.stack([projs_a, projs_b], axis=-4),
         np.stack([projs_b, projs_a], axis=-4),
     )
@@ -217,20 +220,14 @@ def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams
     return np.concatenate([cells, 1.0 - cells.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def _draw(probs, n_sequences, seed: int, spawn_prefix: tuple[int, ...]) -> np.ndarray:
-    """One Multinomial(n_sequences, probs) draw on the (seed, spawn_prefix) stream."""
-    if not isinstance(n_sequences, (int, np.integer)) or n_sequences <= 0:
-        raise DataError(f"n_sequences must be a positive integer, got {n_sequences!r}")
-    return make_stream(seed, spawn_prefix).multinomial(n_sequences, probs)
-
-
 def simulate_counts(
     rho, setting: MeasurementSetting, n_sequences: int, det: DetectorParams, seed: int
 ) -> CountRecord:
     """Run the detection chain for n_sequences protocol repetitions."""
     projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
     probs = _outcome_distribution(require_two_qubit_density(rho, one=True), *projs, det)
-    return CountRecord(setting, *map(int, _draw(probs, n_sequences, seed, ())))
+    draw = make_stream(seed).multinomial(positive_count(n_sequences), probs)
+    return CountRecord(setting, *map(int, draw))
 
 
 #: Analyzer angle (degrees, modulo 180) that measures each basis label; the
@@ -248,13 +245,14 @@ _TOMOGRAPHY_A, _TOMOGRAPHY_B = (
 class TomographyDataset:
     """Nine-basis counts as read-only int64 arrays: ``counts`` (9, 4) holds the
     cells (uu, ud, du, dd) of each of the BASIS_PAIRS in order, ``discarded``
-    (9,) the discarded sequences of each."""
+    (9,) the discarded sequences of each; (P, 9, 4) and (P, 9) for P states."""
 
     counts: np.ndarray
     discarded: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, shape in (("counts", (9, 4)), ("discarded", (9,))):
+        points = np.shape(self.counts)[:-2][:1]
+        for name, shape in (("counts", (*points, 9, 4)), ("discarded", (*points, 9))):
             value = np.asarray(getattr(self, name))
             if value.shape != shape or value.dtype.kind not in "iu" or np.any(value < 0):
                 raise ValueError(f"{name} must be a {shape} array of integers >= 0")
@@ -264,8 +262,9 @@ class TomographyDataset:
 
     @property
     def records(self) -> tuple[tuple[str, str, CountRecord], ...]:
-        """One (label_a, label_b, CountRecord) row per basis pair, in BASIS_PAIRS order."""
-        rows = zip(BASIS_PAIRS, self.counts.tolist(), self.discarded.tolist())
+        """One (label_a, label_b, CountRecord) row per basis pair and state, in order."""
+        pairs = BASIS_PAIRS * (self.counts.size // 36)
+        rows = zip(pairs, self.counts.reshape(-1, 4).tolist(), self.discarded.ravel().tolist())
         return tuple(
             (a, b, CountRecord(MeasurementSetting(BASIS_ANGLES[a], BASIS_ANGLES[b]), *cells, n))
             for (a, b), cells, n in rows
@@ -273,16 +272,25 @@ class TomographyDataset:
 
 
 def simulate_tomography_dataset(
-    rho, n_per_basis: int, det: DetectorParams, seed: int
+    rho, n_per_basis: int, det: DetectorParams, seed
 ) -> TomographyDataset:
-    """Simulate the nine-basis tomography measurement set.
+    """Simulate the nine-basis tomography measurement set of one state with an
+    int seed, or of a (P, 4, 4) stack of states with a sequence of P seeds.
 
-    The state is validated once, and one kernel call gives the outcome
-    probabilities of all nine basis pairs.  Pair i then runs n_per_basis
-    sequences on its own random substream keyed by i, so the dataset is
-    independent of the order in which bases execute.
+    The states are validated once, and one kernel call gives the outcome
+    probabilities of every basis pair.  Pair i of a state then runs
+    n_per_basis sequences on the substream (seed, (i,)) of the state's seed,
+    so the dataset is independent of the order in which bases and states
+    execute, and point p of a stack is the dataset of state p alone.
     """
-    mat = require_two_qubit_density(rho, one=True)
-    probs = _outcome_distribution(mat, _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
-    draws = np.array([_draw(p, n_per_basis, seed, (i,)) for i, p in enumerate(probs)])
-    return TomographyDataset(counts=draws[:, :4], discarded=draws[:, 4])
+    one = isinstance(seed, (int, np.integer))
+    mat = require_two_qubit_density(rho, one=one)
+    seeds = [seed] if one else list(seed)
+    if not one and (mat.shape[:-2] != (len(seeds),) or not seeds):
+        raise DimensionError(f"expected a stack of {len(seeds)} states, got shape {mat.shape}")
+    probs = _outcome_distribution(mat[..., None, :, :], _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
+    row_seeds = [s for s in seeds for _ in BASIS_PAIRS]
+    keys = [(i,) for i in range(len(BASIS_PAIRS))] * len(seeds)
+    draws = keyed_multinomial(row_seeds, keys, n_per_basis, probs.reshape(-1, 5))
+    draws = draws.reshape(probs.shape)
+    return TomographyDataset(counts=draws[..., :4], discarded=draws[..., 4])

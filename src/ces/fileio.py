@@ -90,6 +90,8 @@ def read_counts_csv(path) -> list[CountRecord]:
 
 
 def write_tomography_csv(path, dataset: TomographyDataset) -> None:
+    if dataset.counts.ndim != 2:
+        raise DataError("a tomography CSV holds one dataset, not a stack of them")
     _write_csv(
         path,
         TOMOGRAPHY_COLUMNS,

@@ -221,19 +221,14 @@ def run_sweep(
 ) -> dict:
     """Tomography over a storage-time grid followed by the lifetime fit.
 
-    One ``mle_reconstruct_batch`` call fits every storage time.  ``converged``
+    One ``simulate_tomography_dataset`` call simulates every storage time
+    and one ``mle_reconstruct_batch`` call fits them.  ``converged``
     lists, per storage time, whether its reconstruction met the certificate.
     """
-    tables = [
-        simulate_tomography_dataset(
-            final_state(cfg.noise, dt_us),
-            cfg.n_sequences,
-            cfg.detector,
-            derive_seed(cfg.seed, 3000 + i),
-        ).counts
-        for i, dt_us in enumerate(dt_grid_us)
-    ]
-    fits = mle_reconstruct_batch(tables)
+    states = np.array([final_state(cfg.noise, dt_us).matrix for dt_us in dt_grid_us])
+    seeds = [derive_seed(cfg.seed, 3000 + i) for i in range(len(states))]
+    dataset = simulate_tomography_dataset(states, cfg.n_sequences, cfg.detector, seeds)
+    fits = mle_reconstruct_batch(dataset.counts)
     dts = np.array(dt_grid_us, dtype=float)
     values, _ = log_negativity(np.array([fit.rho.matrix for fit in fits]))
     life = fit_lifetime(dts, values, kind="N")

@@ -50,11 +50,11 @@ from .qcore import (
     require_valid_density,
     validate_density,
 )
-from .rng import make_stream
+from .rng import keyed_multinomial
 
 _PROB_FLOOR = 1e-12
-#: An MLE fit has converged when its certificate gap is at most GAP_TOL * N,
-#: N being its total count: a log-likelihood within that of the maximum.
+#: An MLE fit has converged when its certificate gap is at most min(GAP_TOL * N,
+#: 1), N being its total count: a log-likelihood within that of the maximum.
 GAP_TOL = 1e-8
 #: Cap on steps of every kind together per row of every MLE fit, the main
 #: fit and the bootstrap resample fits alike.
@@ -357,6 +357,11 @@ def _boundary_step(counts, rho, r_op):
     return new
 
 
+def gap_tolerance(total):
+    """min(GAP_TOL * N, 1): one huge cell cannot excuse a fit from the rest."""
+    return np.minimum(GAP_TOL * total, 1.0)
+
+
 def _fit(counts: np.ndarray, anchor=None):
     """Batched maximum-likelihood fit of every row of a (B, 36) count table.
 
@@ -398,10 +403,10 @@ def _fit(counts: np.ndarray, anchor=None):
     condition; no boundary step lowers the log-likelihood.  The
     log-likelihood is concave, so gap = lambda_max(R) - N bounds how far a
     row's log-likelihood is below the maximum; a row stops once
-    gap <= GAP_TOL * N, or after MAX_ITER steps.  Each pass computes R and
+    gap <= gap_tolerance(N), or after MAX_ITER steps.  Each pass computes R and
     the gap of the active rows first and drops the rows that certify, so
     steps are built only for rows that still take one.  Only rows where
-    (N + GAP_TOL * N) I - R is positive definite (``_positive_definite``)
+    (N + gap_tolerance(N)) I - R is positive definite (``_positive_definite``)
     can certify, so on a pass of at least _SCREEN_ROWS rows only they pay
     for ``eigvalsh``; the other rows' gap stays inf until they do, or until
     the last pass.  A row whose R is not finite (a probability reached zero
@@ -417,7 +422,7 @@ def _fit(counts: np.ndarray, anchor=None):
     # A cell empty in ``observed`` is empty in every resample, so no row
     # takes a Newton step; the Fisher information may then be singular.
     chord = _chord(observed, rho[0]) if anchor is not None and (observed > 0).all() else None
-    tol = GAP_TOL * counts.sum(axis=1)
+    tol = gap_tolerance(counts.sum(axis=1))
     iterations = np.zeros(len(counts), dtype=int)
     gap = np.empty(len(counts))
     active = np.arange(len(counts))
@@ -462,7 +467,7 @@ def mle_reconstruct_batch(tables) -> list[ReconstructionResult]:
     rows of one table that a single ``_fit`` call reconstructs, in at most
     MAX_ITER steps per row.  ``certificate_gap`` is the bound
     lambda_max(R) - N on the log-likelihood still missing, and
-    ``converged`` means it is at most GAP_TOL * N.
+    ``converged`` means it is at most ``gap_tolerance(N)``.
     """
     if not len(tables):
         raise DataError("no datasets to reconstruct")
@@ -470,7 +475,7 @@ def mle_reconstruct_batch(tables) -> list[ReconstructionResult]:
     rho, iterations, gap = _fit(counts)
     log_likelihood = _log_likelihood(counts, rho)
     min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
-    converged = gap <= GAP_TOL * counts.sum(axis=1)
+    converged = gap <= gap_tolerance(counts.sum(axis=1))
     return [
         ReconstructionResult(
             rho=DensityMatrix(rho[b]),
@@ -533,13 +538,12 @@ def bootstrap_errors(counts, estimate, n_resamples: int, seed: int) -> Bootstrap
     observed = _checked([counts])[0]
     cells = observed.reshape(9, 4)
     totals = np.rint(cells.sum(axis=1)).astype(np.int64)
-    draws = [
-        make_stream(seed, (i,)).multinomial(total, row / row.sum(), size=n_resamples)
-        for i, (total, row) in enumerate(zip(totals, cells))
-    ]
+    keys = [(i,) for i in range(len(cells))]
+    probs = [row / row.sum() for row in cells]
+    draws = keyed_multinomial([seed] * len(keys), keys, totals, probs, size=n_resamples)
     table = np.concatenate(draws, axis=1).astype(float)
     rho, _, gap = _fit(table, (observed, require_two_qubit_density(estimate, one=True)))
-    kept = rho[(gap <= GAP_TOL * table.sum(axis=1)) & validate_density(rho).passed]
+    kept = rho[(gap <= gap_tolerance(table.sum(axis=1))) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")
     figures = asdict(_report(kept))

@@ -855,6 +855,25 @@ class TestCliExitCodes:
         payload = json.loads((out / "reconstruction.json").read_text())
         assert payload["reconstruction"]["certificate_gap"] is None
 
+    def test_one_huge_cell_keeps_the_tolerance_at_one_unit(self, tmp_path):
+        # With HV/HV n_uu at 1e14, GAP_TOL * N is about 1e6 log-likelihood
+        # units, more than the other 35 cells hold.  The tolerance is capped
+        # at 1, so the fit and every bootstrap resample must certify to that.
+        from ces.detection import TomographyDataset
+        from ces.fileio import read_tomography_csv, write_tomography_csv
+
+        run, data, out = tmp_path / "run", tmp_path / "huge.csv", tmp_path / "o"
+        assert cli.main(["tomo", "--trials", "20000", "--out", str(run)]) == 0
+        recorded = read_tomography_csv(run / "tomography.csv")
+        counts = recorded.counts.copy()
+        counts[0, 0] = 10**14
+        write_tomography_csv(data, TomographyDataset(counts, recorded.discarded))
+        code = cli.main(["tomo", "--data", str(data), "--bootstrap", "100", "--out", str(out)])
+        payload = json.loads((out / "reconstruction.json").read_text())
+        assert code == 0
+        assert payload["reconstruction"]["converged"]
+        assert 0.0 <= payload["reconstruction"]["certificate_gap"] <= 1.0
+
 
 _SERIES_CSV = "dt_us,value,kind,sigma\n0.8,0.39,N,\n2.0,0.35,N,\n4.0,0.23,N,\n6.0,0.08,N,\n"
 

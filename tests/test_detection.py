@@ -6,6 +6,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from ces.detection import (
     LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
     TomographyDataset,
-    _draw,
+    _TOMOGRAPHY_A,
+    _TOMOGRAPHY_B,
     _outcome_distribution,
     analyzer_projectors,
     basis_projectors,
@@ -27,11 +29,17 @@ from ces.detection import (
     simulate_counts,
     simulate_tomography_dataset,
 )
+from ces.config import load_config
 from ces.errors import DataError, DimensionError, ValidationError
+from ces.protocol import final_state
 from ces.qcore import KET_D, KET_H, born_probabilities
+from ces.rng import derive_seed, make_stream
 from conftest import dephased_singlet, random_density, singlet_dm
 
 IDEAL = DetectorParams()
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+#: The sweep's default grid, with 0 in front.
+STORAGE_GRID_US = (0.0, 0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 def kron_outcome_distribution(rho, projs_a, projs_b, det):
@@ -242,7 +250,7 @@ class TestSimulateCounts:
             probs = _outcome_distribution(
                 rho, basis_projectors(label_a), basis_projectors(label_b), det
             )
-            return index, _draw(probs, n, seed, (index,))
+            return index, make_stream(seed, (index,)).multinomial(n, probs)
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             pooled = dict(pool.map(draw, plan))
@@ -391,6 +399,26 @@ class TestStackedKernel:
                 np.testing.assert_allclose(row, _outcome_distribution(rho, a, b, det),
                                            rtol=0, atol=1e-15)
 
+    def test_state_stack_is_bitwise_the_per_state_calls(self):
+        # Counts can move with the last bit of p, so a stack of states must
+        # give exactly each state's own call: the shipped configs' states
+        # over a storage-time grid from 0, and the random states, at the
+        # configs' detectors and DETECTOR_GRID.
+        configs = [load_config(path) for path in sorted(CONFIGS.glob("*.json"))]
+        grids = [
+            (np.array([final_state(cfg.noise, dt).matrix for dt in STORAGE_GRID_US]),
+             _TOMOGRAPHY_A, _TOMOGRAPHY_B)
+            for cfg in configs
+        ]
+        grids.append((np.array(self.states()), *self.settings()))
+        for det in [cfg.detector for cfg in configs] + DETECTOR_GRID:
+            for states, projs_a, projs_b in grids:
+                stacked = _outcome_distribution(states[:, None], projs_a, projs_b, det)
+                assert stacked.shape == (len(states), len(projs_a), 5)
+                for row, rho in zip(stacked, states):
+                    single = _outcome_distribution(rho, projs_a, projs_b, det)
+                    np.testing.assert_array_equal(row, single)
+
     def test_leading_axes_are_kept(self):
         projs_a, projs_b = self.settings()
         rho, det = self.states()[1], DETECTOR_GRID[-1]
@@ -497,6 +525,36 @@ class TestTomographyDatasetSimulation:
     def test_dataset_rejects_malformed_tables(self, counts, discarded):
         with pytest.raises(ValueError, match=r"must be a \(9,( 4)?\) array of integers >= 0"):
             TomographyDataset(counts=counts, discarded=discarded)
+
+    @pytest.mark.parametrize("points", [1, 6])
+    @pytest.mark.parametrize("seed", [0, 4242, 2**64 - 1])
+    def test_state_stack_is_the_per_point_datasets(self, points, seed):
+        cfg = load_config(CONFIGS / "sweep.json")
+        states = np.array([final_state(cfg.noise, dt).matrix for dt in STORAGE_GRID_US[:points]])
+        seeds = [derive_seed(seed, 3000 + i) for i in range(points)]
+        stacked = simulate_tomography_dataset(states, 50_000, cfg.detector, seeds)
+        assert stacked.counts.shape == (points, 9, 4) and stacked.discarded.shape == (points, 9)
+        singles = [simulate_tomography_dataset(rho, 50_000, cfg.detector, s)
+                   for rho, s in zip(states, seeds)]
+        np.testing.assert_array_equal(stacked.counts, [ds.counts for ds in singles])
+        np.testing.assert_array_equal(stacked.discarded, [ds.discarded for ds in singles])
+        # Every row of every point, point after point, as the tracer counts them.
+        assert stacked.records == tuple(row for ds in singles for row in ds.records)
+
+    def test_state_stack_needs_one_seed_per_state(self):
+        stack = np.array([singlet_dm(), singlet_dm()])
+        for rho, seeds in ((stack, [1]), (stack, [1, 2, 3]), (singlet_dm(), [1]),
+                           (stack[:0], []), (stack[None], [1, 2])):
+            with pytest.raises(DimensionError):
+                simulate_tomography_dataset(rho, 1000, IDEAL, seeds)
+
+    def test_csv_writer_takes_one_dataset(self, tmp_path):
+        from ces.fileio import write_tomography_csv
+
+        stacked = simulate_tomography_dataset(np.array([singlet_dm()] * 2), 100, IDEAL, [1, 2])
+        with pytest.raises(DataError, match="one dataset"):
+            write_tomography_csv(tmp_path / "t.csv", stacked)
+        assert not (tmp_path / "t.csv").exists()
 
     def test_dataset_copies_its_input(self):
         counts = np.ones((9, 4), dtype=np.int32)

@@ -24,7 +24,7 @@ from ces.measures import fidelity_singlet, log_negativity
 from ces.pipeline import run_sweep
 from ces.protocol import final_state
 from ces.qcore import born_probabilities, trace_distance, validate_density
-from ces.rng import derive_seed, make_stream
+from ces.rng import derive_seed, keyed_multinomial, make_stream
 from ces.tomography import (
     GAP_TOL,
     PROJECTORS,
@@ -853,12 +853,12 @@ class TestBootstrap:
             tables.append(counts)
             return real_fit(counts, anchor)
 
-        def counting_stream(*key):
-            streams.append(key)
-            return make_stream(*key)
+        def counting_draws(seeds, keys, *args, **kwargs):
+            streams.extend(zip(seeds, keys))
+            return keyed_multinomial(seeds, keys, *args, **kwargs)
 
         monkeypatch.setattr(tomography, "_fit", capturing_fit)
-        monkeypatch.setattr(tomography, "make_stream", counting_stream)
+        monkeypatch.setattr(tomography, "keyed_multinomial", counting_draws)
         for n_resamples in (100, 150):
             streams.clear()
             bootstrap_errors(counts, captured["anchor"][1], n_resamples, seed)
