@@ -3,7 +3,9 @@
 Runs ``simulate``, ``bell``, ``tomo`` (MLE, ``--method linear`` and
 ``--bootstrap 200``), ``sweep`` and ``rates`` on the packaged defaults and
 on each config in ``configs/``, all at one seed (4242 unless a seed is
-given as the only argument), in a temporary directory.
+given as the only argument), in a temporary directory.  ``print_digests``
+also takes a root directory; a second call with the same root reruns every
+mode into the run directories of the first.
 Then it runs the data modes on files those runs wrote: ``bell --data`` on
 the counts, ``tomo --data`` on the tomography CSV, ``measures --out`` on the
 reconstruction and ``fit --out`` on the sweep series.  It prints one
@@ -70,17 +72,21 @@ def _print_run(argv: list[str], out: Path, label: str) -> None:
             print(f"{digest}  {label}/{path.name}")
 
 
-def print_digests(seed: str = SEED) -> None:
+def print_digests(seed: str = SEED, root=None) -> None:
+    """Run every mode under ``root`` (a new temporary directory if None)."""
+    if root is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            print_digests(seed, tmp)
+        return
     configs = _configs()
-    with tempfile.TemporaryDirectory() as tmp:
-        for mode, mode_args in MODES.items():
-            for config, config_args in configs.items():
-                argv = [*mode_args, *config_args, "--seed", seed]
-                _print_run(argv, Path(tmp) / mode / config, f"{mode}/{config}")
-        for mode, (mode_args, data) in DATA_MODES.items():
-            for config in configs:
-                argv = [*mode_args, str(Path(tmp, data.format(config=config)))]
-                _print_run(argv, Path(tmp) / mode / config, f"{mode}/{config}")
+    for mode, mode_args in MODES.items():
+        for config, config_args in configs.items():
+            argv = [*mode_args, *config_args, "--seed", seed]
+            _print_run(argv, Path(root) / mode / config, f"{mode}/{config}")
+    for mode, (mode_args, data) in DATA_MODES.items():
+        for config in configs:
+            argv = [*mode_args, str(Path(root, data.format(config=config)))]
+            _print_run(argv, Path(root) / mode / config, f"{mode}/{config}")
 
 
 if __name__ == "__main__":

@@ -20,7 +20,6 @@ from pathlib import Path
 
 from .detection import DetectorParams, MeasurementSetting
 from .errors import ConfigError
-from .fileio import write_json
 from .protocol import EfficiencyParams, NoiseParams
 
 _MAX_SEED = 2**64 - 1
@@ -148,10 +147,6 @@ def load_config(path=None) -> ExperimentConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: ExperimentConfig, path) -> None:
-    write_json(path, cfg.to_dict())
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -8,12 +8,17 @@ Formats (all line-diffable, documented in the README):
 * series CSV: ``dt_us,value,kind,sigma`` with kind in {N, EN} and sigma
   optionally empty
 * density-matrix JSON: ``{"dim": d, "re": [...], "im": [...]}`` row-major
+
+Each writer builds its file in memory, replaces any file at ``path`` with
+it (``_replace``) and returns the bytes written.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,11 +38,27 @@ COUNT_COLUMNS = ["alpha_deg", "beta_deg", "n_uu", "n_ud", "n_du", "n_dd", "n_dis
 TOMOGRAPHY_COLUMNS = ["basis_a", "basis_b"] + COUNT_COLUMNS
 
 
-def _write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+def _replace(path, data: bytes) -> bytes:
+    """Unlink any file at ``path``, then create it holding ``data``.
+
+    A new file is cheaper than truncating a written one in place, and a
+    symlink at ``path`` is replaced rather than followed.
+    """
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    with open(path, "xb") as fh:
+        fh.write(data)
+    return data
+
+
+def _write_csv(path, header, rows) -> bytes:
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return _replace(path, text.getvalue().encode())
 
 
 def _count_row(rec: CountRecord) -> list:
@@ -81,18 +102,18 @@ def _read_rows(path, columns, parse, kind: str) -> list:
     return parsed
 
 
-def write_counts_csv(path, records) -> None:
-    _write_csv(path, COUNT_COLUMNS, [_count_row(rec) for rec in records])
+def write_counts_csv(path, records) -> bytes:
+    return _write_csv(path, COUNT_COLUMNS, [_count_row(rec) for rec in records])
 
 
 def read_counts_csv(path) -> list[CountRecord]:
     return _read_rows(path, COUNT_COLUMNS, _parse_count_row, "count")
 
 
-def write_tomography_csv(path, dataset: TomographyDataset) -> None:
+def write_tomography_csv(path, dataset: TomographyDataset) -> bytes:
     if dataset.counts.ndim != 2:
         raise DataError("a tomography CSV holds one dataset, not a stack of them")
-    _write_csv(
+    return _write_csv(
         path,
         TOMOGRAPHY_COLUMNS,
         [[basis_a, basis_b, *_count_row(rec)] for basis_a, basis_b, rec in dataset.records],
@@ -125,9 +146,9 @@ def read_tomography_csv(path) -> TomographyDataset:
     return TomographyDataset(counts=table[:, :4], discarded=table[:, 4])
 
 
-def write_series_csv(path, rows) -> None:
+def write_series_csv(path, rows) -> bytes:
     """rows: iterable of (dt_us, value, kind, sigma-or-None)."""
-    _write_csv(
+    return _write_csv(
         path,
         ["dt_us", "value", "kind", "sigma"],
         [
@@ -159,8 +180,8 @@ def read_series_csv(path):
     return np.array(dts), np.array(values), np.array(kinds, dtype=object), sigma
 
 
-def write_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def write_json(path, payload: dict) -> bytes:
+    return _replace(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_density_matrix_json(path) -> DensityMatrix:

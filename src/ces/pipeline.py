@@ -46,8 +46,12 @@ from .tomography import (
 DEFAULT_SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
+def _entry(label: str, data: bytes) -> dict:
+    return {"path": label, "sha256": sha256(data).hexdigest()}
+
+
 def _digest(label: str, path) -> dict:
-    return {"path": label, "sha256": sha256(Path(path).read_bytes()).hexdigest()}
+    return _entry(label, Path(path).read_bytes())
 
 
 def _check_manifest(out: Path, names) -> None:
@@ -72,26 +76,31 @@ def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict
     the paths of the data files the run read, recorded as absolute paths.
     ``cfg`` is None where no config was read; the manifest's ``config_hash``
     and ``seed`` are then null.  ``_check_manifest`` runs before anything is
-    created.  Returns the path of each output by file name.
+    created.  Each output is hashed from the bytes its writer returns.  An
+    ``OSError`` from making the directory or writing a file is raised as a
+    ``ConfigError`` naming the path.  Returns the path of each output by
+    file name.
     """
     out = Path(out_dir)
     paths = {name: out / name for name, _, _ in outputs}
     _check_manifest(out, paths)
     read = [_digest(str(Path(path).resolve()), path) for path in inputs]
-    out.mkdir(parents=True, exist_ok=True)
-    for name, writer, data in outputs:
-        writer(paths[name], data)
-    write_json(
-        out / "manifest.json",
-        {
-            "config_hash": None if cfg is None else config_hash(cfg),
-            "tool_version": __version__,
-            "seed": None if cfg is None else cfg.seed,
-            "created_utc": datetime.now(timezone.utc).isoformat(),
-            "outputs": [_digest(name, path) for name, path in sorted(paths.items())],
-            "inputs": read,
-        },
-    )
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        written = {name: writer(paths[name], data) for name, writer, data in outputs}
+        write_json(
+            out / "manifest.json",
+            {
+                "config_hash": None if cfg is None else config_hash(cfg),
+                "tool_version": __version__,
+                "seed": None if cfg is None else cfg.seed,
+                "created_utc": datetime.now(timezone.utc).isoformat(),
+                "outputs": [_entry(name, written[name]) for name in sorted(written)],
+                "inputs": read,
+            },
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write the run directory {out}: {exc}") from exc
     return {name: str(path) for name, path in paths.items()}
 
 

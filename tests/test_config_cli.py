@@ -16,13 +16,9 @@ import pytest
 
 import ces
 from ces import cli
-from ces.config import (
-    config_from_dict,
-    config_hash,
-    load_config,
-    save_config,
-)
+from ces.config import config_from_dict, config_hash, load_config
 from ces.errors import ConfigError
+from ces.fileio import write_json
 from ces.pipeline import run_bell, run_rates, run_tomo
 from ces.tomography import GAP_TOL
 
@@ -55,7 +51,7 @@ class TestLoadConfig:
     def test_round_trip_identity_on_canonical_form(self, tmp_path):
         cfg = config_from_dict({"noise": {"v0": 0.5}, "dt_us": 1.25, "seed": 99})
         path = tmp_path / "cfg.json"
-        save_config(cfg, path)
+        write_json(path, cfg.to_dict())
         again = load_config(path)
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
@@ -138,7 +134,7 @@ def recorded(tmp_path_factory):
     """A fast config, the outputs of a bell and a tomo run of it, and a
     series CSV: one data file for each data mode."""
     path = tmp_path_factory.mktemp("recorded")
-    save_config(_fast_cfg(n=5_000), path / "fast.json")
+    write_json(path / "fast.json", _fast_cfg(n=5_000).to_dict())
     run_bell(_fast_cfg(n=5_000), path / "bell")
     run_tomo(_fast_cfg(n=5_000), path / "tomo")
     (path / "series.csv").write_text(_SERIES_CSV)
@@ -250,6 +246,51 @@ class TestRunDirectory:
         assert entry["sha256"] == _sha256(tmp_path / "sim" / "counts.csv")
 
 
+def _writer_cases():
+    from ces.detection import (
+        CountRecord,
+        DetectorParams,
+        MeasurementSetting,
+        simulate_tomography_dataset,
+    )
+    from ces.fileio import write_counts_csv, write_series_csv, write_tomography_csv
+    from conftest import singlet_dm
+
+    dataset = simulate_tomography_dataset(singlet_dm(), 1_000, DetectorParams(), 79)
+    return {
+        "counts": (write_counts_csv, [CountRecord(MeasurementSetting(0.0, 22.5), 1, 2, 3, 4, 5)]),
+        "tomography": (write_tomography_csv, dataset),
+        "series": (write_series_csv, [(0.8, 0.4, "N", None), (2.0, 0.3, "EN", 0.01)]),
+        "json": (write_json, {"S": 2.5, "E_values": [{"n": 7}], "none": None}),
+    }
+
+
+class TestWriters:
+    @pytest.mark.parametrize("name", ["counts", "tomography", "series", "json"])
+    def test_writer_returns_the_bytes_on_disk(self, tmp_path, name):
+        # write_run hashes the returned bytes; a longer stale file must not
+        # leave a tail behind.
+        writer, data = _writer_cases()[name]
+        path = tmp_path / "out"
+        path.write_bytes(b"stale\n" * 1000)
+        written = writer(path, data)
+        assert isinstance(written, bytes) and written
+        assert path.read_bytes() == written
+        assert writer(path, data) == written
+
+    def test_symlinked_output_is_replaced_not_followed(self, tmp_path):
+        target = tmp_path / "elsewhere.json"
+        target.write_bytes(b"keep me\n")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "rates.json").symlink_to(target)
+        run_rates(_fast_cfg(), out)
+        assert target.read_bytes() == b"keep me\n"
+        assert not (out / "rates.json").is_symlink()
+        (entry,) = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert entry["sha256"] == _sha256(out / "rates.json")
+
+
 class TestCliExitCodes:
     def test_rates_ok(self, tmp_path, capsys):
         code = cli.main(["rates", "--out", str(tmp_path)])
@@ -271,6 +312,25 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "efficiency" in err and "eta_det" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("case", ["out_is_a_file", "output_is_a_directory", "under_a_file"])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, case):
+        # An --out that cannot be made, or an output name taken by a
+        # directory, is a usage error that names the path; nothing is removed.
+        blocker = tmp_path / "f"
+        blocker.write_text("x")
+        out = {
+            "out_is_a_file": blocker,
+            "output_is_a_directory": tmp_path / "d",
+            "under_a_file": blocker / "sub",
+        }[case]
+        if case == "output_is_a_directory":
+            (out / "rates.json").mkdir(parents=True)
+        assert cli.main(["rates", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out) in err and "Traceback" not in err
+        assert blocker.read_text() == "x"
+        assert not (out / "manifest.json").exists()
 
     def test_rates_read_detector_efficiency(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
-"""Every output of every CLI mode is the same bytes on a second run."""
+"""Every output of every CLI mode is the same bytes on a second run into the
+run directories of the first."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
 
 
-def test_every_cli_output_repeats_byte_for_byte(monkeypatch, capsys):
+def test_every_cli_output_repeats_byte_for_byte(monkeypatch, capsys, tmp_path):
     # scripts/output_digests.py, imported without writing bytecode next to it;
     # it puts src/ on sys.path, which the monkeypatch undoes.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -19,7 +20,7 @@ def test_every_cli_output_repeats_byte_for_byte(monkeypatch, capsys):
     spec.loader.exec_module(module)
     listings = []
     for _ in range(2):
-        module.print_digests()
+        module.print_digests(root=tmp_path)
         listings.append(capsys.readouterr().out.splitlines())
     first, second = listings
     assert first and len({line.split()[1] for line in first}) == len(first)
