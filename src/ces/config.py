@@ -95,18 +95,13 @@ def _parse_settings(raw) -> tuple[MeasurementSetting, ...]:
     return tuple(out)
 
 
-def _defaults_dict() -> dict:
-    with resources.files("ces").joinpath("defaults.json").open() as fh:
-        return json.load(fh)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected a JSON object")
     unknown = [k for k in data if k not in _TOP_KEYS]
     if unknown:
         raise ConfigError(f"unknown key {unknown[0]!r}")
-    defaults = _defaults_dict()
+    defaults = json.loads(resources.files("ces").joinpath("defaults.json").read_text())
 
     sections = {
         name: _parse_section(name, defaults.get(name, {}), data.get(name, {}))

@@ -69,6 +69,10 @@ from .rng import keyed_multinomial, make_stream, positive_count
 #: that removes the excess error accepts the first 40% of the pulse).
 LATE_BOUNDARY_QUANTILE = 0.4
 
+#: Largest count the analyses accept: they hold counts as floats, which are
+#: exact up to 2**53.
+MAX_COUNT = 2**53
+
 #: Tomography basis pairs, each measured at both analyzer ports.
 BASIS_LABELS = ("HV", "DA", "RL")
 
@@ -91,6 +95,11 @@ class MeasurementSetting:
         object.__setattr__(self, "beta_deg", float(self.beta_deg) % 180.0)
 
 
+def _check_unit_interval(name: str, value: float) -> None:
+    if not (0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+
+
 @dataclass(frozen=True)
 class DetectorParams:
     """Detection-chain parameters."""
@@ -102,9 +111,7 @@ class DetectorParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_det", "dark_rate", "late_emission_error"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be within [0, 1], got {value!r}")
+            _check_unit_interval(name, getattr(self, name))
         if not (0.0 < self.window_fraction <= 1.0):
             raise ValueError(
                 f"window_fraction must be within (0, 1], got {self.window_fraction!r}"

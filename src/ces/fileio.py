@@ -27,6 +27,7 @@ from .detection import (
     BASIS_ANGLES,
     BASIS_LABELS,
     BASIS_PAIRS,
+    MAX_COUNT,
     CountRecord,
     MeasurementSetting,
     TomographyDataset,
@@ -68,7 +69,7 @@ def _count_row(rec: CountRecord) -> list:
 
 def _parse_count_row(row: dict) -> CountRecord:
     cells = [int(row[column]) for column in COUNT_COLUMNS[2:]]
-    if max(cells) > 2**53:  # the analyses hold counts as floats, exact up to 2**53
+    if max(cells) > MAX_COUNT:
         raise ValueError(f"counts above 2**53 are not supported: {max(cells)}")
     setting = MeasurementSetting(float(row["alpha_deg"]), float(row["beta_deg"]))
     return CountRecord(setting, *cells)

@@ -50,10 +50,6 @@ def _entry(label: str, data: bytes) -> dict:
     return {"path": label, "sha256": sha256(data).hexdigest()}
 
 
-def _digest(label: str, path) -> dict:
-    return _entry(label, Path(path).read_bytes())
-
-
 def _check_manifest(out: Path, names) -> None:
     """ConfigError when ``out`` holds a manifest that does not parse or that
     lists an output other than ``names``, so another run's manifest stays."""
@@ -76,7 +72,9 @@ def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict
     the paths of the data files the run read, recorded as absolute paths.
     ``cfg`` is None where no config was read; the manifest's ``config_hash``
     and ``seed`` are then null.  ``_check_manifest`` runs before anything is
-    created.  Each output is hashed from the bytes its writer returns.  An
+    created.  The old manifest goes before any output is replaced, so a
+    write that fails leaves no manifest listing bytes that are no longer on
+    disk.  Each output is hashed from the bytes its writer returns.  An
     ``OSError`` from making the directory or writing a file is raised as a
     ``ConfigError`` naming the path.  Returns the path of each output by
     file name.
@@ -84,9 +82,10 @@ def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict
     out = Path(out_dir)
     paths = {name: out / name for name, _, _ in outputs}
     _check_manifest(out, paths)
-    read = [_digest(str(Path(path).resolve()), path) for path in inputs]
+    read = [_entry(str(Path(path).resolve()), Path(path).read_bytes()) for path in inputs]
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "manifest.json").unlink(missing_ok=True)
         written = {name: writer(paths[name], data) for name, writer, data in outputs}
         write_json(
             out / "manifest.json",
@@ -200,18 +199,8 @@ def run_tomo(
         dataset = read_tomography_csv(data)
 
     fit = mle_reconstruct(dataset.counts) if method == "mle" else linear_inversion(dataset.counts)
-    payload = {
-        "rho": fit.rho.to_json_dict(),
-        "reconstruction": {
-            "method": fit.method,
-            "log_likelihood": fit.log_likelihood,
-            "iterations": fit.iterations,
-            "converged": fit.converged,
-            "min_eigenvalue": fit.min_eigenvalue,
-            "psd_ok": fit.psd_ok,
-            "certificate_gap": fit.certificate_gap,
-        },
-    }
+    reconstruction = {**vars(fit), "psd_ok": fit.psd_ok}
+    payload = {"rho": reconstruction.pop("rho").to_json_dict(), "reconstruction": reconstruction}
     if fit.psd_ok:
         payload["metrics"] = asdict(report(fit.rho))
     if bootstrap:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectorParams
+from .detection import DetectorParams, _check_unit_interval
 from .qcore import (
     IDENTITY_4,
     KET_SM,
@@ -27,11 +27,6 @@ from .qcore import (
     tensor,
     two_qubit_matrix,
 )
-
-
-def _check_unit_interval(name: str, value: float) -> None:
-    if not (0.0 <= value <= 1.0):
-        raise ValueError(f"{name} must be within [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

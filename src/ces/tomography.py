@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import BASIS_PAIRS, basis_projectors, pair_projectors
+from .detection import BASIS_PAIRS, MAX_COUNT, basis_projectors, pair_projectors
 from .errors import DataError
 from .measures import _report
 from .qcore import (
@@ -122,14 +122,16 @@ _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 
 def _checked(tables) -> np.ndarray:
     """A stack of (9, 4) count tables as the float (B, 36) table of the
-    columns of PROJECTORS; DataError unless every cell is finite and >= 0
-    and every basis pair has coincidences."""
+    columns of PROJECTORS; DataError unless every cell is finite, >= 0 and
+    at most MAX_COUNT, and every basis pair has coincidences."""
     shapes = {np.shape(counts) for counts in tables}
     if shapes != {(9, 4)}:
         raise DataError(f"expected (9, 4) count tables, got shapes {sorted(shapes)}")
     table = np.array(tables, dtype=float)
     if not np.all(np.isfinite(table) & (table >= 0.0)):
         raise DataError("counts must be finite and >= 0")
+    if np.any(table > MAX_COUNT):
+        raise DataError(f"counts above 2**53 are not supported: {table.max():g}")
     empty = np.flatnonzero(np.any(table.sum(axis=2) <= 0.0, axis=0))
     if empty.size:
         raise DataError(f"basis pair {BASIS_PAIRS[empty[0]]} has zero coincidences")
@@ -155,6 +157,28 @@ def _linear_states(counts: np.ndarray) -> np.ndarray:
     return np.einsum("mb,mij->bij", c, PAULI_PRODUCTS) / 4.0
 
 
+def _results(counts, rho, steps=None, gaps=None) -> list[ReconstructionResult]:
+    """One ReconstructionResult per row of a (B, 36) table and its (B, 4, 4)
+    stack of states: linear-inversion results, or given the ``steps`` and
+    certificate ``gaps`` of a ``_fit``, maximum-likelihood ones."""
+    mle = gaps is not None
+    log_likelihood = _log_likelihood(counts, rho)
+    min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
+    converged = gaps <= gap_tolerance(counts.sum(axis=1)) if mle else np.ones(len(rho), bool)
+    return [
+        ReconstructionResult(
+            rho=DensityMatrix(rho[b]),
+            log_likelihood=float(log_likelihood[b]),
+            iterations=int(steps[b]) if mle else 0,
+            converged=bool(converged[b]),
+            method="mle" if mle else "linear",
+            min_eigenvalue=float(min_eigenvalue[b]),
+            certificate_gap=float(gaps[b]) if mle else None,
+        )
+        for b in range(len(rho))
+    ]
+
+
 def linear_inversion(counts) -> ReconstructionResult:
     """Direct least-squares solution of the tomography equations.
 
@@ -162,17 +186,8 @@ def linear_inversion(counts) -> ReconstructionResult:
     state to numerical precision; finite counts may give a non-positive
     matrix, reported via min_eigenvalue and psd_ok rather than corrected.
     """
-    counts = _checked([counts])[0]
-    mat = _linear_states(counts[None])[0]
-    return ReconstructionResult(
-        rho=DensityMatrix(mat),
-        log_likelihood=float(_log_likelihood(counts, mat)),
-        iterations=0,
-        converged=True,
-        method="linear",
-        min_eigenvalue=float(np.min(np.linalg.eigvalsh(mat))),
-        certificate_gap=None,
-    )
+    counts = _checked([counts])
+    return _results(counts, _linear_states(counts))[0]
 
 
 def project_psd(mat: np.ndarray) -> np.ndarray:
@@ -472,22 +487,7 @@ def mle_reconstruct_batch(tables) -> list[ReconstructionResult]:
     if not len(tables):
         raise DataError("no datasets to reconstruct")
     counts = _checked(tables)
-    rho, iterations, gap = _fit(counts)
-    log_likelihood = _log_likelihood(counts, rho)
-    min_eigenvalue = np.linalg.eigvalsh(rho)[:, 0]
-    converged = gap <= gap_tolerance(counts.sum(axis=1))
-    return [
-        ReconstructionResult(
-            rho=DensityMatrix(rho[b]),
-            log_likelihood=float(log_likelihood[b]),
-            iterations=int(iterations[b]),
-            converged=bool(converged[b]),
-            method="mle",
-            min_eigenvalue=float(min_eigenvalue[b]),
-            certificate_gap=float(gap[b]),
-        )
-        for b in range(len(counts))
-    ]
+    return _results(counts, *_fit(counts))
 
 
 def mle_reconstruct(counts) -> ReconstructionResult:

@@ -2,10 +2,27 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ces.qcore import SINGLET_KET
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def import_script(name: str, monkeypatch):
+    """``scripts/<name>.py`` as a module, imported without writing bytecode
+    next to it; the script puts src/ on sys.path, which the monkeypatch undoes."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

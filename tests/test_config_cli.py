@@ -236,6 +236,19 @@ class TestRunDirectory:
         assert "is not a run manifest" in err and "Traceback" not in err
         assert _tree(out) == {"manifest.json": text.encode()}
 
+    def test_failed_rerun_leaves_no_stale_manifest(self, tmp_path, capsys, monkeypatch):
+        # The rerun replaces counts.csv, then cannot write bell.json: the first
+        # run's manifest, whose hash of counts.csv no longer holds, must go.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["bell", "--trials", "20000", "--out", "pw"]) == 0
+        first = (tmp_path / "pw" / "counts.csv").read_bytes()
+        (tmp_path / "pw" / "bell.json").unlink()
+        (tmp_path / "pw" / "bell.json").mkdir()
+        assert cli.main(["bell", "--trials", "20000", "--seed", "5", "--out", "pw"]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert (tmp_path / "pw" / "counts.csv").read_bytes() != first
+        assert not (tmp_path / "pw" / "manifest.json").exists()
+
     def test_manifest_inputs_are_absolute(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         run_bell(_fast_cfg(), "sim")

@@ -1,18 +1,22 @@
-"""Mutants of the data files a run writes exit cleanly through the CLI.
+"""Mutants of the data files a run writes, and of a config, exit cleanly
+through the CLI.
 
 A ``--trials 20000`` run of ``bell``, ``tomo`` and ``sweep`` writes the
 counts, tomography and series CSVs and the reconstruction JSON.  Each
 mutant changes one field of one of them to one value class, drops one row,
 or keeps only the header, and goes through the data mode that reads it.
-Every case must exit 0, 2, 3 or 4 without an exception (so without a
-traceback), raise no warning under ``simplefilter("error")``, and a run
-that fails (2 or 3) must leave no run directory.
+Each config mutant sets one field of ``configs/sweep.json`` to one JSON
+value class and goes through ``rates`` and ``bell``.  Every case must exit
+0, 2, 3 or 4 without an exception (so without a traceback), raise no
+warning under ``simplefilter("error")``, and a run that fails (2 or 3)
+must leave no run directory.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +93,24 @@ def _state_mutants(text: str) -> dict[str, str]:
     return {name: json.dumps(value) for name, value in mutants.items()}
 
 
+def _unclean_exit(argv, out: Path, capsys) -> str | None:
+    """How ``ces <argv> --out <out>`` failed to exit cleanly, or None."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = cli.main([*argv, "--out", str(out)])
+        except Exception as exc:  # a warning turned error counts here too
+            return f"raised {exc!r}"
+    err = capsys.readouterr().err
+    if code not in (0, 2, 3, 4):
+        return f"exit {code}"
+    if code in (2, 3) and out.exists():
+        return f"exit {code} left {out.name}"
+    if "Traceback" in err or "Warning" in err:
+        return f"stderr {err!r}"
+    return None
+
+
 @pytest.mark.parametrize("kind", list(SOURCES))
 def test_every_mutant_exits_cleanly(written, tmp_path, capsys, kind):
     source, argv = SOURCES[kind]
@@ -96,21 +118,47 @@ def test_every_mutant_exits_cleanly(written, tmp_path, capsys, kind):
     mutants = _state_mutants(text) if kind == "state" else _csv_mutants(text)
     failures = []
     for i, (name, mutant) in enumerate(mutants.items()):
-        data, out = tmp_path / f"m{i}{(written / source).suffix}", tmp_path / f"o{i}"
+        data = tmp_path / f"m{i}{(written / source).suffix}"
         data.write_text(mutant)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            try:
-                code = cli.main([*argv, str(data), "--out", str(out)])
-            except Exception as exc:  # a warning turned error counts here too
-                failures.append(f"{name}: raised {exc!r}")
-                continue
-        err = capsys.readouterr().err
-        if code not in (0, 2, 3, 4):
-            failures.append(f"{name}: exit {code}")
-        elif code in (2, 3) and out.exists():
-            failures.append(f"{name}: exit {code} left {out.name}")
-        elif "Traceback" in err or "Warning" in err:
-            failures.append(f"{name}: stderr {err!r}")
+        failure = _unclean_exit([*argv, str(data)], tmp_path / f"o{i}", capsys)
+        if failure:
+            failures.append(f"{name}: {failure}")
     assert len(mutants) > 50
+    assert not failures, "\n".join(failures)
+
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "sweep.json"
+CONFIG_VALUES = [-1, 0, 1.5, 1e308, float("nan"), "0.5", True, None, []]
+
+
+def _config_mutants() -> dict[str, dict]:
+    """One mutant of ``configs/sweep.json`` at 2000 sequences per (field,
+    value class), the fields being its top-level numbers and section keys."""
+    base = {**json.loads(CONFIG.read_text()), "n_sequences": 2000}
+    fields = [
+        (name, key) for name, value in base.items()
+        for key in (value if isinstance(value, dict) else [None])
+    ]
+    assert len(fields) == 10
+    mutants = {}
+    for name, key in fields:
+        for value in CONFIG_VALUES:
+            mutant = json.loads(json.dumps(base))
+            if key is None:
+                mutant[name] = value
+            else:
+                mutant[name][key] = value
+            mutants[f"{name if key is None else f'{name}.{key}'}={value!r}"] = mutant
+    return mutants
+
+
+@pytest.mark.parametrize("mode", ["rates", "bell"])
+def test_every_config_mutant_exits_cleanly(tmp_path, capsys, mode):
+    failures = []
+    for i, (name, mutant) in enumerate(_config_mutants().items()):
+        config = tmp_path / f"c{i}.json"
+        config.write_text(json.dumps(mutant))
+        failure = _unclean_exit([mode, "--config", str(config)], tmp_path / f"o{i}", capsys)
+        if failure:
+            failures.append(f"{name}: {failure}")
     assert not failures, "\n".join(failures)

@@ -239,13 +239,29 @@ class TestTableCheck:
             (lambda t: np.where(t == t.max(), -1.0, t), "finite and >= 0"),
             (lambda t: np.where(np.arange(9)[:, None] == 7, 0.0, t),
              r"basis pair \('RL', 'DA'\) has zero coincidences"),
+            # Counts are held as floats, exact up to 2**53, the cap the counts
+            # CSV reader applies.  Above it the MLE certified with gaps of
+            # -1e17 (at 1e20) or raised LinAlgError (at 1e300).
+            (lambda t: np.where(t == t.max(), 2.0**53 + 2, t), r"counts above 2\*\*53"),
+            (lambda t: np.where(t == t.max(), 1e20, t), r"counts above 2\*\*53"),
+            (lambda t: np.where(t == t.max(), 1e300, t), r"counts above 2\*\*53"),
         ],
-        ids=["eight-pairs", "transposed", "nan", "inf", "negative", "zero-pair"],
+        ids=[
+            "eight-pairs", "transposed", "nan", "inf", "negative", "zero-pair",
+            "above-2**53", "1e20", "1e300",
+        ],
     )
     def test_every_estimator_checks_its_table(self, estimator, edit, message):
         table = edit(exact_table(dephased_singlet(0.8), total_per_basis=1000.0))
         with pytest.raises(DataError, match=message):
             estimator(table)
+
+    @pytest.mark.parametrize("estimator", ["linear", "mle", "batch"])
+    def test_a_count_of_2_53_is_accepted(self, estimator):
+        # The bootstrap is left out: at this count its resamples take seconds.
+        table = np.full((9, 4), 100.0)
+        table[0, 1] = 2**53
+        assert self.ESTIMATORS[estimator](table)
 
     def test_exact_table_is_the_born_table(self):
         rho = dephased_singlet(0.8)
