@@ -7,11 +7,11 @@ Exit codes: 0 success, 2 configuration error, 3 data/validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .config import ExperimentConfig, config_from_dict, load_config, storage_time
 from .errors import ConfigError, DataError, DimensionError, ValidationError
+from .fileio import json_text
 from .pipeline import (
     DEFAULT_SWEEP_GRID_US,
     run_bell,
@@ -126,13 +126,13 @@ def _cmd_tomo(args) -> int:
 
 
 def _cmd_measures(args) -> int:
-    print(json.dumps(run_measures(args.state, args.out), indent=2, sort_keys=True))
+    print(json_text(run_measures(args.state, args.out)), end="")
     return EXIT_OK
 
 
 def _cmd_fit(args) -> int:
     payload = run_fit(args.series, args.out)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload), end="")
     return EXIT_OK if payload["converged"] else EXIT_NO_CONVERGENCE
 
 

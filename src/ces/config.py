@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
-from .detection import DetectorParams, MeasurementSetting
+from .detection import MAX_COUNT, DetectorParams, MeasurementSetting
 from .errors import ConfigError
 from .protocol import EfficiencyParams, NoiseParams
 
@@ -114,8 +114,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     if isinstance(seed, bool) or not isinstance(seed, int) or not (0 <= seed <= _MAX_SEED):
         raise ConfigError(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
     n_sequences = data.get("n_sequences", defaults["n_sequences"])
-    if isinstance(n_sequences, bool) or not isinstance(n_sequences, int) or n_sequences <= 0:
-        raise ConfigError(f"n_sequences: expected a positive integer, got {n_sequences!r}")
+    if (
+        isinstance(n_sequences, bool)
+        or not isinstance(n_sequences, int)
+        or not 0 < n_sequences <= MAX_COUNT
+    ):
+        raise ConfigError(
+            f"n_sequences: expected a positive integer at most 2**53, got {n_sequences!r}"
+        )
 
     return ExperimentConfig(
         **sections,

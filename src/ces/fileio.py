@@ -181,8 +181,14 @@ def read_series_csv(path):
     return np.array(dts), np.array(values), np.array(kinds, dtype=object), sigma
 
 
+def json_text(payload: dict) -> str:
+    """``payload`` as indented JSON with sorted keys and a final newline.
+    ValueError on a NaN or infinite float, which standard JSON does not allow."""
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def write_json(path, payload: dict) -> bytes:
-    return _replace(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode())
+    return _replace(path, json_text(payload).encode())
 
 
 def read_density_matrix_json(path) -> DensityMatrix:

@@ -96,7 +96,7 @@ def log_negativity(rho) -> tuple[float, float]:
 
 
 def _log_negativity(mat: np.ndarray) -> tuple[float, float]:
-    eigs = np.linalg.eigvalsh(partial_transpose(mat, 1))
+    eigs = np.linalg.eigvalsh(partial_transpose(mat))
     negativity = -np.sum(np.minimum(eigs, 0.0), axis=-1)
     return unstack(negativity), unstack(_log2(2.0 * negativity + 1.0))
 

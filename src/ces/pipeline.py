@@ -9,6 +9,7 @@ timestamp is the only field excluded from that guarantee.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from datetime import datetime, timezone
 from hashlib import sha256
@@ -101,6 +102,11 @@ def write_run(out_dir, cfg: ExperimentConfig | None, outputs, inputs=()) -> dict
     except OSError as exc:
         raise ConfigError(f"cannot write the run directory {out}: {exc}") from exc
     return {name: str(path) for name, path in paths.items()}
+
+
+def _json_float(x):
+    """``x``, or None (JSON null) when it is None or not finite."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _simulated_counts(cfg: ExperimentConfig):
@@ -199,7 +205,8 @@ def run_tomo(
         dataset = read_tomography_csv(data)
 
     fit = mle_reconstruct(dataset.counts) if method == "mle" else linear_inversion(dataset.counts)
-    reconstruction = {**vars(fit), "psd_ok": fit.psd_ok}
+    gap = _json_float(fit.certificate_gap)
+    reconstruction = {**vars(fit), "psd_ok": fit.psd_ok, "certificate_gap": gap}
     payload = {"rho": reconstruction.pop("rho").to_json_dict(), "reconstruction": reconstruction}
     if fit.psd_ok:
         payload["metrics"] = asdict(report(fit.rho))
@@ -251,7 +258,7 @@ def lifetime_payload(life) -> dict:
     return {
         "n0": life.n0,
         "tau_e_us": life.tau_e_us,
-        "cov": [[float(x) for x in row] for row in life.covariance],
+        "cov": [[_json_float(float(x)) for x in row] for row in life.covariance],
         "residual_rms": life.residual_rms,
         "converged": life.converged,
     }

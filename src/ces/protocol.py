@@ -187,33 +187,3 @@ def rate_budget(eff: EfficiencyParams, det: DetectorParams) -> RateReport:
         pairs_detected_per_s=rep_per_s * p_pair,
         p_coincidence=p_pair * 0.5 * det.window_fraction,
     )
-
-
-def noise_for_fidelity_dephasing(
-    fidelity: float, tau_e_us: float = 5.7, dt_us: float = 0.0
-) -> NoiseParams:
-    """Pure-dephasing parameters reaching a target singlet fidelity.
-
-    Solves (1 + v(dt))/2 = fidelity for v0, back-extrapolating through the
-    Gaussian decay when dt_us > 0.
-    """
-    if not (0.5 <= fidelity <= 1.0):
-        raise ValueError(f"dephasing calibration needs fidelity in [0.5, 1], got {fidelity!r}")
-    # |dt/tau| is capped at 26, short of exp's overflow: v0 stays above 1 (2.2e-16
-    # * exp(26**2) > 1), which NoiseParams rejects, for any fidelity but 0.5's 0.
-    v0 = (2.0 * fidelity - 1.0) * math.exp(min(abs(dt_us / tau_e_us), 26.0) ** 2)
-    return NoiseParams(v0=v0, tau_e_us=tau_e_us, p_white=0.0, eta_pump=1.0)
-
-
-def noise_for_fidelity_werner(fidelity: float, tau_e_us: float = 5.7) -> NoiseParams:
-    """White-noise-only parameters reaching a target singlet fidelity.
-
-    The output state is a Werner state: p_white solves
-    (1 + 3(1 - p))/4 = fidelity at dt = 0.  Compared to pure dephasing at
-    the same fidelity, this calibration trades inferred CHSH maximum down
-    and fixed-angle CHSH up, which is what the measured state requires.
-    """
-    if not (0.25 <= fidelity <= 1.0):
-        raise ValueError(f"werner calibration needs fidelity in [0.25, 1], got {fidelity!r}")
-    p_white = 4.0 * (1.0 - fidelity) / 3.0
-    return NoiseParams(v0=1.0, tau_e_us=tau_e_us, p_white=p_white, eta_pump=1.0)

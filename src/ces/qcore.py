@@ -1,4 +1,4 @@
-"""Exact dense linear algebra on small Hilbert spaces (dim <= 8).
+"""Exact dense linear algebra on small Hilbert spaces.
 
 Every other module builds on the basis conventions fixed here:
 
@@ -172,38 +172,16 @@ def tensor(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
 
 
-def partial_transpose(rho, subsystem: int) -> np.ndarray:
-    """Transpose one tensor factor of a two-qubit operator or of a stack of them.
+def partial_transpose(rho) -> np.ndarray:
+    """Transpose the second qubit (photon 2) of a two-qubit operator or of a
+    stack of them.
 
     The result is Hermitian and trace-preserving but may be non-positive;
-    its negative eigenvalues feed the negativity.  Only dim-4 (qubit x qubit)
-    operators are supported.
+    its negative eigenvalues feed the negativity.
     """
     mat = two_qubit_matrix(rho)
-    if subsystem not in (0, 1):
-        raise DimensionError(f"subsystem must be 0 or 1, got {subsystem}")
     blocks = mat.reshape(*mat.shape[:-2], 2, 2, 2, 2)  # (row A, row B, col A, col B)
-    out = blocks.swapaxes(-4, -2) if subsystem == 0 else blocks.swapaxes(-3, -1)
-    return out.reshape(mat.shape)
-
-
-def partial_trace(rho, traced_subsystem: int, dims: tuple[int, int] = (2, 2)) -> DensityMatrix:
-    """Trace out one factor of a bipartite state.
-
-    ``dims`` gives the (dim A, dim B) factorization; two qubits by default.
-    """
-    mat = as_matrix(rho)
-    da, db = dims
-    if mat.shape != (da * db, da * db):
-        raise DimensionError(f"split {dims} does not factor shape {mat.shape}")
-    if traced_subsystem not in (0, 1):
-        raise DimensionError(f"traced_subsystem must be 0 or 1, got {traced_subsystem}")
-    blocks = mat.reshape(da, db, da, db)
-    if traced_subsystem == 0:
-        reduced = np.einsum("abad->bd", blocks)
-    else:
-        reduced = np.einsum("abcb->ac", blocks)
-    return DensityMatrix(reduced)
+    return blocks.swapaxes(-3, -1).reshape(mat.shape)
 
 
 @dataclass(frozen=True)

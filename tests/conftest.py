@@ -12,6 +12,7 @@ import pytest
 from ces.qcore import SINGLET_KET
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def import_script(name: str, monkeypatch):

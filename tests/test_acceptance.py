@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from ces.bell import analytic_chsh, chsh_from_counts, max_chsh_from_state
+from ces.config import load_config
 from ces.detection import (
     DetectorParams,
     MeasurementSetting,
@@ -32,29 +33,29 @@ from ces.protocol import (
     EfficiencyParams,
     NoiseParams,
     final_state,
-    noise_for_fidelity_dephasing,
-    noise_for_fidelity_werner,
     rate_budget,
 )
 from ces.qcore import trace_distance, validate_density
 from ces.rng import derive_seed
 from ces.tomography import exact_table, linear_inversion, mle_reconstruct
-from conftest import random_density, random_unitary
+from conftest import CONFIGS, random_density, random_unitary
 
 SEED = 271828
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
 QUAD_1 = (0.0, 45.0, 22.5, -22.5)
 QUAD_2 = (22.5, -22.5, 0.0, 45.0)
 
-# Measured-state calibration: fidelity target rules out pure dephasing for the
-# Bell figures (it would give direct S 2.274 and inferred S 2.566), so the
-# white-noise admixture carries the full imperfection at the operating point.
-CALIBRATED = noise_for_fidelity_werner(0.902)
+# Measured-state calibration (configs/calibrated.json): a Werner state of
+# singlet fidelity 0.902, p_white = 4(1 - 0.902)/3.  The fidelity target rules
+# out pure dephasing for the Bell figures (it would give direct S 2.274 and
+# inferred S 2.566), so the white-noise admixture carries the full
+# imperfection at the operating point.
+CALIBRATED = load_config(CONFIGS / "calibrated.json").noise
 
-# Window-study calibration: clean early-photon fidelity 0.932; the late 60%
-# of the pulse is depolarized just enough to drag the full-window average to
-# 0.902.
-WINDOW_NOISE = noise_for_fidelity_dephasing(0.932)
+# Window-study calibration (configs/window_study.json): clean early-photon
+# fidelity 0.932 from pure dephasing, v0 = 2(0.932) - 1; the late 60% of the
+# pulse is depolarized just enough to drag the full-window average to 0.902.
+WINDOW_NOISE = load_config(CONFIGS / "window_study.json").noise
 LATE_ERROR = 0.03 / (0.6 * (0.932 - 0.25))
 
 REALISTIC_DET = DetectorParams(eta_det=0.2)

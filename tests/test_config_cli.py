@@ -84,6 +84,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape("detector.window_fraction must be")):
             config_from_dict({"detector": {"window_fraction": 0.0}})
 
+    def test_n_sequences_up_to_2_53(self):
+        assert config_from_dict({"n_sequences": 2**53}).n_sequences == 2**53
+        with pytest.raises(ConfigError, match="n_sequences"):
+            config_from_dict({"n_sequences": 2**53 + 1})
+
+    @pytest.mark.parametrize("n", [0, -1, True, 1.5, float(2**53), "1000", None])
+    def test_n_sequences_must_be_a_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="n_sequences"):
+            config_from_dict({"n_sequences": n})
+
     def test_seed_validation(self):
         with pytest.raises(ConfigError, match="seed"):
             config_from_dict({"seed": -1})
@@ -291,6 +301,14 @@ class TestWriters:
         assert path.read_bytes() == written
         assert writer(path, data) == written
 
+    @pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_non_finite_and_keeps_the_old_file(self, tmp_path, x):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"keep me\n")
+        with pytest.raises(ValueError):
+            write_json(path, {"cov": [[x]]})
+        assert path.read_bytes() == b"keep me\n"
+
     def test_symlinked_output_is_replaced_not_followed(self, tmp_path):
         target = tmp_path / "elsewhere.json"
         target.write_bytes(b"keep me\n")
@@ -381,6 +399,26 @@ class TestCliExitCodes:
         code = cli.main(["simulate", "--out", str(tmp_path / "o"), *flags])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**20])
+    @pytest.mark.parametrize("via", ["trials", "config"])
+    def test_n_sequences_above_2_53_is_2(self, tmp_path, capsys, n, via):
+        # Every count a run writes must be readable again, and the CSV
+        # readers take counts up to 2**53.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_sequences": n}))
+        flags = ["--trials", str(n)] if via == "trials" else ["--config", str(cfg)]
+        out = tmp_path / "o"
+        assert cli.main(["bell", *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "n_sequences" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_counts_of_2_53_trials_read_back(self, tmp_path):
+        # The largest n_sequences accepted writes counts the CSV reader takes.
+        sim, out = tmp_path / "s", tmp_path / "b"
+        assert cli.main(["simulate", "--trials", str(2**53), "--out", str(sim)]) == 0
+        assert cli.main(["bell", "--data", str(sim / "counts.csv"), "--out", str(out)]) == 0
 
     def test_non_finite_dt_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -721,7 +759,40 @@ class TestCliExitCodes:
             assert cli.main(["tomo", "--data", str(data), "--out", str(out)]) == 4
         assert "Traceback" not in capsys.readouterr().err
         fit = json.loads((out / "reconstruction.json").read_text())["reconstruction"]
-        assert not fit["converged"] and fit["certificate_gap"] == float("inf")
+        assert not fit["converged"] and fit["certificate_gap"] is None
+
+    @pytest.mark.parametrize("command", ["fit", "tomo"])
+    def test_non_finite_figures_are_written_as_null(self, tmp_path, capsys, command):
+        # Standard JSON (RFC 8259) has no NaN or Infinity.  A series with no
+        # signal has no lifetime covariance; a count of 2**53 among 100s
+        # drives the tomography certificate gap to infinity.
+        from ces.detection import TomographyDataset
+        from ces.fileio import write_tomography_csv
+
+        def strict(text):
+            def refuse(constant):
+                raise ValueError(f"non-standard JSON constant {constant}")
+
+            return json.loads(text, parse_constant=refuse)
+
+        data, out = tmp_path / "data.csv", tmp_path / "o"
+        if command == "fit":
+            data.write_text("dt_us,value,kind,sigma\n0,0,N,\n1,0,N,\n2,0,N,\n")
+            argv = ["fit", str(data)]
+        else:
+            counts = np.full((9, 4), 100)
+            counts[0, 0] = 2**53
+            write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
+            argv = ["tomo", "--data", str(data)]
+        assert cli.main([*argv, "--out", str(out)]) == 4
+        stdout = capsys.readouterr().out
+        if command == "fit":
+            payload = strict((out / "lifetime_fit.json").read_text())
+            assert strict(stdout) == payload
+            assert payload["cov"] == [[None, None], [None, None]]
+        else:
+            payload = strict((out / "reconstruction.json").read_text())
+            assert payload["reconstruction"]["certificate_gap"] is None
 
     @pytest.mark.parametrize(
         ("command", "text"),
@@ -977,6 +1048,22 @@ def test_run_modes_load_no_scipy(statement, tmp_path):
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
     assert result.returncode == 0
+
+
+def test_package_import_loads_nothing_and_exports_only_its_version():
+    # Run modes and tests import the submodules they use; ``import ces``
+    # alone loads no ces submodule and no numpy, and names only __version__.
+    src = str(Path(ces.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, ces; "
+        "loaded = sorted(m for m in sys.modules if m.startswith('ces.') or m == 'numpy'); "
+        "public = sorted(a for a in vars(ces) if not a.startswith('_')); "
+        "sys.exit((loaded, public) if loaded or public or not ces.__version__ else None)"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_import_loads_no_third_party_module_but_numpy():

@@ -6,7 +6,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,10 +33,9 @@ from ces.errors import DataError, DimensionError, ValidationError
 from ces.protocol import final_state
 from ces.qcore import KET_D, KET_H, born_probabilities
 from ces.rng import derive_seed, make_stream
-from conftest import dephased_singlet, random_density, singlet_dm
+from conftest import CONFIGS, dephased_singlet, random_density, singlet_dm
 
 IDEAL = DetectorParams()
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 #: The sweep's default grid, with 0 in front.
 STORAGE_GRID_US = (0.0, 0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
@@ -200,9 +198,8 @@ class TestSimulateCounts:
     def test_chsh_close_to_analytic(self):
         # ~1e4 coincidences per setting must land within 0.05 of analytic S.
         from ces.bell import analytic_chsh, chsh_from_counts
-        from ces.protocol import final_state, noise_for_fidelity_werner
 
-        rho = final_state(noise_for_fidelity_werner(0.902), 0.0)
+        rho = final_state(load_config(CONFIGS / "calibrated.json").noise, 0.0)
         quad = (0.0, 45.0, 22.5, -22.5)
         settings = [(0.0, 22.5), (0.0, -22.5), (45.0, 22.5), (45.0, -22.5)]
         records = [

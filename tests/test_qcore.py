@@ -21,11 +21,9 @@ from ces.qcore import (
     KET_SP,
     KET_V,
     PAULIS,
-    SINGLET_KET,
     DensityMatrix,
     born_probabilities,
     correlation_matrix,
-    partial_trace,
     partial_transpose,
     require_two_qubit_density,
     require_valid_density,
@@ -99,66 +97,33 @@ class TestTensor:
 class TestPartialTranspose:
     def test_product_state_stays_psd(self, rng):
         rho = tensor(random_density(rng, 2), random_density(rng, 2))
-        pt = partial_transpose(rho, 1)
+        pt = partial_transpose(rho)
         assert np.min(np.linalg.eigvalsh(pt)) > -1e-12
 
     def test_singlet_minimum_eigenvalue(self):
         # Analytic eigensolve of the partially transposed singlet.
-        for subsystem in (0, 1):
-            pt = partial_transpose(singlet_dm(), subsystem)
-            eigs = np.sort(np.linalg.eigvalsh(pt))
-            np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+        eigs = np.sort(np.linalg.eigvalsh(partial_transpose(singlet_dm())))
+        np.testing.assert_allclose(eigs, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
+
+    def test_transposes_photon_two(self, rng):
+        # A (x) B -> A (x) B^T: the second factor, not the first, is transposed.
+        a, b = random_density(rng, 2), random_density(rng, 2)
+        np.testing.assert_allclose(partial_transpose(tensor(a, b)), tensor(a, b.T), atol=1e-15)
 
     def test_involution(self, rng):
         rho = random_density(rng, 4)
-        np.testing.assert_allclose(partial_transpose(partial_transpose(rho, 0), 0), rho, atol=0)
+        np.testing.assert_allclose(partial_transpose(partial_transpose(rho)), rho, atol=0)
 
     def test_preserves_trace_and_hermiticity(self, rng):
         for _ in range(20):
             rho = random_density(rng, 4)
-            pt = partial_transpose(rho, 1)
+            pt = partial_transpose(rho)
             assert abs(np.trace(pt) - np.trace(rho)) <= 1e-12
             assert np.max(np.abs(pt - pt.conj().T)) <= 1e-12
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            partial_transpose(np.eye(8) / 8.0, 0)
-
-
-class TestPartialTrace:
-    def test_atom_trace_leaves_photon_singlet(self):
-        # Tracing the bystander atom out of |1,0> x |Psi-> leaves the singlet.
-        atom = np.array([1.0, 0.0])
-        tri = np.outer(np.kron(atom, SINGLET_KET), np.kron(atom, SINGLET_KET).conj())
-        reduced = partial_trace(tri, 0, dims=(2, 4))
-        np.testing.assert_allclose(reduced.matrix, singlet_dm(), atol=1e-12)
-
-    def test_singlet_marginals_maximally_mixed(self):
-        for traced in (0, 1):
-            reduced = partial_trace(singlet_dm(), traced)
-            np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_product_state(self, rng):
-        rho_a = random_density(rng, 2)
-        rho_b = random_density(rng, 2)
-        reduced = partial_trace(tensor(rho_a, rho_b), 1)
-        np.testing.assert_allclose(reduced.matrix, rho_a, atol=1e-12)
-
-    def test_round_trip_property(self, rng):
-        for _ in range(10):
-            rho_a = random_density(rng, 2)
-            rho_b = random_density(rng, 2)
-            reduced = partial_trace(tensor(rho_a, rho_b), 1)
-            assert np.max(np.abs(reduced.matrix - rho_a)) <= 1e-12
-
-    def test_outputs_are_valid_densities(self, rng):
-        for _ in range(10):
-            reduced = partial_trace(random_density(rng, 4), 0)
-            assert validate_density(reduced).passed
-
-    def test_bad_dims(self):
-        with pytest.raises(DimensionError):
-            partial_trace(np.eye(6) / 6.0, 0)
+            partial_transpose(np.eye(8) / 8.0)
 
 
 class TestValidateDensity:
@@ -312,10 +277,7 @@ class TestStacks:
     def test_stack_functions_match_per_matrix(self, rng):
         stack = np.array([random_density(rng, 4) for _ in range(5)])
         for i, rho in enumerate(stack):
-            for subsystem in (0, 1):
-                np.testing.assert_array_equal(
-                    partial_transpose(stack, subsystem)[i], partial_transpose(rho, subsystem)
-                )
+            np.testing.assert_array_equal(partial_transpose(stack)[i], partial_transpose(rho))
             np.testing.assert_allclose(
                 correlation_matrix(stack)[i], correlation_matrix(rho), rtol=0, atol=1e-15
             )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,10 +35,16 @@ from ces.tomography import (
     mle_reconstruct_batch,
     project_psd,
 )
-from conftest import dephased_singlet, random_density, random_unitary, singlet_dm, werner
+from conftest import (
+    CONFIGS,
+    dephased_singlet,
+    random_density,
+    random_unitary,
+    singlet_dm,
+    werner,
+)
 
 IDEAL = DetectorParams()
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 SWEEP_GRID_US = (0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
