@@ -1,10 +1,10 @@
 """Correlation values E(alpha, beta) and the CHSH combination S.
 
 Correlations come either from coincidence counts (with multinomial standard
-errors, settings treated as independent) or exactly from a density matrix.
-The state-optimal CHSH value and a setting quad that attains it are both in
-closed form: S_max = 2 sqrt(u1 + u2), with u1 >= u2 the two largest
-eigenvalues of T^T T and T the two-qubit correlation matrix, reached by
+errors, settings treated as independent) or exactly from the two-qubit
+correlation matrix T of a density matrix.  The state-optimal CHSH value and
+a setting quad that attains it are both in closed form: S_max = 2 sqrt(u1 +
+u2), with u1 >= u2 the two largest eigenvalues of T^T T, reached by
 orthogonal first-arm directions in the principal correlation plane.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import CountRecord, MeasurementSetting, outcome_probabilities
+from .detection import CountRecord, MeasurementSetting
 from .errors import ConfigError, DataError, ValidationError
 from .qcore import correlation_matrix, require_two_qubit_density, unstack
 
@@ -105,15 +105,17 @@ def chsh_from_counts(records, settings: tuple[float, float, float, float]) -> Be
     return _chsh(settings, correlation)
 
 
-def analytic_correlation(rho, setting: MeasurementSetting) -> float:
-    """Exact E(alpha, beta) from the Born-rule port probabilities."""
-    p_uu, p_ud, p_du, p_dd = outcome_probabilities(rho, setting)
-    return p_dd + p_uu - p_ud - p_du
-
-
 def analytic_chsh(rho, settings: tuple[float, float, float, float]) -> BellResult:
-    """Exact CHSH S of a state at a fixed analyzer-angle quad."""
-    return _chsh(settings, lambda a, b: (analytic_correlation(rho, MeasurementSetting(a, b)), 0.0))
+    """Exact CHSH S of a state at a fixed analyzer-angle quad: E(alpha, beta)
+    = a(alpha)^T T a(beta), with a(theta) = (sin 2 theta, 0, cos 2 theta) the
+    analyzer's Bloch axis in the D/A, R/L, H/V frame of ``correlation_matrix``."""
+    t = correlation_matrix(require_two_qubit_density(rho, one=True))
+
+    def axis(theta_deg: float) -> np.ndarray:
+        theta = math.radians(2.0 * theta_deg)
+        return np.array([math.sin(theta), 0.0, math.cos(theta)])
+
+    return _chsh(settings, lambda a, b: (float(axis(a) @ t @ axis(b)), 0.0))
 
 
 def _principal_values(mat: np.ndarray) -> np.ndarray:
@@ -121,13 +123,9 @@ def _principal_values(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(correlation_matrix(mat), compute_uv=False)
 
 
-def s_max(rho) -> float:
+def _s_max(mat: np.ndarray) -> float:
     """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one state or a stack
     (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson bound."""
-    return _s_max(require_two_qubit_density(rho))
-
-
-def _s_max(mat: np.ndarray) -> float:
     s = _principal_values(mat)
     value = 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
     return unstack(np.minimum(value, TSIRELSON_BOUND + 1e-12))
@@ -136,7 +134,7 @@ def _s_max(mat: np.ndarray) -> float:
 def max_chsh_from_state(rho) -> BellResult:
     """State-optimal CHSH value and a setting quad that attains it.
 
-    The value is :func:`s_max`.  With s1 >= s2 the two largest singular
+    The value is ``_s_max``.  With s1 >= s2 the two largest singular
     values of T, write v(t) = (s1 cos t, s2 sin t) for a first-arm direction
     at plane angle t.  The first arm takes t = 0 and pi/2, and the second
     arm lies along v(pi/2) + v(0) = (s1, s2) and v(pi/2) - v(0) = (-s1, s2),

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -36,7 +36,10 @@ class ExperimentConfig:
     n_sequences: int
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        """The ``asdict`` form, built from the fields without its deep copy."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name in _SECTIONS:
+            out[name] = {f.name: getattr(out[name], f.name) for f in fields(out[name])}
         out["settings"] = [[s.alpha_deg, s.beta_deg] for s in self.settings]
         return out
 

@@ -58,7 +58,6 @@ from .qcore import (
     KET_H,
     KET_R,
     KET_V,
-    born_probabilities,
     require_two_qubit_density,
     tensor,
 )
@@ -169,18 +168,6 @@ def _ports(ket) -> tuple[np.ndarray, np.ndarray]:
     """(|k><k|, I - |k><k|): the up port onto ``ket`` and its complement."""
     p_up = np.outer(ket, ket.conj())
     return p_up, IDENTITY_2 - p_up
-
-
-def outcome_probabilities(rho, setting: MeasurementSetting) -> tuple[float, float, float, float]:
-    """Exact joint port probabilities (p_uu, p_ud, p_du, p_dd).
-
-    p_ij = tr(rho (P_i(alpha) x P_j(beta))) with photon 1 analyzed at alpha
-    and photon 2 at beta.
-    """
-    projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    mat = require_two_qubit_density(rho, one=True)
-    table = np.clip(born_probabilities(pair_projectors(*projs), mat), 0.0, None)
-    return tuple(float(x) for x in table / table.sum())
 
 
 def pair_projectors(projs_1, projs_2) -> np.ndarray:

@@ -32,10 +32,6 @@ class LifetimeFit:
     residual_rms: float
     converged: bool
 
-    def model(self, dt_us) -> np.ndarray:
-        dt = np.asarray(dt_us, dtype=float)
-        return self.n0 * np.exp(-((dt / self.tau_e_us) ** 2))
-
 
 def _to_negativity(values: np.ndarray, kind) -> np.ndarray:
     kinds = np.broadcast_to(np.asarray(kind, dtype=object), values.shape)

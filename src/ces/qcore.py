@@ -95,12 +95,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
     @classmethod
     def from_ket(cls, ket) -> "DensityMatrix":
         """Outer product |psi><psi| of the normalized ket."""
@@ -142,9 +136,6 @@ class DensityMatrix:
                 f"got re={re.size}, im={im.size}"
             )
         return cls((re + 1j * im).reshape(dim, dim))
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim}, trace={self.trace().real:.6f})"
 
 
 def as_matrix(rho) -> np.ndarray:
@@ -265,13 +256,6 @@ def require_two_qubit_density(rho, one: bool = False) -> np.ndarray:
     """``require_valid_density`` after ``two_qubit_matrix(rho, one)``."""
     two_qubit_matrix(rho, one)
     return require_valid_density(rho)
-
-
-def trace_distance(a, b) -> float:
-    """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices (or stacks)."""
-    diff = as_matrix(a) - as_matrix(b)
-    eigs = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff.conj(), -1, -2)))
-    return unstack(0.5 * np.sum(np.abs(eigs), axis=-1))
 
 
 def correlation_matrix(rho) -> np.ndarray:

@@ -47,7 +47,6 @@ from .qcore import (
     born_probabilities,
     flatten_real,
     require_two_qubit_density,
-    require_valid_density,
     validate_density,
 )
 from .rng import keyed_multinomial
@@ -61,6 +60,8 @@ GAP_TOL = 1e-8
 MAX_ITER = 10_000
 #: Fewest resamples a bootstrap accepts.
 MIN_RESAMPLES = 100
+#: Largest ratio of two basis-pair totals of one table that an estimator accepts.
+MAX_PAIR_RATIO = 2**20
 #: A cut Newton step stops at this fraction of its way to the PSD boundary.
 _TO_BOUNDARY = 0.99
 #: A factor step is kept at the longest of these lengths that realizes this
@@ -123,7 +124,8 @@ _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 def _checked(tables) -> np.ndarray:
     """A stack of (9, 4) count tables as the float (B, 36) table of the
     columns of PROJECTORS; DataError unless every cell is finite, >= 0 and
-    at most MAX_COUNT, and every basis pair has coincidences."""
+    at most MAX_COUNT, every basis pair has coincidences, and no pair total
+    of a table exceeds MAX_PAIR_RATIO times another."""
     shapes = {np.shape(counts) for counts in tables}
     if shapes != {(9, 4)}:
         raise DataError(f"expected (9, 4) count tables, got shapes {sorted(shapes)}")
@@ -132,9 +134,12 @@ def _checked(tables) -> np.ndarray:
         raise DataError("counts must be finite and >= 0")
     if np.any(table > MAX_COUNT):
         raise DataError(f"counts above 2**53 are not supported: {table.max():g}")
-    empty = np.flatnonzero(np.any(table.sum(axis=2) <= 0.0, axis=0))
+    totals = table.sum(axis=2)
+    empty = np.flatnonzero(np.any(totals <= 0.0, axis=0))
     if empty.size:
         raise DataError(f"basis pair {BASIS_PAIRS[empty[0]]} has zero coincidences")
+    if np.any(totals.max(axis=1) > MAX_PAIR_RATIO * totals.min(axis=1)):
+        raise DataError("basis-pair totals of a table differ by more than a factor 2**20")
     return table.reshape(-1, 36)
 
 
@@ -493,13 +498,6 @@ def mle_reconstruct_batch(tables) -> list[ReconstructionResult]:
 def mle_reconstruct(counts) -> ReconstructionResult:
     """The one-table case of ``mle_reconstruct_batch``."""
     return mle_reconstruct_batch([counts])[0]
-
-
-def exact_table(rho, total_per_basis: float = 1.0) -> np.ndarray:
-    """The float (9, 4) count table of exact Born probabilities times a scale:
-    the noiseless oracle input for estimator round-trip checks."""
-    probs = born_probabilities(PROJECTORS, require_valid_density(rho))
-    return np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
 
 
 @dataclass(frozen=True)

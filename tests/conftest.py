@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ces.qcore import SINGLET_KET
+from ces.qcore import SINGLET_KET, as_matrix, born_probabilities, require_valid_density, unstack
+from ces.tomography import PROJECTORS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -64,6 +65,20 @@ def dephased_singlet(v: float) -> np.ndarray:
 
 def werner(p: float) -> np.ndarray:
     return p * singlet_dm() + (1.0 - p) * np.eye(4) / 4.0
+
+
+def trace_distance(a, b) -> float:
+    """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices (or stacks)."""
+    diff = as_matrix(a) - as_matrix(b)
+    eigs = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff.conj(), -1, -2)))
+    return unstack(0.5 * np.sum(np.abs(eigs), axis=-1))
+
+
+def exact_table(rho, total_per_basis: float = 1.0) -> np.ndarray:
+    """The float (9, 4) count table of exact Born probabilities times a scale:
+    the noiseless oracle input for estimator round-trip checks."""
+    probs = born_probabilities(PROJECTORS, require_valid_density(rho))
+    return np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
 
 
 @pytest.fixture

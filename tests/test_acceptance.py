@@ -35,10 +35,10 @@ from ces.protocol import (
     final_state,
     rate_budget,
 )
-from ces.qcore import trace_distance, validate_density
+from ces.qcore import validate_density
 from ces.rng import derive_seed
-from ces.tomography import exact_table, linear_inversion, mle_reconstruct
-from conftest import CONFIGS, random_density, random_unitary
+from ces.tomography import linear_inversion, mle_reconstruct
+from conftest import CONFIGS, exact_table, random_density, random_unitary, trace_distance
 
 SEED = 271828
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)

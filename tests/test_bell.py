@@ -11,7 +11,6 @@ from ces.bell import (
     TSIRELSON_BOUND,
     BellResult,
     analytic_chsh,
-    analytic_correlation,
     chsh_from_counts,
     correlation_from_counts,
     max_chsh_from_state,
@@ -115,39 +114,27 @@ class TestChshFromCounts:
         assert result.std_err == pytest.approx(2.0 / math.sqrt(1000.0), abs=1e-12)
 
 
-class TestAnalyticCorrelation:
-    def test_singlet_cosine_rule(self, rng):
-        for _ in range(20):
-            a = rng.uniform(0, 180)
-            b = rng.uniform(0, 180)
-            e = analytic_correlation(singlet_dm(), MeasurementSetting(a, b))
-            assert e == pytest.approx(-math.cos(math.radians(2 * (a - b))), abs=1e-12)
+class TestAnalyticChsh:
+    def test_matches_projector_observables(self, rng):
+        # Independent oracle: each E is the trace of rho with the +-1-valued
+        # observable (P_up - P_down) x (Q_up - Q_down) of the analyzer projectors.
+        def correlation(rho, a, b):
+            (pa_up, pa_down), (pb_up, pb_down) = analyzer_projectors(a), analyzer_projectors(b)
+            return float(np.real(np.trace(rho @ tensor(pa_up - pa_down, pb_up - pb_down))))
 
-    def test_maximally_mixed_is_zero(self):
-        assert analytic_correlation(np.eye(4) / 4.0, MeasurementSetting(13.0, 77.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_dephased_singlet_matches_projector_brute_force(self):
-        # Independent oracle: assemble the +-1-valued observable from the
-        # analyzer projectors directly and take the trace.
-        rho = dephased_singlet(0.62)
-        for a, b in ((0.0, 22.5), (10.0, 40.0), (75.0, 130.0)):
-            pa_up, pa_down = analyzer_projectors(a)
-            pb_up, pb_down = analyzer_projectors(b)
-            observable = tensor(pa_up - pa_down, pb_up - pb_down)
-            expected = float(np.real(np.trace(rho @ observable)))
-            assert analytic_correlation(rho, MeasurementSetting(a, b)) == pytest.approx(
-                expected, abs=1e-12
+        for _ in range(50):
+            rho = random_density(rng, 4)
+            quad = alpha, alpha_p, beta, beta_p = tuple(rng.uniform(0, 180, size=4))
+            e = {(a, b): correlation(rho, a, b) for a in (alpha, alpha_p) for b in (beta, beta_p)}
+            expected = abs(e[alpha_p, beta_p] - e[alpha, beta_p]) + abs(
+                e[alpha_p, beta] + e[alpha, beta]
             )
+            assert analytic_chsh(rho, quad).s_value == pytest.approx(expected, abs=1e-12)
 
-    def test_counts_converge_to_analytic(self):
-        # 1e6 sequences: empirical E within 5 sigma of the exact value.
-        rho = dephased_singlet(0.8)
-        setting = MeasurementSetting(20.0, 50.0)
-        rec = simulate_counts(rho, setting, 1_000_000, DetectorParams(), seed=4242)
-        est = correlation_from_counts(rec)
-        assert abs(est.value - analytic_correlation(rho, setting)) <= 5.0 * est.std_err
+    def test_singlet_and_maximally_mixed_at_the_standard_quad(self):
+        s_singlet = analytic_chsh(singlet_dm(), QUAD).s_value
+        assert s_singlet == pytest.approx(TSIRELSON_BOUND, abs=1e-12)
+        assert analytic_chsh(np.eye(4) / 4.0, QUAD).s_value == pytest.approx(0.0, abs=1e-12)
 
 
 class TestMaxChsh:
@@ -218,15 +205,6 @@ class TestMaxChsh:
         for v in (0.3, 0.804, 1.0):
             result = max_chsh_from_state(dephased_singlet(v))
             assert result.s_value == pytest.approx(2.0 * math.sqrt(1.0 + v * v), abs=1e-9)
-
-    def test_port_relabel_flips_correlation_sign(self):
-        rho = dephased_singlet(0.77)
-        setting = MeasurementSetting(33.0, 110.0)
-        e = analytic_correlation(rho, setting)
-        # Relabeling up<->down on one arm swaps the analyzer ports, i.e.
-        # rotating that analyzer by 90 degrees.
-        flipped = analytic_correlation(rho, MeasurementSetting(33.0 + 90.0, 110.0))
-        assert flipped == pytest.approx(-e, abs=1e-12)
 
     def test_port_relabel_exact_on_counts(self):
         rec = _record(MeasurementSetting(10, 40), 321, 87, 55, 410)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -21,6 +23,7 @@ from ces.errors import ConfigError
 from ces.fileio import write_json
 from ces.pipeline import run_bell, run_rates, run_tomo
 from ces.tomography import GAP_TOL
+from conftest import CONFIGS
 
 
 class TestLoadConfig:
@@ -55,6 +58,22 @@ class TestLoadConfig:
         again = load_config(path)
         assert again == cfg
         assert config_hash(again) == config_hash(cfg)
+
+    @pytest.mark.parametrize("path", [None, *sorted(CONFIGS.glob("*.json"))])
+    def test_to_dict_is_the_asdict_form(self, path):
+        cfgs = [load_config(path)]
+        if path is None:
+            cfgs.append(config_from_dict({
+                "noise": {"v0": 0.5}, "detector": {"dark_rate": 0.01}, "dt_us": 3.5,
+                "settings": [[10, 20], [30.5, 200]], "seed": 2**64 - 1, "n_sequences": 123,
+            }))
+        for cfg in cfgs:
+            expected = dataclasses.asdict(cfg)
+            expected["settings"] = [[s.alpha_deg, s.beta_deg] for s in cfg.settings]
+            assert cfg.to_dict() == expected
+            assert list(cfg.to_dict()) == list(expected)
+            text = json.dumps(expected, sort_keys=True, separators=(",", ":"))
+            assert config_hash(cfg) == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def test_missing_file(self):
         with pytest.raises(ConfigError):
@@ -511,6 +530,21 @@ class TestCliExitCodes:
         assert cli.main(["bell", "--data", str(tmp_path / "missing.csv")]) == 3
         assert cli.main(["tomo", "--data", str(tmp_path / "missing.csv")]) == 3
 
+    def test_tomography_with_pair_totals_beyond_the_ratio_is_3(self, tmp_path, capsys):
+        # RL/RL n_dd at 2**53 among 100s: the bootstrap used to run for about
+        # 20 s and report F 0 as converged.
+        from ces.detection import TomographyDataset
+        from ces.fileio import write_tomography_csv
+
+        counts = np.full((9, 4), 100)
+        counts[8, 3] = 2**53
+        data = tmp_path / "data.csv"
+        write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
+        argv = ["tomo", "--data", str(data), "--bootstrap", "100", "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "differ by more than a factor 2**20" in err
+
     def test_non_convergence_is_4(self, tmp_path, monkeypatch):
         from ces import tomography
 
@@ -743,9 +777,11 @@ class TestCliExitCodes:
             rows = (out / "sweep_series.csv").read_text().splitlines()
             assert fit["converged"] and float(rows[1].split(",")[1]) == 0.0
 
-    def test_tomography_whose_r_turns_infinite_is_4(self, tmp_path, capsys):
+    def test_tomography_whose_r_turns_infinite_is_4(self, tmp_path, capsys, monkeypatch):
         # A huge count drives the fit to a zero probability under a positive
-        # count; the run reports it unconverged instead of a LinAlgError.
+        # count; the run reports it unconverged instead of a LinAlgError.  The
+        # table check rejects such a table, so it is lifted to reach the fit.
+        monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
         assert cli.main(["tomo", "--trials", "20000", "--seed", "1", "--out", str(tmp_path / "w")]) == 0
         data = tmp_path / "tomography.csv"
         header, first, *rows = (tmp_path / "w" / "tomography.csv").read_text().splitlines()
@@ -762,10 +798,12 @@ class TestCliExitCodes:
         assert not fit["converged"] and fit["certificate_gap"] is None
 
     @pytest.mark.parametrize("command", ["fit", "tomo"])
-    def test_non_finite_figures_are_written_as_null(self, tmp_path, capsys, command):
+    def test_non_finite_figures_are_written_as_null(self, tmp_path, capsys, monkeypatch, command):
         # Standard JSON (RFC 8259) has no NaN or Infinity.  A series with no
         # signal has no lifetime covariance; a count of 2**53 among 100s
-        # drives the tomography certificate gap to infinity.
+        # drives the tomography certificate gap to infinity, once the table
+        # check that rejects such a table is lifted.
+        monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
         from ces.detection import TomographyDataset
         from ces.fileio import write_tomography_csv
 
@@ -1000,17 +1038,20 @@ class TestCliExitCodes:
         assert payload["reconstruction"]["certificate_gap"] is None
 
     def test_one_huge_cell_keeps_the_tolerance_at_one_unit(self, tmp_path):
-        # With HV/HV n_uu at 1e14, GAP_TOL * N is about 1e6 log-likelihood
-        # units, more than the other 35 cells hold.  The tolerance is capped
-        # at 1, so the fit and every bootstrap resample must certify to that.
+        # HV/HV n_uu brings its pair to 2**20 times the smallest pair total,
+        # the largest ratio accepted, so GAP_TOL * N is a few log-likelihood
+        # units.  The tolerance is capped at 1, so the fit and every
+        # bootstrap resample must certify to that.
         from ces.detection import TomographyDataset
         from ces.fileio import read_tomography_csv, write_tomography_csv
+        from ces.tomography import MAX_PAIR_RATIO
 
         run, data, out = tmp_path / "run", tmp_path / "huge.csv", tmp_path / "o"
         assert cli.main(["tomo", "--trials", "20000", "--out", str(run)]) == 0
         recorded = read_tomography_csv(run / "tomography.csv")
         counts = recorded.counts.copy()
-        counts[0, 0] = 10**14
+        counts[0, 0] = MAX_PAIR_RATIO * counts.sum(axis=1).min() - counts[0, 1:].sum()
+        assert GAP_TOL * counts.sum() > 1.0
         write_tomography_csv(data, TomographyDataset(counts, recorded.discarded))
         code = cli.main(["tomo", "--data", str(data), "--bootstrap", "100", "--out", str(out)])
         payload = json.loads((out / "reconstruction.json").read_text())

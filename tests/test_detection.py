@@ -23,7 +23,6 @@ from ces.detection import (
     _outcome_distribution,
     analyzer_projectors,
     basis_projectors,
-    outcome_probabilities,
     pair_projectors,
     simulate_counts,
     simulate_tomography_dataset,
@@ -33,7 +32,7 @@ from ces.errors import DataError, DimensionError, ValidationError
 from ces.protocol import final_state
 from ces.qcore import KET_D, KET_H, born_probabilities
 from ces.rng import derive_seed, make_stream
-from conftest import CONFIGS, dephased_singlet, random_density, singlet_dm
+from conftest import CONFIGS, dephased_singlet, random_density, singlet_dm, trace_distance
 
 IDEAL = DetectorParams()
 #: The sweep's default grid, with 0 in front.
@@ -137,42 +136,6 @@ class TestPairProjectors:
         assert not block.flags.writeable
 
 
-class TestOutcomeProbabilities:
-    def test_singlet_anticorrelated_at_equal_angles(self):
-        for angle in (0.0, 30.0, 45.0):
-            p_uu, p_ud, p_du, p_dd = outcome_probabilities(
-                singlet_dm(), MeasurementSetting(angle, angle)
-            )
-            assert p_uu == pytest.approx(0.0, abs=1e-12)
-            assert p_dd == pytest.approx(0.0, abs=1e-12)
-            assert p_ud == pytest.approx(0.5, abs=1e-12)
-            assert p_du == pytest.approx(0.5, abs=1e-12)
-
-    def test_maximally_mixed_uniform(self):
-        probs = outcome_probabilities(np.eye(4) / 4.0, MeasurementSetting(17.0, 61.0))
-        np.testing.assert_allclose(probs, [0.25] * 4, atol=1e-12)
-
-    def test_singlet_cos_rule(self):
-        p_uu, p_ud, p_du, p_dd = outcome_probabilities(
-            singlet_dm(), MeasurementSetting(0.0, 22.5)
-        )
-        e = p_dd + p_uu - p_ud - p_du
-        assert e == pytest.approx(-math.cos(math.radians(45.0)), abs=1e-12)
-
-    def test_probabilities_sum_to_one(self, rng):
-        from conftest import random_density
-
-        for _ in range(10):
-            probs = outcome_probabilities(
-                random_density(rng, 4), MeasurementSetting(rng.uniform(0, 180), rng.uniform(0, 180))
-            )
-            assert sum(probs) == pytest.approx(1.0, abs=1e-10)
-
-    def test_invalid_state_rejected(self):
-        with pytest.raises(ValidationError):
-            outcome_probabilities(0.5 * np.eye(4), MeasurementSetting(0, 0))
-
-
 class TestSimulateCounts:
     def test_singlet_parallel_analyzers(self):
         n = 1_000_000
@@ -258,9 +221,10 @@ class TestSimulateCounts:
         # 5-sigma binomial agreement per cell at 1e5+ coincidences.
         states = [singlet_dm(), np.eye(4) / 4.0, dephased_singlet(0.7)]
         setting = MeasurementSetting(15.0, 75.0)
+        cells = pair_projectors(analyzer_projectors(15.0), analyzer_projectors(75.0))
         for idx, rho in enumerate(states):
             rec = simulate_counts(rho, setting, 400_000, IDEAL, seed=555 + idx)
-            probs = outcome_probabilities(rho, setting)
+            probs = born_probabilities(cells, rho)
             total = rec.total
             assert total >= 100_000
             for cell, p in zip(rec.counts(), probs):
@@ -437,8 +401,6 @@ class TestStackedKernel:
         # The chain runs one state; a (B, 4, 4) stack of valid states is not one.
         stack = np.array([singlet_dm(), singlet_dm()])
         with pytest.raises(DimensionError):
-            outcome_probabilities(stack, MeasurementSetting(0, 0))
-        with pytest.raises(DimensionError):
             simulate_counts(stack, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
         with pytest.raises(DimensionError):
             simulate_tomography_dataset(stack, 1000, IDEAL, seed=1)
@@ -484,7 +446,6 @@ class TestTomographyDatasetSimulation:
         assert {a for a, _ in pairs} == set(BASIS_LABELS)
 
     def test_round_trip_through_reconstruction(self):
-        from ces.qcore import trace_distance
         from ces.tomography import mle_reconstruct
 
         rho = dephased_singlet(0.83)

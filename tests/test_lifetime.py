@@ -243,4 +243,4 @@ class TestModelConsistency:
     def test_fit_evaluates_model_at_parameters(self):
         values = decay(0.3, 4.2, GRID)
         fit = fit_lifetime(GRID, values, kind="N")
-        np.testing.assert_allclose(fit.model(GRID), values, atol=1e-9)
+        np.testing.assert_allclose(decay(fit.n0, fit.tau_e_us, GRID), values, atol=1e-9)

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ces.bell import s_max
+from ces.bell import max_chsh_from_state
 from ces.errors import DimensionError, ValidationError
 from ces.measures import (
     concurrence,
@@ -27,6 +27,11 @@ from conftest import (
     singlet_dm,
     werner,
 )
+
+
+def s_max(rho) -> float:
+    """The state-optimal CHSH value, as the public API gives it."""
+    return max_chsh_from_state(rho).s_value
 
 
 class TestFidelity:

@@ -28,7 +28,6 @@ from ces.qcore import (
     require_two_qubit_density,
     require_valid_density,
     tensor,
-    trace_distance,
     validate_density,
 )
 from conftest import (
@@ -37,6 +36,7 @@ from conftest import (
     random_hermitian,
     random_pure,
     singlet_dm,
+    trace_distance,
 )
 
 
@@ -220,7 +220,7 @@ class TestFromKet:
     def test_normalizes(self, rng):
         ket = random_pure(rng, 4)
         rho = DensityMatrix.from_ket(3.0 * ket)
-        assert abs(rho.trace() - 1.0) <= 1e-12
+        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
         np.testing.assert_allclose(rho.matrix, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("ket", [[0.0, 0.0], []])

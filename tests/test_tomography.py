@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -22,14 +23,13 @@ from ces.fileio import read_series_csv
 from ces.measures import fidelity_singlet, log_negativity
 from ces.pipeline import run_sweep
 from ces.protocol import final_state
-from ces.qcore import born_probabilities, trace_distance, validate_density
+from ces.qcore import born_probabilities, validate_density
 from ces.rng import derive_seed, keyed_multinomial, make_stream
 from ces.tomography import (
     GAP_TOL,
     PROJECTORS,
     _linear_states,
     bootstrap_errors,
-    exact_table,
     linear_inversion,
     mle_reconstruct,
     mle_reconstruct_batch,
@@ -38,9 +38,11 @@ from ces.tomography import (
 from conftest import (
     CONFIGS,
     dephased_singlet,
+    exact_table,
     random_density,
     random_unitary,
     singlet_dm,
+    trace_distance,
     werner,
 )
 
@@ -263,10 +265,37 @@ class TestTableCheck:
 
     @pytest.mark.parametrize("estimator", ["linear", "mle", "batch"])
     def test_a_count_of_2_53_is_accepted(self, estimator):
-        # The bootstrap is left out: at this count its resamples take seconds.
-        table = np.full((9, 4), 100.0)
+        # The other pairs hold 2**35 each, so the pair totals stay within
+        # MAX_PAIR_RATIO.  The bootstrap is left out: at these counts its
+        # resamples take seconds.
+        table = np.full((9, 4), 2.0**33)
         table[0, 1] = 2**53
         assert self.ESTIMATORS[estimator](table)
+
+    HUGE_CELLS = {"HV-HV-n_uu": (0, 0), "HV-HV-n_ud": (0, 1), "DA-DA-n_uu": (4, 0),
+                  "RL-RL-n_dd": (8, 3)}
+
+    @pytest.mark.parametrize("estimator", ["linear", "mle", "bootstrap"])
+    @pytest.mark.parametrize("cell", HUGE_CELLS.values(), ids=HUGE_CELLS.keys())
+    def test_pair_totals_beyond_the_ratio_are_rejected(self, estimator, cell):
+        # One cell at 2**53 among 100s.  The fits of these tables stopped
+        # with an infinite gap or certified with a rounding-level gap of 0,
+        # and their bootstraps ran for 0.3 to 27 s.
+        table = np.full((9, 4), 100.0)
+        table[cell] = 2**53
+        with pytest.raises(DataError, match=r"differ by more than a factor 2\*\*20"):
+            self.ESTIMATORS[estimator](table)
+
+    def test_pair_totals_at_the_ratio_are_accepted(self):
+        # RL/RL holds exactly 2**20 times the 400 coincidences of each other pair.
+        table = np.full((9, 4), 100.0)
+        table[8, 3] = 400 * tomography.MAX_PAIR_RATIO - 300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = mle_reconstruct(table)
+            errors = bootstrap_errors(table, fit.rho, 100, seed=1)
+        assert fit.converged and fit.iterations <= 60
+        assert errors.n_failed == 0
 
     def test_exact_table_is_the_born_table(self):
         rho = dephased_singlet(0.8)
@@ -683,10 +712,12 @@ class TestAnchoredBootstrap:
 
 
 class TestNonFiniteR:
-    def test_a_row_whose_probability_reaches_zero_stops_unconverged(self):
+    def test_a_row_whose_probability_reaches_zero_stops_unconverged(self, monkeypatch):
         # The `ces tomo --trials 20000 --seed 1` table with HV/HV n_ud set to
         # 1e14: the fit drives a probability under a positive count to zero,
-        # and R turns infinite.
+        # and R turns infinite.  The table check rejects this table, so it is
+        # lifted to reach the fit.
+        monkeypatch.setattr(tomography, "MAX_PAIR_RATIO", math.inf)
         table = np.array(
             [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
              [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
