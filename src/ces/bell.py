@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import CountRecord, MeasurementSetting
+from .detection import CountRecord, MeasurementSetting, analyzer_axis
 from .errors import ConfigError, DataError, ValidationError
 from .qcore import correlation_matrix, require_two_qubit_density, unstack
 
@@ -108,14 +108,10 @@ def chsh_from_counts(records, settings: tuple[float, float, float, float]) -> Be
 def analytic_chsh(rho, settings: tuple[float, float, float, float]) -> BellResult:
     """Exact CHSH S of a state at a fixed analyzer-angle quad: E(alpha, beta)
     = a(alpha)^T T a(beta), with a(theta) = (sin 2 theta, 0, cos 2 theta) the
-    analyzer's Bloch axis in the D/A, R/L, H/V frame of ``correlation_matrix``."""
+    analyzer's Bloch axis (``detection.analyzer_axis``) in the D/A, R/L, H/V
+    frame of ``correlation_matrix``."""
     t = correlation_matrix(require_two_qubit_density(rho, one=True))
-
-    def axis(theta_deg: float) -> np.ndarray:
-        theta = math.radians(2.0 * theta_deg)
-        return np.array([math.sin(theta), 0.0, math.cos(theta)])
-
-    return _chsh(settings, lambda a, b: (float(axis(a) @ t @ axis(b)), 0.0))
+    return _chsh(settings, lambda a, b: (float(analyzer_axis(a) @ t @ analyzer_axis(b)), 0.0))
 
 
 def _principal_values(mat: np.ndarray) -> np.ndarray:

@@ -38,9 +38,10 @@ draw on its own keyed counter-based stream (see :mod:`ces.rng`).  Counts
 are reproducible bit-for-bit for a given seed whatever order settings run
 in, and a draw costs the same for any n_sequences.
 
-One kernel, ``_outcome_distribution``, gives p for a stack of settings and
-states; a tomography dataset of one state or of a stack (the whole sweep)
-evaluates all its basis pairs in one call and draws them in another.
+One kernel, ``_outcome_distribution``, gives p in closed form for a stack
+of settings and states: one call for all the analyzer settings of a state
+(``setting_probabilities``) or all the basis pairs of a tomography dataset,
+and p goes on a grid of multiples of 2**-40 (``_on_grid``) before a draw.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ from .qcore import (
     KET_D,
     KET_H,
     KET_R,
-    KET_V,
+    PAULIS,
+    pauli_expectations,
     require_two_qubit_density,
     tensor,
 )
@@ -68,8 +70,8 @@ from .rng import keyed_multinomial, make_stream, positive_count
 #: that removes the excess error accepts the first 40% of the pulse).
 LATE_BOUNDARY_QUANTILE = 0.4
 
-#: Largest count the analyses accept: they hold counts as floats, which are
-#: exact up to 2**53.
+#: Largest count a CSV reader and ``n_sequences`` accept: the analyses hold
+#: counts as floats, which are exact up to 2**53.
 MAX_COUNT = 2**53
 
 #: Tomography basis pairs, each measured at both analyzer ports.
@@ -142,14 +144,23 @@ class CountRecord:
         return np.array([self.n_uu, self.n_ud, self.n_du, self.n_dd])
 
 
-def analyzer_projectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
-    """Port projectors of a linear analyzer rotated by theta_deg.
+def analyzer_axis(theta_deg: float) -> np.ndarray:
+    """Bloch axis a(theta) = (sin 2 theta, 0, cos 2 theta) of a linear analyzer
+    rotated by theta_deg, in the D/A, R/L, H/V frame: its up port projects onto
+    cos(theta)|H> + sin(theta)|V>."""
+    theta = math.radians(2.0 * theta_deg)
+    return np.array([math.sin(theta), 0.0, math.cos(theta)])
 
-    The up port projects onto cos(theta)|H> + sin(theta)|V>; the down port
-    is its complement, so P_up + P_down is the identity exactly.
-    """
-    theta = math.radians(theta_deg)
-    return _ports(math.cos(theta) * KET_H + math.sin(theta) * KET_V)
+
+def _ports(axes) -> np.ndarray:
+    """(..., 2, 4) port blocks of analyzers with Bloch axes (..., 3): rows
+    (1, +a) for the up port and (1, -a) for the down port, the Pauli
+    coefficients (I, x, y, z) of twice each port projector (I +- a.sigma)/2."""
+    axes = np.asarray(axes, dtype=float)
+    ports = np.ones(axes.shape[:-1] + (2, 4))
+    ports[..., 0, 1:] = axes
+    ports[..., 1, 1:] = -axes
+    return ports
 
 
 def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
@@ -161,11 +172,7 @@ def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
     """
     if label not in _BASIS_KETS:
         raise DataError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
-    return _ports(_BASIS_KETS[label])
-
-
-def _ports(ket) -> tuple[np.ndarray, np.ndarray]:
-    """(|k><k|, I - |k><k|): the up port onto ``ket`` and its complement."""
+    ket = _BASIS_KETS[label]
     p_up = np.outer(ket, ket.conj())
     return p_up, IDENTITY_2 - p_up
 
@@ -178,49 +185,59 @@ def pair_projectors(projs_1, projs_2) -> np.ndarray:
     return block
 
 
-def _outcome_distribution(mat: np.ndarray, projs_a, projs_b, det: DetectorParams) -> np.ndarray:
+def _outcome_distribution(mat: np.ndarray, ports_a, ports_b, det: DetectorParams) -> np.ndarray:
     """Probabilities of (uu, ud, du, dd, discarded) for one protocol sequence.
 
-    projs_a and projs_b hold the port projectors of arms A and B, shape
-    (..., 2, 2, 2) for a stack of settings; the result has shape (..., 5).
-    States (..., 4, 4) broadcast against the settings, each bit for bit as
-    in its own call.
-    Sums the event model over its branches: each different-arm assignment
-    (probability 1/4), photon 2 inside the window either clean or
-    late-depolarized, both photons detected, and each recorded port mixed
-    with a uniform one by a dark count.  Both analyzers' port projectors
-    sum to the identity, so photon 1's marginal is a row sum of the joint
-    table.
+    ports_a and ports_b hold the (..., 2, 4) port blocks U_A and U_B of arms A
+    and B (``_ports``) for a stack of settings, and states (..., 4, 4)
+    broadcast against them; each row of the (..., 5) result is bit for bit
+    its own call.
+
+    A port projector is P_i = (1/2) sum_m U[i, m] sigma_m, so with E the
+    Pauli expectation matrix the Born table is tr(rho P_i x Q_j) =
+    (1/4) (U_A E U_B^T)_ij.  The event model acts on E term by term: a dark
+    count keeps a photon's identity term and scales its Bloch terms by
+    k = 1 - dark_rate, s = (1, k, k, k); photon 2 inside the window is clean
+    (weight c = w - late) or depolarized, which drops its Bloch terms, so
+    t = (w, c, c, c) with w = window_fraction; each different-arm assignment
+    has probability 1/4, and photon 1 at arm B transposes E; both photons
+    are detected with eta_det**2.  With G_mn = E_mn s_m s_n t_n / E_00,
+    cells = (eta_det**2 / 16) U_A (G + G^T) U_B^T, discarded = 1 - sum cells.
     """
     late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
     clean = det.window_fraction - late
-    dark = (1.0 - det.dark_rate) * np.eye(2) + 0.5 * det.dark_rate
-
-    # Born tables tr(rho (P_i x Q_j)) = sum rho[a, b, c, d] P[c, a] Q[d, b], with
-    # rho indexed as rho[(a, b), (c, d)]; axis -3 puts photon 1 at arm A, then
-    # at arm B.
-    born = np.einsum(
-        "...abcd,...ica,...jdb->...ij",
-        mat.reshape(mat.shape[:-2] + (1, 2, 2, 2, 2)),
-        np.stack([projs_a, projs_b], axis=-4),
-        np.stack([projs_b, projs_a], axis=-4),
-    )
-    joint = np.clip(born.real, 0.0, None)
-    joint /= joint.sum(axis=(-2, -1), keepdims=True)
-    tables = dark @ (clean * joint + late * (0.5 * joint.sum(axis=-1, keepdims=True))) @ dark
-    # With photon 1 at arm B the arm-indexed cell (port_a, port_b) is (j2, j1).
-    cells = tables[..., 0, :, :] + np.swapaxes(tables[..., 1, :, :], -1, -2)
-    cells = (0.25 * det.eta_det**2 * cells).reshape(*cells.shape[:-2], 4)
+    kept = 1.0 - det.dark_rate
+    s = np.array([1.0, kept, kept, kept])
+    e = pauli_expectations(mat)
+    g = e * (s[:, None] * (s * np.array([det.window_fraction, clean, clean, clean])))
+    cells = ports_a @ (g + np.swapaxes(g, -1, -2)) @ np.swapaxes(ports_b, -1, -2)
+    cells = (det.eta_det**2 / 16.0 / e[..., :1, :1] * cells).reshape(*cells.shape[:-2], 4)
     return np.concatenate([cells, 1.0 - cells.sum(axis=-1, keepdims=True)], axis=-1)
 
 
-def simulate_counts(
-    rho, setting: MeasurementSetting, n_sequences: int, det: DetectorParams, seed: int
-) -> CountRecord:
-    """Run the detection chain for n_sequences protocol repetitions."""
-    projs = analyzer_projectors(setting.alpha_deg), analyzer_projectors(setting.beta_deg)
-    probs = _outcome_distribution(require_two_qubit_density(rho, one=True), *projs, det)
-    draw = make_stream(seed).multinomial(positive_count(n_sequences), probs)
+def _on_grid(probs: np.ndarray) -> np.ndarray:
+    """(..., 5) outcome probabilities with the four cells rounded to multiples
+    of 2**-40 and the discarded cell the exact remainder, so that counts do
+    not move with the last bits of p (another summation order or BLAS)."""
+    out = np.maximum(np.rint(np.asarray(probs) * 2.0**40), 0.0) * 2.0**-40
+    out[..., 4] = 1.0 - out[..., :4].sum(axis=-1)
+    return out
+
+
+def setting_probabilities(rho, settings, det: DetectorParams) -> np.ndarray:
+    """(S, 5) outcome probabilities (uu, ud, du, dd, discarded) of one state
+    at each of S analyzer settings: the state is validated once and one
+    kernel call evaluates every setting."""
+    mat = require_two_qubit_density(rho, one=True)
+    ports = _ports([[analyzer_axis(s.alpha_deg), analyzer_axis(s.beta_deg)] for s in settings])
+    return _outcome_distribution(mat, ports[:, 0], ports[:, 1], det)
+
+
+def simulate_counts(probs, setting: MeasurementSetting, n_sequences: int, seed: int) -> CountRecord:
+    """Counts of n_sequences protocol repetitions at one setting: one draw on
+    ``make_stream(seed)`` from its outcome probabilities (a row of
+    ``setting_probabilities``) put on the grid of ``_on_grid``."""
+    draw = make_stream(seed).multinomial(positive_count(n_sequences), _on_grid(probs))
     return CountRecord(setting, *map(int, draw))
 
 
@@ -229,9 +246,11 @@ def simulate_counts(
 BASIS_ANGLES = {"HV": 0.0, "DA": 45.0, "RL": 0.0}
 #: The nine tomography basis pairs (arm A label, arm B label), in dataset order.
 BASIS_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
-# (9, 2, 2, 2) port projectors of arm A and of arm B at each basis pair, built once.
+# Bloch axis <k|sigma|k> of each basis's up-port ket k, and the (9, 2, 4) port
+# blocks of arm A and of arm B at each basis pair, built once.
+_BASIS_AXES = {name: [np.real(k.conj() @ p @ k) for p in PAULIS] for name, k in _BASIS_KETS.items()}
 _TOMOGRAPHY_A, _TOMOGRAPHY_B = (
-    np.array([basis_projectors(pair[arm]) for pair in BASIS_PAIRS]) for arm in (0, 1)
+    _ports([_BASIS_AXES[pair[arm]] for pair in BASIS_PAIRS]) for arm in (0, 1)
 )
 
 
@@ -282,7 +301,7 @@ def simulate_tomography_dataset(
     seeds = [seed] if one else list(seed)
     if not one and (mat.shape[:-2] != (len(seeds),) or not seeds):
         raise DimensionError(f"expected a stack of {len(seeds)} states, got shape {mat.shape}")
-    probs = _outcome_distribution(mat[..., None, :, :], _TOMOGRAPHY_A, _TOMOGRAPHY_B, det)
+    probs = _on_grid(_outcome_distribution(mat[..., None, :, :], _TOMOGRAPHY_A, _TOMOGRAPHY_B, det))
     row_seeds = [s for s in seeds for _ in BASIS_PAIRS]
     keys = [(i,) for i in range(len(BASIS_PAIRS))] * len(seeds)
     draws = keyed_multinomial(row_seeds, keys, n_per_basis, probs.reshape(-1, 5))

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .bell import analytic_chsh, chsh_from_counts, chsh_quad, correlation_from_counts
 from .config import ExperimentConfig, config_hash
-from .detection import simulate_counts, simulate_tomography_dataset
+from .detection import setting_probabilities, simulate_counts, simulate_tomography_dataset
 from .errors import ConfigError, DataError
 from .fileio import (
     read_counts_csv,
@@ -110,11 +110,12 @@ def _json_float(x):
 
 
 def _simulated_counts(cfg: ExperimentConfig):
-    """The configured state and its coincidence counts at every setting."""
+    """The configured state and its counts: all settings' p in one call, then a draw each."""
     rho = final_state(cfg.noise, cfg.dt_us)
+    probs = setting_probabilities(rho, cfg.settings, cfg.detector)
     return rho, [
-        simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
-        for i, s in enumerate(cfg.settings)
+        simulate_counts(p, s, cfg.n_sequences, derive_seed(cfg.seed, i))
+        for i, (p, s) in enumerate(zip(probs, cfg.settings))
     ]
 
 

@@ -1,13 +1,25 @@
 """Analytic states of the two-photon emission sequence and the rate budget.
 
-The sequence is modeled in four steps: the deterministic atom-photon
-entangled state created by the first emission, a phenomenological storage
-channel acting on the atomic qubit while it waits for the mapping pulse
-(Gaussian dephasing plus a white-noise admixture), an optical-pumping
-imperfection channel, and the coherent relabeling of the atomic qubit onto
-the polarization of the second photon.
+The sequence has four steps, in the atom x photon ordering with the atomic
+qubit |0> = |1,-1>, |1> = |1,+1>:
 
-Photon generation itself is not simulated dynamically; per-pulse success
+1. the first emission leaves (|1,-1>|s+> - |1,+1>|s->)/sqrt(2), i.e.
+   (|00> - |11>)/sqrt(2);
+2. during storage the coherences between the atomic levels decay by
+   v(dt) = v0 exp(-(dt/tau_e)^2), populations untouched, and a white-noise
+   admixture mixes in I/4 with weight p_white;
+3. failed optical pumping (probability 1 - eta_pump) mixes in I/4 again;
+4. the mapping pulse relabels the atomic qubit as photon 2's polarization
+   (|1,-1> emits s-: a bit flip) and the factors are reordered to photon 1 x
+   photon 2, taking |00> to |+-> and |11> to |-+>.
+
+Mixing in I/4 commutes with the relabeling, so the photon pair in the sigma
+basis {++, +-, -+, --} is, with lambda = eta_pump (1 - p_white),
+
+    rho = lambda [ (|+-><+-| + |-+><-+|)/2 - (v/2)(|+-><-+| + |-+><+-|) ]
+          + (1 - lambda) I/4.
+
+Photon generation is not simulated dynamically; per-pulse success
 probabilities enter only through :func:`rate_budget`.
 """
 
@@ -19,14 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorParams, _check_unit_interval
-from .qcore import (
-    IDENTITY_4,
-    KET_SM,
-    KET_SP,
-    DensityMatrix,
-    tensor,
-    two_qubit_matrix,
-)
+from .qcore import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -97,72 +102,13 @@ class RateReport:
             raise ValueError("detected rate cannot exceed produced rate")
 
 
-def atom_photon_state() -> DensityMatrix:
-    """Entangled atom-photon state after the first emission.
-
-    The ket is (|1,-1>|s+> - |1,+1>|s->)/sqrt(2) in the atom x photon
-    ordering, i.e. amplitudes on |00> and |11> of the 4-dimensional space.
-    """
-    ket = (tensor(np.array([1, 0]), KET_SP) - tensor(np.array([0, 1]), KET_SM)) / np.sqrt(2)
-    return DensityMatrix.from_ket(ket)
-
-
-# The mapping pulse converts the atomic Zeeman state into the polarization of
-# the second photon: |1,-1> emits sigma-, |1,+1> emits sigma+.  On the qubit
-# labels that is a bit flip, followed by reordering the factors so the output
-# is photon1 x photon2.
-_SWAP = np.array(
-    [
-        [1, 0, 0, 0],
-        [0, 0, 1, 0],
-        [0, 1, 0, 0],
-        [0, 0, 0, 1],
-    ],
-    dtype=complex,
-)
-_FLIP_ATOM = tensor(np.array([[0, 1], [1, 0]]), np.eye(2))
-_MAP = _SWAP @ _FLIP_ATOM
-
-
-def map_to_photon_pair(rho_ap) -> DensityMatrix:
-    """Relabel the atomic qubit as photon-2 polarization.
-
-    The ideal atom-photon state maps exactly onto the photon-pair singlet
-    (|s+ s-> - |s- s+>)/sqrt(2).
-    """
-    return DensityMatrix(_MAP @ two_qubit_matrix(rho_ap, one=True) @ _MAP.conj().T)
-
-
-def apply_storage_noise(rho_ap, noise: NoiseParams, dt_us: float) -> DensityMatrix:
-    """Storage channel acting on the atomic qubit between the two pulses.
-
-    Coherences between the two atomic levels are multiplied by
-    v(dt) = v0 exp(-(dt/tau_e)^2); populations are untouched by the
-    dephasing part.  A white-noise admixture then mixes in the maximally
-    mixed state with weight p_white.
-    """
-    mat = np.array(two_qubit_matrix(rho_ap, one=True))
-    v = noise.coherence(dt_us)
-    mat[0:2, 2:4] *= v
-    mat[2:4, 0:2] *= v
-    if noise.p_white > 0.0:
-        mat = (1.0 - noise.p_white) * mat + noise.p_white * (IDENTITY_4 / 4.0)
-    return DensityMatrix(mat)
-
-
-def pumping_channel(rho, eta_pump: float) -> DensityMatrix:
-    """Mix in a fully depolarized outcome for failed optical pumping."""
-    _check_unit_interval("eta_pump", eta_pump)
-    mat = two_qubit_matrix(rho, one=True)
-    return DensityMatrix(eta_pump * mat + (1.0 - eta_pump) * (IDENTITY_4 / 4.0))
-
-
 def final_state(noise: NoiseParams, dt_us: float) -> DensityMatrix:
-    """Photon-pair state after the full sequence at storage time dt_us."""
-    rho = atom_photon_state()
-    rho = apply_storage_noise(rho, noise, dt_us)
-    rho = pumping_channel(rho, noise.eta_pump)
-    return map_to_photon_pair(rho)
+    """Photon-pair state at storage time dt_us: the closed form of the module docstring."""
+    weight = noise.eta_pump * (1.0 - noise.p_white)
+    coherence = noise.coherence(dt_us)
+    mat = np.diag([0.0, 0.5, 0.5, 0.0]) * weight + 0.25 * (1.0 - weight) * np.eye(4)
+    mat[1, 2] = mat[2, 1] = -0.5 * weight * coherence
+    return DensityMatrix(mat)
 
 
 def rate_budget(eff: EfficiencyParams, det: DetectorParams) -> RateReport:

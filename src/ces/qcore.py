@@ -45,7 +45,6 @@ KET_L = (KET_H - 1j * KET_V) / _SQRT2
 SINGLET_KET = (np.kron(KET_SP, KET_SM) - np.kron(KET_SM, KET_SP)) / _SQRT2
 
 IDENTITY_2 = np.eye(2, dtype=complex)
-IDENTITY_4 = np.eye(4, dtype=complex)
 
 
 def _projector(ket: np.ndarray) -> np.ndarray:
@@ -94,16 +93,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @classmethod
-    def from_ket(cls, ket) -> "DensityMatrix":
-        """Outer product |psi><psi| of the normalized ket."""
-        amplitudes = np.array(ket, dtype=complex).reshape(-1)
-        norm = float(np.linalg.norm(amplitudes))
-        if norm == 0.0:
-            raise ValidationError("cannot normalize the zero vector")
-        psi = amplitudes / norm
-        return cls(np.outer(psi, psi.conj()))
 
     # JSON wire form used by every CLI subcommand:
     # {"dim": d, "re": [d*d row-major], "im": [d*d row-major]}
@@ -258,15 +247,19 @@ def require_two_qubit_density(rho, one: bool = False) -> np.ndarray:
     return require_valid_density(rho)
 
 
-def correlation_matrix(rho) -> np.ndarray:
-    """3x3 two-qubit correlation matrix T_kl = tr(rho sigma_k x sigma_l).
-
-    Pauli axes follow the polarization Bloch frame (x = D/A, y = R/L,
-    z = H/V).  A stack of states gives a stack of matrices.
-    """
+def pauli_expectations(rho) -> np.ndarray:
+    """4x4 Pauli expectation matrix E_mn = tr(rho sigma_m x sigma_n), with
+    m, n over (I, x, y, z) of the polarization Bloch frame (x = D/A, y = R/L,
+    z = H/V), so E_00 is the trace.  A stack of operators gives a stack."""
     mat = two_qubit_matrix(rho)
-    expectations = np.real(np.einsum("mij,...ji->...m", PAULI_PRODUCTS, mat))
-    return expectations.reshape(*mat.shape[:-2], 4, 4)[..., 1:, 1:]
+    expectations = np.real(np.einsum("...ij,mji->...m", mat, PAULI_PRODUCTS))
+    return expectations.reshape(*mat.shape[:-2], 4, 4)
+
+
+def correlation_matrix(rho) -> np.ndarray:
+    """3x3 two-qubit correlation matrix T_kl = tr(rho sigma_k x sigma_l): the
+    Bloch block of ``pauli_expectations``."""
+    return pauli_expectations(rho)[..., 1:, 1:]
 
 
 def flatten_real(a: np.ndarray) -> np.ndarray:

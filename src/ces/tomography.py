@@ -37,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import BASIS_PAIRS, MAX_COUNT, basis_projectors, pair_projectors
+from .detection import BASIS_PAIRS, basis_projectors, pair_projectors
 from .errors import DataError
 from .measures import _report
 from .qcore import (
@@ -46,6 +46,7 @@ from .qcore import (
     DensityMatrix,
     born_probabilities,
     flatten_real,
+    pauli_expectations,
     require_two_qubit_density,
     validate_density,
 )
@@ -62,6 +63,9 @@ MAX_ITER = 10_000
 MIN_RESAMPLES = 100
 #: Largest ratio of two basis-pair totals of one table that an estimator accepts.
 MAX_PAIR_RATIO = 2**20
+#: Largest total count N of one table that an estimator accepts: the
+#: certificate lambda_max(R) - N is quantised to ulp(N), 1/16 at 2**48.
+MAX_TOTAL = 2**48
 #: A cut Newton step stops at this fraction of its way to the PSD boundary.
 _TO_BOUNDARY = 0.99
 #: A factor step is kept at the longest of these lengths that realizes this
@@ -112,7 +116,7 @@ _FLAT_PROJECTORS = flatten_real(PROJECTORS)
 # a_km = tr(Pi_k sigma_m) / 4: rho = (1/4) sum_m c_m sigma_m with c_0 = 1
 # fixed by the trace, so p = a[:, 0] + _DESIGN @ c[1:].  The (36, 15) design
 # has full rank (a test checks it), so the nine pairs determine the state.
-_PAULI_COEFFS = np.real(np.einsum("kij,mji->km", PROJECTORS, PAULI_PRODUCTS)) / 4.0
+_PAULI_COEFFS = pauli_expectations(PROJECTORS).reshape(len(PROJECTORS), 16) / 4.0
 _DESIGN = _PAULI_COEFFS[:, 1:]
 # a_k a_k^T of each design row, flattened: the Newton Hessian is one product.
 _OUTER = (_DESIGN[:, :, None] * _DESIGN[:, None, :]).reshape(len(_DESIGN), -1)
@@ -123,23 +127,24 @@ _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
 
 def _checked(tables) -> np.ndarray:
     """A stack of (9, 4) count tables as the float (B, 36) table of the
-    columns of PROJECTORS; DataError unless every cell is finite, >= 0 and
-    at most MAX_COUNT, every basis pair has coincidences, and no pair total
-    of a table exceeds MAX_PAIR_RATIO times another."""
+    columns of PROJECTORS; DataError unless every cell is finite and >= 0,
+    every basis pair has coincidences, no pair total of a table exceeds
+    MAX_PAIR_RATIO times another, and no table's total exceeds MAX_TOTAL."""
     shapes = {np.shape(counts) for counts in tables}
     if shapes != {(9, 4)}:
         raise DataError(f"expected (9, 4) count tables, got shapes {sorted(shapes)}")
     table = np.array(tables, dtype=float)
     if not np.all(np.isfinite(table) & (table >= 0.0)):
         raise DataError("counts must be finite and >= 0")
-    if np.any(table > MAX_COUNT):
-        raise DataError(f"counts above 2**53 are not supported: {table.max():g}")
     totals = table.sum(axis=2)
     empty = np.flatnonzero(np.any(totals <= 0.0, axis=0))
     if empty.size:
         raise DataError(f"basis pair {BASIS_PAIRS[empty[0]]} has zero coincidences")
     if np.any(totals.max(axis=1) > MAX_PAIR_RATIO * totals.min(axis=1)):
         raise DataError("basis-pair totals of a table differ by more than a factor 2**20")
+    largest = totals.sum(axis=1).max()
+    if largest > MAX_TOTAL:
+        raise DataError(f"count tables above a total of 2**48 are not supported: {largest:g}")
     return table.reshape(-1, 36)
 
 

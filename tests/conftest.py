@@ -3,13 +3,30 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ces.qcore import SINGLET_KET, as_matrix, born_probabilities, require_valid_density, unstack
+from ces.detection import (
+    LATE_BOUNDARY_QUANTILE,
+    pair_projectors,
+    setting_probabilities,
+    simulate_counts,
+)
+from ces.qcore import (
+    KET_H,
+    KET_SM,
+    KET_SP,
+    KET_V,
+    SINGLET_KET,
+    as_matrix,
+    born_probabilities,
+    require_valid_density,
+    unstack,
+)
 from ces.tomography import PROJECTORS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -79,6 +96,80 @@ def exact_table(rho, total_per_basis: float = 1.0) -> np.ndarray:
     the noiseless oracle input for estimator round-trip checks."""
     probs = born_probabilities(PROJECTORS, require_valid_density(rho))
     return np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
+
+
+def draw_counts(rho, setting, n_sequences, det, seed):
+    """The CountRecord of one state at one setting: its outcome probabilities,
+    then ``simulate_counts``."""
+    probs = setting_probabilities(rho, [setting], det)[0]
+    return simulate_counts(probs, setting, n_sequences, seed)
+
+
+def analyzer_projectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: port projectors of a linear analyzer rotated by theta_deg, the
+    up port onto cos(theta)|H> + sin(theta)|V>, the down port its complement."""
+    theta = math.radians(theta_deg)
+    ket = math.cos(theta) * KET_H + math.sin(theta) * KET_V
+    p_up = np.outer(ket, ket.conj())
+    return p_up, np.eye(2) - p_up
+
+
+def kron_outcome_distribution(rho, projs_a, projs_b, det):
+    """Oracle for the detection kernel at one setting: each Born table from
+    the Kronecker products P_i x Q_j of the port projectors, then the event
+    model's branches summed in turn."""
+    late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
+    clean = det.window_fraction - late
+    dark = (1.0 - det.dark_rate) * np.eye(2) + 0.5 * det.dark_rate
+
+    def photon_table(projs_1, projs_2):
+        joint = np.clip(born_probabilities(pair_projectors(projs_1, projs_2), rho), 0.0, None)
+        joint = (joint / joint.sum()).reshape(2, 2)
+        table = clean * joint + late * np.outer(joint.sum(axis=1), [0.5, 0.5])
+        return dark @ table @ dark
+
+    cells = photon_table(projs_a, projs_b) + photon_table(projs_b, projs_a).T
+    cells *= 0.25 * det.eta_det**2
+    return np.append(cells.reshape(-1), 1.0 - cells.sum())
+
+
+# Oracle for protocol.final_state: its four steps as channels, in the atom x
+# photon ordering (atomic |0> = |1,-1>, |1> = |1,+1>).  The mapping pulse
+# flips the atomic qubit (|1,-1> emits sigma-) and reorders the factors to
+# photon 1 x photon 2.
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_MAP = _SWAP @ np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2))
+
+
+def atom_photon_state() -> np.ndarray:
+    """(|1,-1>|s+> - |1,+1>|s->)/sqrt(2) after the first emission."""
+    ket = (np.kron([1.0, 0.0], KET_SP) - np.kron([0.0, 1.0], KET_SM)) / np.sqrt(2.0)
+    return np.outer(ket, ket.conj())
+
+
+def apply_storage_noise(rho_ap, noise, dt_us: float) -> np.ndarray:
+    """Atomic coherences times v(dt), then a white-noise admixture p_white."""
+    mat = np.array(rho_ap, dtype=complex)
+    v = noise.coherence(dt_us)
+    mat[0:2, 2:4] *= v
+    mat[2:4, 0:2] *= v
+    return (1.0 - noise.p_white) * mat + noise.p_white * np.eye(4) / 4.0
+
+
+def pumping_channel(rho, eta_pump: float) -> np.ndarray:
+    """A fully depolarized pair for failed optical pumping."""
+    return eta_pump * np.asarray(rho) + (1.0 - eta_pump) * np.eye(4) / 4.0
+
+
+def map_to_photon_pair(rho_ap) -> np.ndarray:
+    """Relabel the atomic qubit as photon-2 polarization."""
+    return _MAP @ np.asarray(rho_ap) @ _MAP.T
+
+
+def channel_chain_state(noise, dt_us: float) -> np.ndarray:
+    """The photon pair after the four steps, one channel at a time."""
+    rho = apply_storage_noise(atom_photon_state(), noise, dt_us)
+    return map_to_photon_pair(pumping_channel(rho, noise.eta_pump))
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from ces.config import load_config
 from ces.detection import (
     DetectorParams,
     MeasurementSetting,
-    simulate_counts,
     simulate_tomography_dataset,
 )
 from ces.lifetime import fit_lifetime
@@ -38,7 +37,14 @@ from ces.protocol import (
 from ces.qcore import validate_density
 from ces.rng import derive_seed
 from ces.tomography import linear_inversion, mle_reconstruct
-from conftest import CONFIGS, exact_table, random_density, random_unitary, trace_distance
+from conftest import (
+    CONFIGS,
+    draw_counts,
+    exact_table,
+    random_density,
+    random_unitary,
+    trace_distance,
+)
 
 SEED = 271828
 TWO_SQRT_TWO = 2.0 * math.sqrt(2.0)
@@ -70,7 +76,7 @@ def _chsh_records(rho, quad, n_sequences, det, seed):
     alpha, alpha_p, beta, beta_p = quad
     settings = [(a, b) for a in (alpha, alpha_p) for b in (beta, beta_p)]
     return [
-        simulate_counts(rho, MeasurementSetting(*s), n_sequences, det, derive_seed(seed, i))
+        draw_counts(rho, MeasurementSetting(*s), n_sequences, det, derive_seed(seed, i))
         for i, s in enumerate(settings)
     ]
 
@@ -290,8 +296,8 @@ def test_criterion_8_property_suites():
     # Seed determinism with bucket accounting.
     det = DetectorParams(eta_det=0.5, dark_rate=0.01)
     setting = MeasurementSetting(17.0, 64.0)
-    a = simulate_counts(rho, setting, 50_000, det, seed=SEED)
-    b = simulate_counts(rho, setting, 50_000, det, seed=SEED)
+    a = draw_counts(rho, setting, 50_000, det, seed=SEED)
+    b = draw_counts(rho, setting, 50_000, det, seed=SEED)
     if a != b:
         failures.append("seed determinism")
     if a.total + a.n_discarded != 50_000:

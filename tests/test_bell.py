@@ -15,10 +15,17 @@ from ces.bell import (
     correlation_from_counts,
     max_chsh_from_state,
 )
-from ces.detection import CountRecord, MeasurementSetting, analyzer_projectors, simulate_counts, DetectorParams
+from ces.detection import CountRecord, MeasurementSetting, DetectorParams
 from ces.errors import ConfigError, DataError
 from ces.qcore import correlation_matrix, tensor
-from conftest import dephased_singlet, random_density, singlet_dm, werner
+from conftest import (
+    analyzer_projectors,
+    dephased_singlet,
+    draw_counts,
+    random_density,
+    singlet_dm,
+    werner,
+)
 
 QUAD = (0.0, 45.0, 22.5, -22.5)
 
@@ -39,7 +46,7 @@ class TestCorrelationFromCounts:
         assert est.std_err == pytest.approx(1.0 / math.sqrt(1000.0), abs=1e-12)
 
     def test_simulated_singlet_at_22p5(self):
-        rec = simulate_counts(
+        rec = draw_counts(
             singlet_dm(), MeasurementSetting(0.0, 22.5), 20_000, DetectorParams(), seed=12
         )
         est = correlation_from_counts(rec)
@@ -215,7 +222,7 @@ class TestMaxChsh:
         # 1e6 sequences per setting: S from counts within 5 sigma of exact.
         rho = dephased_singlet(0.86)
         records = [
-            simulate_counts(rho, MeasurementSetting(a, b), 1_000_000, DetectorParams(), seed=9000 + i)
+            draw_counts(rho, MeasurementSetting(a, b), 1_000_000, DetectorParams(), seed=9000 + i)
             for i, (a, b) in enumerate([(0, 22.5), (0, -22.5), (45, 22.5), (45, -22.5)])
         ]
         result = chsh_from_counts(records, QUAD)

@@ -395,7 +395,7 @@ class TestCliExitCodes:
     def test_rates_coincidence_matches_simulation(self, tmp_path):
         # p_coincidence / (p1 p2) is the coincidence fraction per produced
         # pair that simulate_counts draws; 5 binomial sigma over all settings.
-        from ces.detection import simulate_counts
+        from ces.detection import setting_probabilities, simulate_counts
         from ces.protocol import final_state
         from ces.rng import derive_seed
 
@@ -403,10 +403,10 @@ class TestCliExitCodes:
         assert cli.main(["rates", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         rates = json.loads((tmp_path / "o" / "rates.json").read_text())
         cfg = load_config(config)
-        rho = final_state(cfg.noise, cfg.dt_us)
+        probs = setting_probabilities(final_state(cfg.noise, cfg.dt_us), cfg.settings, cfg.detector)
         records = [
-            simulate_counts(rho, s, cfg.n_sequences, cfg.detector, derive_seed(cfg.seed, i))
-            for i, s in enumerate(cfg.settings)
+            simulate_counts(p, s, cfg.n_sequences, derive_seed(cfg.seed, i))
+            for i, (p, s) in enumerate(zip(probs, cfg.settings))
         ]
         trials = len(records) * cfg.n_sequences
         fraction = sum(rec.total for rec in records) / trials
@@ -545,6 +545,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "differ by more than a factor 2**20" in err
 
+    def test_tomography_above_a_total_of_2_48_is_3(self, tmp_path, capsys):
+        # HV/HV n_ud at 2**53 among 2**33s: within MAX_PAIR_RATIO, but the
+        # fit's certificate is quantised to ulp(N) and read -2.0.
+        from ces.detection import TomographyDataset
+        from ces.fileio import write_tomography_csv
+
+        counts = np.full((9, 4), 2**33)
+        counts[0, 1] = 2**53
+        data = tmp_path / "data.csv"
+        write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
+        assert cli.main(["tomo", "--data", str(data), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "above a total of 2**48" in err
+        assert not (tmp_path / "o").exists()
+
     def test_non_convergence_is_4(self, tmp_path, monkeypatch):
         from ces import tomography
 
@@ -668,7 +683,7 @@ class TestCliExitCodes:
         from ces.qcore import DensityMatrix, SINGLET_KET
 
         state = tmp_path / "state.json"
-        write_json(state, DensityMatrix.from_ket(SINGLET_KET).to_json_dict())
+        write_json(state, DensityMatrix(np.outer(SINGLET_KET, SINGLET_KET.conj())).to_json_dict())
         code = cli.main(["measures", str(state)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
@@ -780,15 +795,21 @@ class TestCliExitCodes:
     def test_tomography_whose_r_turns_infinite_is_4(self, tmp_path, capsys, monkeypatch):
         # A huge count drives the fit to a zero probability under a positive
         # count; the run reports it unconverged instead of a LinAlgError.  The
-        # table check rejects such a table, so it is lifted to reach the fit.
+        # table is a `ces tomo --trials 20000 --seed 1` run's with HV/HV n_ud
+        # set to 1e14 (test_tomography.py::TestNonFiniteR takes the same
+        # one).  The table check rejects such a table, so it is lifted to
+        # reach the fit.
+        from ces.detection import TomographyDataset
+        from ces.fileio import write_tomography_csv
+
         monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
-        assert cli.main(["tomo", "--trials", "20000", "--seed", "1", "--out", str(tmp_path / "w")]) == 0
+        counts = np.array(
+            [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
+             [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
+             [114, 103, 88, 113], [116, 107, 108, 74], [21, 124, 183, 16]]
+        )
         data = tmp_path / "tomography.csv"
-        header, first, *rows = (tmp_path / "w" / "tomography.csv").read_text().splitlines()
-        cells = first.split(",")
-        assert cells[:2] == ["HV", "HV"]
-        cells[header.split(",").index("n_ud")] = "100000000000000"
-        data.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+        write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -802,8 +823,9 @@ class TestCliExitCodes:
         # Standard JSON (RFC 8259) has no NaN or Infinity.  A series with no
         # signal has no lifetime covariance; a count of 2**53 among 100s
         # drives the tomography certificate gap to infinity, once the table
-        # check that rejects such a table is lifted.
+        # checks that reject such a table are lifted.
         monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
+        monkeypatch.setattr("ces.tomography.MAX_TOTAL", math.inf)
         from ces.detection import TomographyDataset
         from ces.fileio import write_tomography_csv
 
@@ -1067,7 +1089,8 @@ _SERIES_CSV = "dt_us,value,kind,sigma\n0.8,0.39,N,\n2.0,0.35,N,\n4.0,0.23,N,\n6.
     "statement",
     [
         "pass",
-        "ces.measures.report(ces.qcore.DensityMatrix.from_ket(ces.qcore.SINGLET_KET))",
+        "ket = ces.qcore.SINGLET_KET; "
+        "ces.measures.report(ces.qcore.DensityMatrix(ket[:, None] * ket.conj()))",
         "ces.pipeline.run_tomo(ces.config.config_from_dict(dict(n_sequences=20000)), "
         "out, bootstrap=100)",
         "assert ces.pipeline.run_sweep(ces.config.config_from_dict(dict(n_sequences=20000)), "

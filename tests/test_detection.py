@@ -18,43 +18,38 @@ from ces.detection import (
     LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
     TomographyDataset,
+    _BASIS_AXES,
     _TOMOGRAPHY_A,
     _TOMOGRAPHY_B,
+    _on_grid,
     _outcome_distribution,
-    analyzer_projectors,
+    _ports,
+    analyzer_axis,
     basis_projectors,
     pair_projectors,
+    setting_probabilities,
     simulate_counts,
     simulate_tomography_dataset,
 )
-from ces.config import load_config
+from ces.config import config_from_dict, load_config
 from ces.errors import DataError, DimensionError, ValidationError
 from ces.protocol import final_state
-from ces.qcore import KET_D, KET_H, born_probabilities
+from ces.qcore import IDENTITY_2, PAULIS, born_probabilities
 from ces.rng import derive_seed, make_stream
-from conftest import CONFIGS, dephased_singlet, random_density, singlet_dm, trace_distance
+from conftest import (
+    CONFIGS,
+    analyzer_projectors,
+    dephased_singlet,
+    draw_counts,
+    kron_outcome_distribution,
+    random_density,
+    singlet_dm,
+    trace_distance,
+)
 
 IDEAL = DetectorParams()
 #: The sweep's default grid, with 0 in front.
 STORAGE_GRID_US = (0.0, 0.8, 2.0, 4.0, 6.0, 8.0, 10.0)
-
-
-def kron_outcome_distribution(rho, projs_a, projs_b, det):
-    """Reference kernel for one setting: each Born table from the Kronecker
-    products P_i x Q_j, then the event model's branches summed in turn."""
-    late = det.late_emission_error * max(0.0, det.window_fraction - LATE_BOUNDARY_QUANTILE)
-    clean = det.window_fraction - late
-    dark = (1.0 - det.dark_rate) * np.eye(2) + 0.5 * det.dark_rate
-
-    def photon_table(projs_1, projs_2):
-        joint = np.clip(born_probabilities(pair_projectors(projs_1, projs_2), rho), 0.0, None)
-        joint = (joint / joint.sum()).reshape(2, 2)
-        table = clean * joint + late * np.outer(joint.sum(axis=1), [0.5, 0.5])
-        return dark @ table @ dark
-
-    cells = photon_table(projs_a, projs_b) + photon_table(projs_b, projs_a).T
-    cells *= 0.25 * det.eta_det**2
-    return np.append(cells.reshape(-1), 1.0 - cells.sum())
 
 
 def per_trial_cells(rho, projs_a, projs_b, det, n, rng):
@@ -104,26 +99,38 @@ def per_trial_cells(rho, projs_a, projs_b, det, n, rng):
     return np.append(cells, n - keep.sum())
 
 
-class TestAnalyzerProjectors:
-    def test_zero_degrees_is_horizontal(self):
-        p_up, _ = analyzer_projectors(0.0)
-        np.testing.assert_allclose(p_up, np.outer(KET_H, KET_H.conj()), atol=1e-15)
+def projectors_of(ports):
+    """The port projectors (1/2) sum_m U[i, m] sigma_m of a (2, 4) port block."""
+    return np.einsum("im,mab->iab", ports, np.array([IDENTITY_2, *PAULIS])) / 2.0
 
-    def test_45_degrees_is_diagonal(self):
-        p_up, _ = analyzer_projectors(45.0)
-        np.testing.assert_allclose(p_up, np.outer(KET_D, KET_D.conj()), atol=1e-15)
-        overlap_h = KET_H.conj() @ KET_D
-        overlap_v = (KET_D - overlap_h * KET_H)  # remainder along V
-        assert abs(overlap_h) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-        assert np.linalg.norm(overlap_v) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+
+class TestAnalyzerPorts:
+    @pytest.mark.parametrize("theta", [0.0, 10.0, 22.5, 45.0, 67.5, 133.0, -22.5, 210.0])
+    def test_ports_are_the_analyzer_projectors(self, theta):
+        np.testing.assert_allclose(
+            projectors_of(_ports(analyzer_axis(theta))), analyzer_projectors(theta), atol=1e-15
+        )
+
+    @pytest.mark.parametrize("label", BASIS_LABELS)
+    def test_basis_ports_are_the_basis_projectors(self, label):
+        np.testing.assert_allclose(
+            projectors_of(_ports(_BASIS_AXES[label])), basis_projectors(label), atol=1e-15
+        )
+        np.testing.assert_allclose(
+            _BASIS_AXES[label], {"HV": [0, 0, 1], "DA": [1, 0, 0], "RL": [0, 1, 0]}[label],
+            atol=1e-15,
+        )
+
+    def test_axes_of_0_and_45_degrees(self):
+        np.testing.assert_array_equal(analyzer_axis(0.0), [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(analyzer_axis(45.0), [1.0, 0.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("theta", [0.0, 10.0, 22.5, 45.0, 67.5, 133.0])
-    def test_completeness_and_orthogonality(self, theta):
-        p_up, p_down = analyzer_projectors(theta)
-        np.testing.assert_array_equal(p_up + p_down, np.eye(2))
-        assert np.real(np.trace(p_up)) == pytest.approx(1.0, abs=1e-12)
-        assert np.real(np.trace(p_down)) == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(p_up @ p_down)) <= 1e-12
+    def test_ports_sum_to_the_identity(self, theta):
+        np.testing.assert_array_equal(_ports(analyzer_axis(theta)).sum(axis=0), [2, 0, 0, 0])
+
+    def test_axis_periodic(self):
+        np.testing.assert_allclose(analyzer_axis(30.0), analyzer_axis(210.0), atol=1e-12)
 
 
 class TestPairProjectors:
@@ -139,7 +146,7 @@ class TestPairProjectors:
 class TestSimulateCounts:
     def test_singlet_parallel_analyzers(self):
         n = 1_000_000
-        rec = simulate_counts(singlet_dm(), MeasurementSetting(0, 0), n, IDEAL, seed=7)
+        rec = draw_counts(singlet_dm(), MeasurementSetting(0, 0), n, IDEAL, seed=7)
         total = rec.total
         # Diagonal cells are exactly zero in probability.
         assert rec.n_uu / total < 0.003
@@ -148,7 +155,7 @@ class TestSimulateCounts:
         assert total / n == pytest.approx(0.5, abs=0.002)
 
     def test_zero_efficiency(self):
-        rec = simulate_counts(
+        rec = draw_counts(
             singlet_dm(),
             MeasurementSetting(0, 45),
             5000,
@@ -166,7 +173,7 @@ class TestSimulateCounts:
         quad = (0.0, 45.0, 22.5, -22.5)
         settings = [(0.0, 22.5), (0.0, -22.5), (45.0, 22.5), (45.0, -22.5)]
         records = [
-            simulate_counts(rho, MeasurementSetting(*s), 20_000, IDEAL, seed=100 + i)
+            draw_counts(rho, MeasurementSetting(*s), 20_000, IDEAL, seed=100 + i)
             for i, s in enumerate(settings)
         ]
         assert min(rec.total for rec in records) > 9000
@@ -176,7 +183,7 @@ class TestSimulateCounts:
     def test_accounting_is_exact(self):
         det = DetectorParams(eta_det=0.37, dark_rate=0.02, window_fraction=0.65)
         n = 123_457
-        rec = simulate_counts(dephased_singlet(0.8), MeasurementSetting(10, 70), n, det, seed=21)
+        rec = draw_counts(dephased_singlet(0.8), MeasurementSetting(10, 70), n, det, seed=21)
         assert rec.total + rec.n_discarded == n
 
     def test_fixed_seed_bit_identical(self):
@@ -187,8 +194,8 @@ class TestSimulateCounts:
             det=DetectorParams(eta_det=0.5, dark_rate=0.01),
             seed=99,
         )
-        a = simulate_counts(**kwargs)
-        b = simulate_counts(**kwargs)
+        a = draw_counts(**kwargs)
+        b = draw_counts(**kwargs)
         assert a == b
 
     def test_scheduling_independence(self):
@@ -207,10 +214,9 @@ class TestSimulateCounts:
         def draw(unit):
             # One basis pair alone: its own one-row kernel call, then its draw.
             index, (label_a, label_b) = unit
-            probs = _outcome_distribution(
-                rho, basis_projectors(label_a), basis_projectors(label_b), det
-            )
-            return index, make_stream(seed, (index,)).multinomial(n, probs)
+            ports_a, ports_b = _ports(_BASIS_AXES[label_a]), _ports(_BASIS_AXES[label_b])
+            probs = _outcome_distribution(rho, ports_a, ports_b, det)
+            return index, make_stream(seed, (index,)).multinomial(n, _on_grid(probs))
 
         with ThreadPoolExecutor(max_workers=4) as pool:
             pooled = dict(pool.map(draw, plan))
@@ -223,7 +229,7 @@ class TestSimulateCounts:
         setting = MeasurementSetting(15.0, 75.0)
         cells = pair_projectors(analyzer_projectors(15.0), analyzer_projectors(75.0))
         for idx, rho in enumerate(states):
-            rec = simulate_counts(rho, setting, 400_000, IDEAL, seed=555 + idx)
+            rec = draw_counts(rho, setting, 400_000, IDEAL, seed=555 + idx)
             probs = born_probabilities(cells, rho)
             total = rec.total
             assert total >= 100_000
@@ -236,7 +242,7 @@ class TestSimulateCounts:
 
         magnitudes = []
         for i, dark in enumerate((0.0, 0.02, 0.05, 0.1, 0.2)):
-            rec = simulate_counts(
+            rec = draw_counts(
                 singlet_dm(),
                 MeasurementSetting(0, 0),
                 400_000,
@@ -251,7 +257,7 @@ class TestSimulateCounts:
                              late_emission_error=0.1)
         n = 10**12
         start = time.perf_counter()
-        rec = simulate_counts(dephased_singlet(0.9), MeasurementSetting(0, 22.5), n, det, seed=5)
+        rec = draw_counts(dephased_singlet(0.9), MeasurementSetting(0, 22.5), n, det, seed=5)
         assert time.perf_counter() - start < 1.0
         assert rec.total + rec.n_discarded == n
         # Coincidence fraction w * eta**2 / 2, to 5 binomial sigma.
@@ -260,12 +266,12 @@ class TestSimulateCounts:
 
     def test_rejects_bad_sequence_count(self):
         with pytest.raises(DataError):
-            simulate_counts(singlet_dm(), MeasurementSetting(0, 0), 0, IDEAL, seed=1)
+            draw_counts(singlet_dm(), MeasurementSetting(0, 0), 0, IDEAL, seed=1)
 
     def test_rejects_fractional_sequence_count(self):
         # The multinomial draw would silently truncate it, breaking accounting.
         with pytest.raises(DataError):
-            simulate_counts(singlet_dm(), MeasurementSetting(0, 0), 1000.5, IDEAL, seed=1)
+            draw_counts(singlet_dm(), MeasurementSetting(0, 0), 1000.5, IDEAL, seed=1)
 
 
 # Grid of detector parameters over which the closed form is checked.
@@ -289,18 +295,14 @@ class TestOutcomeDistribution:
         states = [singlet_dm(), self.asymmetric_state()]
         states += [random_density(rng, 4, rank=1) for _ in range(3)]
         for rho, det in product(states, DETECTOR_GRID):
-            probs = _outcome_distribution(
-                rho, analyzer_projectors(17.0), analyzer_projectors(71.0), det
-            )
+            probs = setting_probabilities(rho, [MeasurementSetting(17.0, 71.0)], det)[0]
             assert probs.shape == (5,)
             assert np.all(probs >= 0.0)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_coincidence_fraction(self):
         for det in DETECTOR_GRID:
-            probs = _outcome_distribution(
-                singlet_dm(), analyzer_projectors(0.0), analyzer_projectors(45.0), det
-            )
+            probs = setting_probabilities(singlet_dm(), [MeasurementSetting(0.0, 45.0)], det)[0]
             expected = 0.5 * det.window_fraction * det.eta_det**2
             assert probs[:4].sum() == pytest.approx(expected, rel=1e-12)
 
@@ -318,7 +320,7 @@ class TestOutcomeDistribution:
         n = 400_000
         cells = per_trial_cells(rho, projs_a, projs_b, det, n, np.random.default_rng(99))
         assert cells.sum() == n
-        probs = _outcome_distribution(rho, projs_a, projs_b, det)
+        probs = setting_probabilities(rho, [self.SETTING], det)[0]
         for count, p in zip(cells, probs):
             sigma = math.sqrt(max(n * p * (1.0 - p), 1.0))
             assert abs(count - n * p) <= 5.0 * sigma
@@ -329,20 +331,27 @@ class TestStackedKernel:
 
     @staticmethod
     def states():
+        """The singlet, then random states that are not exchange-symmetric, so
+        the two arm assignments of the kernel differ."""
         rng = np.random.default_rng(5150)
-        states = [singlet_dm(), TestOutcomeDistribution.asymmetric_state()]
-        return states + [random_density(rng, 4, rank=r) for r in (1, 2, 3, 4) for _ in range(2)]
+        states = [TestOutcomeDistribution.asymmetric_state()]
+        states += [random_density(rng, 4, rank=r) for r in (1, 2, 3, 4) for _ in range(4)]
+        swap = np.eye(4)[[0, 2, 1, 3]]
+        assert all(np.abs(swap @ rho @ swap - rho).max() > 1e-2 for rho in states)
+        return [singlet_dm(), *states]
 
     @staticmethod
     def settings():
-        """(S, 2, 2, 2) port projectors of arms A and B: the nine tomography
-        pairs, then random analyzer angle pairs."""
+        """(S, 2, 4) port blocks of arms A and B and, for the oracle, the port
+        projectors of each setting: the nine tomography pairs, then random
+        analyzer angle pairs."""
         rng = np.random.default_rng(6160)
-        pairs = [tuple(map(basis_projectors, p)) for p in product(BASIS_LABELS, BASIS_LABELS)]
-        pairs += [
-            (analyzer_projectors(a), analyzer_projectors(b)) for a, b in rng.uniform(0, 180, (9, 2))
-        ]
-        return tuple(np.array(arm) for arm in zip(*pairs))
+        angles = rng.uniform(0, 180, (9, 2))
+        ports_a = np.concatenate([_TOMOGRAPHY_A, [_ports(analyzer_axis(a)) for a, _ in angles]])
+        ports_b = np.concatenate([_TOMOGRAPHY_B, [_ports(analyzer_axis(b)) for _, b in angles]])
+        projs = [tuple(map(basis_projectors, pair)) for pair in BASIS_PAIRS]
+        projs += [(analyzer_projectors(a), analyzer_projectors(b)) for a, b in angles]
+        return ports_a, ports_b, projs
 
     @pytest.mark.parametrize(
         "det",
@@ -350,42 +359,55 @@ class TestStackedKernel:
         ids=lambda d: f"eta{d.eta_det}-dark{d.dark_rate}-w{d.window_fraction}-late{d.late_emission_error}",
     )
     def test_matches_kron_oracle(self, det):
-        projs_a, projs_b = self.settings()
+        ports_a, ports_b, projs = self.settings()
         for rho in self.states():
-            stacked = _outcome_distribution(rho, projs_a, projs_b, det)
-            assert stacked.shape == (len(projs_a), 5)
-            for row, a, b in zip(stacked, projs_a, projs_b):
-                np.testing.assert_allclose(row, kron_outcome_distribution(rho, a, b, det),
-                                           rtol=0, atol=1e-15)
+            stacked = _outcome_distribution(rho, ports_a, ports_b, det)
+            assert stacked.shape == (len(ports_a), 5)
+            for row, a, b, (projs_a, projs_b) in zip(stacked, ports_a, ports_b, projs):
+                np.testing.assert_allclose(
+                    row, kron_outcome_distribution(rho, projs_a, projs_b, det), rtol=0, atol=1e-15
+                )
                 np.testing.assert_allclose(row, _outcome_distribution(rho, a, b, det),
                                            rtol=0, atol=1e-15)
 
+    def test_settings_are_one_kernel_call(self):
+        # setting_probabilities of a state is the kernel at the settings' ports.
+        settings = [MeasurementSetting(a, b) for a, b in ((0, 22.5), (45, 157.5), (17, 71))]
+        ports_a, ports_b = (
+            np.array([_ports(analyzer_axis(getattr(s, arm))) for s in settings])
+            for arm in ("alpha_deg", "beta_deg")
+        )
+        for rho, det in product(self.states()[:3], DETECTOR_GRID):
+            np.testing.assert_array_equal(
+                setting_probabilities(rho, settings, det),
+                _outcome_distribution(rho, ports_a, ports_b, det),
+            )
+
     def test_state_stack_is_bitwise_the_per_state_calls(self):
-        # Counts can move with the last bit of p, so a stack of states must
-        # give exactly each state's own call: the shipped configs' states
-        # over a storage-time grid from 0, and the random states, at the
-        # configs' detectors and DETECTOR_GRID.
+        # A stack of states must give exactly each state's own call: the
+        # shipped configs' states over a storage-time grid from 0, and the
+        # random states, at the configs' detectors and DETECTOR_GRID.
         configs = [load_config(path) for path in sorted(CONFIGS.glob("*.json"))]
         grids = [
             (np.array([final_state(cfg.noise, dt).matrix for dt in STORAGE_GRID_US]),
              _TOMOGRAPHY_A, _TOMOGRAPHY_B)
             for cfg in configs
         ]
-        grids.append((np.array(self.states()), *self.settings()))
+        grids.append((np.array(self.states()), *self.settings()[:2]))
         for det in [cfg.detector for cfg in configs] + DETECTOR_GRID:
-            for states, projs_a, projs_b in grids:
-                stacked = _outcome_distribution(states[:, None], projs_a, projs_b, det)
-                assert stacked.shape == (len(states), len(projs_a), 5)
+            for states, ports_a, ports_b in grids:
+                stacked = _outcome_distribution(states[:, None], ports_a, ports_b, det)
+                assert stacked.shape == (len(states), len(ports_a), 5)
                 for row, rho in zip(stacked, states):
-                    single = _outcome_distribution(rho, projs_a, projs_b, det)
+                    single = _outcome_distribution(rho, ports_a, ports_b, det)
                     np.testing.assert_array_equal(row, single)
 
     def test_leading_axes_are_kept(self):
-        projs_a, projs_b = self.settings()
+        ports_a, ports_b, _ = self.settings()
         rho, det = self.states()[1], DETECTOR_GRID[-1]
-        flat = _outcome_distribution(rho, projs_a, projs_b, det)
-        grid = _outcome_distribution(rho, projs_a.reshape(3, 6, 2, 2, 2),
-                                     projs_b.reshape(3, 6, 2, 2, 2), det)
+        flat = _outcome_distribution(rho, ports_a, ports_b, det)
+        grid = _outcome_distribution(rho, ports_a.reshape(3, 6, 2, 4),
+                                     ports_b.reshape(3, 6, 2, 4), det)
         np.testing.assert_allclose(grid.reshape(-1, 5), flat, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize(
@@ -393,7 +415,7 @@ class TestStackedKernel:
     )
     def test_invalid_state_rejected_by_both_simulators(self, bad, error):
         with pytest.raises(error):
-            simulate_counts(bad, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
+            setting_probabilities(bad, [MeasurementSetting(0, 0)], IDEAL)
         with pytest.raises(error):
             simulate_tomography_dataset(bad, 1000, IDEAL, seed=1)
 
@@ -401,9 +423,72 @@ class TestStackedKernel:
         # The chain runs one state; a (B, 4, 4) stack of valid states is not one.
         stack = np.array([singlet_dm(), singlet_dm()])
         with pytest.raises(DimensionError):
-            simulate_counts(stack, MeasurementSetting(0, 0), 1000, IDEAL, seed=1)
+            setting_probabilities(stack, [MeasurementSetting(0, 0)], IDEAL)
         with pytest.raises(DimensionError):
             simulate_tomography_dataset(stack, 1000, IDEAL, seed=1)
+
+
+class TestGrid:
+    """Counts do not hang on the last bit of p."""
+
+    @staticmethod
+    def rows():
+        """(p, setting, n_sequences) of every configured setting and every
+        tomography pair, for the defaults and the shipped configs over the
+        storage-time grid."""
+        configs = [config_from_dict({})]
+        configs += [load_config(path) for path in sorted(CONFIGS.glob("*.json"))]
+        pairs = [MeasurementSetting(BASIS_ANGLES[a], BASIS_ANGLES[b]) for a, b in BASIS_PAIRS]
+        rows = []
+        for cfg, dt in product(configs, STORAGE_GRID_US):
+            rho = final_state(cfg.noise, dt)
+            probs = setting_probabilities(rho, cfg.settings, cfg.detector)
+            probs = [*probs, *_outcome_distribution(rho.matrix, _TOMOGRAPHY_A, _TOMOGRAPHY_B,
+                                                    cfg.detector)]
+            rows += [(p, s, cfg.n_sequences) for p, s in zip(probs, [*cfg.settings, *pairs])]
+        return rows
+
+    def test_a_one_ulp_nudge_never_moves_a_count(self):
+        for probs, setting, n in self.rows():
+            nudged = []
+            for i in np.flatnonzero(probs):
+                for direction in (-np.inf, np.inf):
+                    nudge = probs.copy()
+                    nudge[i] = np.nextafter(probs[i], direction)
+                    nudged.append(nudge)
+            for seed in range(20):
+                expected = simulate_counts(probs, setting, n, seed)
+                for nudge in nudged:
+                    assert simulate_counts(nudge, setting, n, seed) == expected
+
+    def test_grid_keeps_the_sum_and_the_sign(self):
+        for probs, _, _ in self.rows():
+            on_grid = _on_grid(probs)
+            assert on_grid.sum() == 1.0 and np.all(on_grid >= 0.0)
+            assert np.all(np.rint(on_grid[:4] * 2.0**40) == on_grid[:4] * 2.0**40)
+            np.testing.assert_allclose(on_grid, probs, rtol=0, atol=2.0**-38)
+
+
+class TestKernelCallsPerRun:
+    @pytest.mark.parametrize("mode", ["bell", "simulate"])
+    def test_one_kernel_call_per_run_and_one_draw_per_setting(self, tmp_path, monkeypatch, mode):
+        from ces import detection, pipeline
+
+        calls = {"kernel": 0, "draw": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(detection, "_outcome_distribution",
+                            counted("kernel", detection._outcome_distribution))
+        monkeypatch.setattr(pipeline, "simulate_counts", counted("draw", pipeline.simulate_counts))
+        cfg = config_from_dict({"n_sequences": 2_000})
+        getattr(pipeline, f"run_{mode}")(cfg, tmp_path / "o")
+        assert calls == {"kernel": 1, "draw": len(cfg.settings)}
 
 
 class TestWindowModel:
@@ -411,14 +496,14 @@ class TestWindowModel:
         det_full = DetectorParams(eta_det=1.0, window_fraction=1.0)
         det_cut = DetectorParams(eta_det=1.0, window_fraction=0.4)
         n = 400_000
-        full = simulate_counts(singlet_dm(), MeasurementSetting(0, 0), n, det_full, seed=8)
-        cut = simulate_counts(singlet_dm(), MeasurementSetting(0, 0), n, det_cut, seed=8)
+        full = draw_counts(singlet_dm(), MeasurementSetting(0, 0), n, det_full, seed=8)
+        cut = draw_counts(singlet_dm(), MeasurementSetting(0, 0), n, det_cut, seed=8)
         assert cut.total / full.total == pytest.approx(0.4, abs=0.01)
 
     def test_late_depolarization_only_hits_late_photons(self):
         # With the window at the late boundary, accepted photons are clean.
         det = DetectorParams(eta_det=1.0, window_fraction=0.4, late_emission_error=1.0)
-        rec = simulate_counts(singlet_dm(), MeasurementSetting(0, 0), 200_000, det, seed=9)
+        rec = draw_counts(singlet_dm(), MeasurementSetting(0, 0), 200_000, det, seed=9)
         assert (rec.n_uu + rec.n_dd) / rec.total < 0.003
 
 
@@ -536,7 +621,3 @@ class TestSettingNormalization:
         with pytest.raises(ValueError):
             MeasurementSetting(float("nan"), 0.0)
 
-    def test_projectors_periodic(self):
-        a = analyzer_projectors(30.0)
-        b = analyzer_projectors(210.0)
-        np.testing.assert_allclose(a[0], b[0], atol=1e-12)

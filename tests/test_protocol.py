@@ -6,66 +6,50 @@ import numpy as np
 import pytest
 
 from ces.config import load_config
-from ces.detection import DetectorParams, _outcome_distribution, analyzer_projectors
-from ces.errors import DimensionError
+from ces.detection import DetectorParams, MeasurementSetting, setting_probabilities
 from ces.measures import concurrence, fidelity_singlet, log_negativity
-from ces.protocol import (
-    EfficiencyParams,
-    NoiseParams,
-    apply_storage_noise,
-    atom_photon_state,
-    final_state,
-    map_to_photon_pair,
-    pumping_channel,
-    rate_budget,
-)
+from ces.protocol import EfficiencyParams, NoiseParams, final_state, rate_budget
 from ces.qcore import validate_density
-from conftest import CONFIGS, dephased_singlet, random_density, singlet_dm, trace_distance
+from conftest import (
+    CONFIGS,
+    channel_chain_state,
+    dephased_singlet,
+    singlet_dm,
+    trace_distance,
+)
 
 
-class TestAtomPhotonState:
-    def test_populations(self):
-        # Amplitudes sit on |1,-1>|s+> and |1,+1>|s->, half weight each.
-        rho = atom_photon_state()
-        np.testing.assert_allclose(np.diag(rho.matrix), [0.5, 0, 0, 0.5], atol=1e-15)
+def random_noise(rng) -> NoiseParams:
+    return NoiseParams(
+        v0=rng.uniform(0, 1),
+        tau_e_us=rng.uniform(0.1, 20),
+        p_white=rng.uniform(0, 1),
+        eta_pump=rng.uniform(0, 1),
+    )
 
-    def test_purity(self):
-        mat = atom_photon_state().matrix
+
+class TestChannelChain:
+    def test_final_state_is_the_four_step_chain(self, rng):
+        # The closed form against the oracle that applies each step in turn.
+        for _ in range(200):
+            noise, dt = random_noise(rng), rng.uniform(0, 30)
+            np.testing.assert_allclose(
+                final_state(noise, dt).matrix, channel_chain_state(noise, dt), rtol=0, atol=1e-15
+            )
+
+    def test_ideal_pair_is_pure_with_half_weight_on_the_antiparallel_pairs(self):
+        mat = final_state(NoiseParams(), 0.0).matrix
+        np.testing.assert_allclose(np.diag(mat), [0, 0.5, 0.5, 0], atol=1e-15)
         assert np.real(np.trace(mat @ mat)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_reduced_atom_maximally_mixed(self):
-        reduced = np.einsum("abcb->ac", atom_photon_state().matrix.reshape(2, 2, 2, 2))
-        np.testing.assert_allclose(reduced, np.eye(2) / 2.0, atol=1e-12)
-
-
-class TestMapToPhotonPair:
-    def test_ideal_input_gives_singlet(self):
-        pair = map_to_photon_pair(atom_photon_state())
-        assert fidelity_singlet(pair) == pytest.approx(1.0, abs=1e-12)
-        assert trace_distance(pair, singlet_dm()) <= 1e-12
-
-    def test_unital(self):
-        out = map_to_photon_pair(np.eye(4) / 4.0)
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4.0, atol=1e-15)
-
-    def test_dephased_input_concurrence(self):
-        # Concurrence of the mapped pair equals the surviving coherence.
-        for v in (0.3, 0.7, 0.95):
-            noisy = apply_storage_noise(atom_photon_state(), NoiseParams(v0=v), 0.0)
-            pair = map_to_photon_pair(noisy)
-            assert concurrence(pair) == pytest.approx(v, abs=1e-10)
-
-    def test_dimension_error(self):
-        with pytest.raises(DimensionError):
-            map_to_photon_pair(np.eye(2) / 2.0)
+    def test_each_photon_alone_is_maximally_mixed(self, rng):
+        for _ in range(10):
+            blocks = final_state(random_noise(rng), rng.uniform(0, 30)).matrix.reshape(2, 2, 2, 2)
+            for reduced in (np.einsum("abcb->ac", blocks), np.einsum("abad->bd", blocks)):
+                np.testing.assert_allclose(reduced, np.eye(2) / 2.0, atol=1e-15)
 
 
 class TestStorageNoise:
-    def test_identity_channel(self):
-        rho = atom_photon_state()
-        out = apply_storage_noise(rho, NoiseParams(v0=1.0, p_white=0.0), 0.0)
-        assert trace_distance(out, rho) <= 1e-15
-
     def test_long_storage_fidelity_half(self):
         # Pure dephasing kills the coherence but not the populations, so the
         # pair fidelity saturates at 1/2 (not 1/4).
@@ -73,19 +57,20 @@ class TestStorageNoise:
         pair = final_state(noise, dt_us=1e6)
         assert fidelity_singlet(pair) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("v", [0.3, 0.7, 0.95])
+    def test_concurrence_is_the_surviving_coherence(self, v):
+        assert concurrence(final_state(NoiseParams(v0=v), 0.0)) == pytest.approx(v, abs=1e-10)
+
     def test_calibrated_coherence_gives_measured_fidelity(self):
         # F = (1 + v)/2 for a dephased singlet; v = 0.804 lands on 0.902.
-        noisy = apply_storage_noise(atom_photon_state(), NoiseParams(v0=0.804), 0.0)
-        pair = map_to_photon_pair(noisy)
+        pair = final_state(NoiseParams(v0=0.804), 0.0)
         assert fidelity_singlet(pair) == pytest.approx(0.902, abs=1e-12)
 
-    def test_gaussian_factors_compose(self):
+    def test_coherence_decays_as_a_gaussian(self):
         noise = NoiseParams(v0=0.9, tau_e_us=4.0)
-        rho = atom_photon_state()
-        two_step = apply_storage_noise(apply_storage_noise(rho, noise, 1.5), noise, 2.5)
-        expected = 0.9**2 * np.exp(-(1.5**2 + 2.5**2) / 16.0)
-        coherence = 2.0 * abs(two_step.matrix[0, 3])
-        assert coherence == pytest.approx(expected, abs=1e-12)
+        for dt in (0.0, 1.5, 2.5, np.hypot(1.5, 2.5)):
+            coherence = 2.0 * abs(final_state(noise, dt).matrix[1, 2])
+            assert coherence == pytest.approx(0.9 * np.exp(-((dt / 4.0) ** 2)), abs=1e-15)
 
     @pytest.mark.parametrize("dt_us", [1e154, 1e200, 1.7e308])
     def test_astronomical_storage_time_has_no_coherence(self, dt_us):
@@ -97,25 +82,27 @@ class TestStorageNoise:
         assert final_state(noise, dt_us).matrix.tobytes() == expected.tobytes()
 
     def test_populations_invariant_under_dephasing(self, rng):
-        noise = NoiseParams(v0=0.5, tau_e_us=2.0, p_white=0.0)
-        for _ in range(10):
-            rho = random_density(rng, 4)
-            out = apply_storage_noise(rho, noise, rng.uniform(0.0, 10.0))
-            np.testing.assert_allclose(np.diag(out.matrix), np.diag(rho), atol=1e-12)
+        noise = NoiseParams(v0=0.5, tau_e_us=2.0, p_white=0.2, eta_pump=0.9)
+        expected = np.diag(final_state(noise, 0.0).matrix)
+        for dt in rng.uniform(0.0, 10.0, 10):
+            np.testing.assert_array_equal(np.diag(final_state(noise, dt).matrix), expected)
 
 
 class TestPumpingChannel:
-    def test_perfect_pumping_is_identity(self, rng):
-        rho = random_density(rng, 4)
-        assert trace_distance(pumping_channel(rho, 1.0), rho) <= 1e-15
+    def test_pumping_and_white_noise_mix_in_the_same_state(self):
+        # Both mix in I/4, so only eta_pump (1 - p_white) matters.
+        a = final_state(NoiseParams(v0=0.9, eta_pump=0.8, p_white=0.0), 1.0).matrix
+        b = final_state(NoiseParams(v0=0.9, eta_pump=1.0, p_white=0.2), 1.0).matrix
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
 
-    def test_failed_pumping_depolarizes(self):
-        out = pumping_channel(singlet_dm(), 0.0)
-        np.testing.assert_allclose(out.matrix, np.eye(4) / 4.0, atol=1e-15)
+    @pytest.mark.parametrize("noise", [NoiseParams(eta_pump=0.0), NoiseParams(p_white=1.0)])
+    def test_failed_pumping_or_full_white_noise_depolarizes(self, noise):
+        out = final_state(noise, 0.0)
+        np.testing.assert_array_equal(out.matrix, np.eye(4) / 4.0)
         assert fidelity_singlet(out) == pytest.approx(0.25, abs=1e-12)
 
     def test_fidelity_linear_in_mixture(self):
-        out = pumping_channel(singlet_dm(), 0.8)
+        out = final_state(NoiseParams(eta_pump=0.8), 0.0)
         assert fidelity_singlet(out) == pytest.approx(0.8 * 1.0 + 0.2 * 0.25, abs=1e-12)
 
 
@@ -135,24 +122,13 @@ class TestFinalState:
     def test_channels_preserve_validity(self, rng):
         # Any valid parameter draw must yield a valid density matrix.
         for _ in range(25):
-            noise = NoiseParams(
-                v0=rng.uniform(0, 1),
-                tau_e_us=rng.uniform(0.1, 20),
-                p_white=rng.uniform(0, 1),
-                eta_pump=rng.uniform(0, 1),
-            )
-            out = final_state(noise, rng.uniform(0, 30))
+            out = final_state(random_noise(rng), rng.uniform(0, 30))
             assert validate_density(out).passed
 
     def test_fidelity_never_below_quarter(self, rng):
         for _ in range(25):
-            noise = NoiseParams(
-                v0=rng.uniform(0, 1),
-                tau_e_us=rng.uniform(0.1, 20),
-                p_white=rng.uniform(0, 1),
-                eta_pump=rng.uniform(0, 1),
-            )
-            assert fidelity_singlet(final_state(noise, rng.uniform(0, 30))) >= 0.25 - 1e-12
+            out = final_state(random_noise(rng), rng.uniform(0, 30))
+            assert fidelity_singlet(out) >= 0.25 - 1e-12
 
 
 class TestShippedCalibrations:
@@ -196,9 +172,8 @@ class TestRateBudget:
         det = DetectorParams(
             eta_det=0.2, dark_rate=0.01, window_fraction=0.6, late_emission_error=0.1
         )
-        probs = _outcome_distribution(
-            dephased_singlet(0.8), analyzer_projectors(0.0), analyzer_projectors(22.5), det
-        )
+        setting = MeasurementSetting(0.0, 22.5)
+        probs = setting_probabilities(dephased_singlet(0.8), [setting], det)[0]
         rep = rate_budget(eff, det)
         detected = eff.p_photon1 * eff.p_photon2 * (1.0 - probs[4])
         assert rep.p_pair_detect * 0.5 * det.window_fraction == pytest.approx(detected, rel=1e-12)

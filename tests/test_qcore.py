@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ces import qcore
-from ces.detection import analyzer_projectors, basis_projectors
+from ces.detection import basis_projectors
 from ces.errors import DimensionError, ValidationError
 from ces.qcore import (
     IDENTITY_2,
@@ -31,10 +31,10 @@ from ces.qcore import (
     validate_density,
 )
 from conftest import (
+    analyzer_projectors,
     dephased_singlet,
     random_density,
     random_hermitian,
-    random_pure,
     singlet_dm,
     trace_distance,
 )
@@ -216,20 +216,9 @@ class TestValidationCache:
         assert len(validations) > 1
 
 
-class TestFromKet:
-    def test_normalizes(self, rng):
-        ket = random_pure(rng, 4)
-        rho = DensityMatrix.from_ket(3.0 * ket)
-        assert abs(np.trace(rho.matrix) - 1.0) <= 1e-12
-        np.testing.assert_allclose(rho.matrix, np.outer(ket, ket.conj()), rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("ket", [[0.0, 0.0], []])
-    def test_zero_vector_rejected(self, ket):
-        with pytest.raises(ValidationError):
-            DensityMatrix.from_ket(ket)
-
+class TestDensityMatrix:
     def test_immutable(self):
-        rho = DensityMatrix.from_ket([1.0, 0.0])
+        rho = DensityMatrix([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
 

@@ -246,16 +246,17 @@ class TestTableCheck:
             (lambda t: np.where(t == t.max(), -1.0, t), "finite and >= 0"),
             (lambda t: np.where(np.arange(9)[:, None] == 7, 0.0, t),
              r"basis pair \('RL', 'DA'\) has zero coincidences"),
-            # Counts are held as floats, exact up to 2**53, the cap the counts
-            # CSV reader applies.  Above it the MLE certified with gaps of
-            # -1e17 (at 1e20) or raised LinAlgError (at 1e300).
-            (lambda t: np.where(t == t.max(), 2.0**53 + 2, t), r"counts above 2\*\*53"),
-            (lambda t: np.where(t == t.max(), 1e20, t), r"counts above 2\*\*53"),
-            (lambda t: np.where(t == t.max(), 1e300, t), r"counts above 2\*\*53"),
+            # A table's total is at most 2**48: the certificate
+            # lambda_max(R) - N is quantised to ulp(N), and near 2**53 the MLE
+            # certified with negative gaps (-1e17 at a 1e20 cell) or raised
+            # LinAlgError (at a 1e300 cell).
+            (lambda t: t * 2.0**36, r"above a total of 2\*\*48"),
+            (lambda t: t * 1e17, r"above a total of 2\*\*48"),
+            (lambda t: t * 1e296, r"above a total of 2\*\*48"),
         ],
         ids=[
             "eight-pairs", "transposed", "nan", "inf", "negative", "zero-pair",
-            "above-2**53", "1e20", "1e300",
+            "above-2**48", "1e20", "1e300",
         ],
     )
     def test_every_estimator_checks_its_table(self, estimator, edit, message):
@@ -263,14 +264,24 @@ class TestTableCheck:
         with pytest.raises(DataError, match=message):
             estimator(table)
 
-    @pytest.mark.parametrize("estimator", ["linear", "mle", "batch"])
-    def test_a_count_of_2_53_is_accepted(self, estimator):
-        # The other pairs hold 2**35 each, so the pair totals stay within
-        # MAX_PAIR_RATIO.  The bootstrap is left out: at these counts its
-        # resamples take seconds.
+    @pytest.mark.parametrize("estimator", ESTIMATORS.values(), ids=ESTIMATORS.keys())
+    def test_a_count_of_2_53_among_2_33_is_rejected(self, estimator):
+        # The pair totals stay within MAX_PAIR_RATIO, but the total is about
+        # 2**53: mle_reconstruct certified this table with a gap of -2.0, a
+        # negative bound only rounding can give.
         table = np.full((9, 4), 2.0**33)
         table[0, 1] = 2**53
-        assert self.ESTIMATORS[estimator](table)
+        with pytest.raises(DataError, match=r"above a total of 2\*\*48"):
+            estimator(table)
+
+    def test_a_total_of_2_48_is_accepted(self):
+        table = np.rint(exact_table(dephased_singlet(0.8), total_per_basis=2.0**48 / 9))
+        table[0, 1] += 2.0**48 - table.sum()
+        assert table.sum() == tomography.MAX_TOTAL
+        assert linear_inversion(table).psd_ok
+        fit = mle_reconstruct(table)
+        assert fit.converged
+        assert fit.certificate_gap <= tomography.gap_tolerance(table.sum())
 
     HUGE_CELLS = {"HV-HV-n_uu": (0, 0), "HV-HV-n_ud": (0, 1), "DA-DA-n_uu": (4, 0),
                   "RL-RL-n_dd": (8, 3)}
