@@ -119,9 +119,10 @@ def _principal_values(mat: np.ndarray) -> np.ndarray:
     return np.linalg.svd(correlation_matrix(mat), compute_uv=False)
 
 
-def _s_max(mat: np.ndarray) -> float:
-    """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one state or a stack
-    (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson bound."""
+def s_max(mat: np.ndarray) -> float:
+    """State-optimal CHSH value 2 sqrt(s1^2 + s2^2) of one validated state or
+    stack (Horodecki et al., PLA 200, 340 (1995)), capped at the Tsirelson
+    bound."""
     s = _principal_values(mat)
     value = 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
     return unstack(np.minimum(value, TSIRELSON_BOUND + 1e-12))
@@ -130,7 +131,7 @@ def _s_max(mat: np.ndarray) -> float:
 def max_chsh_from_state(rho) -> BellResult:
     """State-optimal CHSH value and a setting quad that attains it.
 
-    The value is ``_s_max``.  With s1 >= s2 the two largest singular
+    The value is ``s_max``.  With s1 >= s2 the two largest singular
     values of T, write v(t) = (s1 cos t, s2 sin t) for a first-arm direction
     at plane angle t.  The first arm takes t = 0 and pi/2, and the second
     arm lies along v(pi/2) + v(0) = (s1, s2) and v(pi/2) - v(0) = (-s1, s2),
@@ -155,4 +156,4 @@ def max_chsh_from_state(rho) -> BellResult:
         to_analyzer(math.atan2(s2, s1)),
         to_analyzer(math.atan2(s2, -s1)),
     )
-    return BellResult(s_value=_s_max(mat), std_err=0.0, settings=settings)
+    return BellResult(s_value=s_max(mat), std_err=0.0, settings=settings)

@@ -38,6 +38,11 @@ draw on its own keyed counter-based stream (see :mod:`ces.rng`).  Counts
 are reproducible bit-for-bit for a given seed whatever order settings run
 in, and a draw costs the same for any n_sequences.
 
+Each analyzer is described once, by the Bloch axis of its up port and the
+port block ``_ports`` of that axis: ``analyzer_axis`` for a linear analyzer,
+the exact axes of the tomography bases for ``TOMOGRAPHY_PORTS``, the blocks
+that also build ``tomography.PROJECTORS``.
+
 One kernel, ``_outcome_distribution``, gives p in closed form for a stack
 of settings and states: one call for all the analyzer settings of a state
 (``setting_probabilities``) or all the basis pairs of a tomography dataset,
@@ -52,17 +57,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DataError, DimensionError
-from .qcore import (
-    IDENTITY_2,
-    KET_D,
-    KET_H,
-    KET_R,
-    PAULIS,
-    pauli_expectations,
-    require_two_qubit_density,
-    tensor,
-)
+from .errors import DimensionError
+from .qcore import pauli_expectations, require_two_qubit_density
 from .rng import keyed_multinomial, make_stream, positive_count
 
 #: Emission-time quantile beyond which photon 2 carries the late-emission
@@ -77,8 +73,10 @@ MAX_COUNT = 2**53
 #: Tomography basis pairs, each measured at both analyzer ports.
 BASIS_LABELS = ("HV", "DA", "RL")
 
-#: Up-port ket of each basis; the down port is its complement.
-_BASIS_KETS = {"HV": KET_H, "DA": KET_D, "RL": KET_R}
+# Bloch axis (x, y, z) of each basis's up port H, D or R.  HV and DA are
+# analyzer rotations (0 and 45 degrees); RL is a quarter-wave retarder with
+# |H> -> (|H> + i|V>)/sqrt(2) in front of a 0-degree analyzer.
+_BASIS_AXES = {"HV": (0.0, 0.0, 1.0), "DA": (1.0, 0.0, 0.0), "RL": (0.0, 1.0, 0.0)}
 
 
 @dataclass(frozen=True)
@@ -96,7 +94,7 @@ class MeasurementSetting:
         object.__setattr__(self, "beta_deg", float(self.beta_deg) % 180.0)
 
 
-def _check_unit_interval(name: str, value: float) -> None:
+def check_unit_interval(name: str, value: float) -> None:
     if not (0.0 <= value <= 1.0):
         raise ValueError(f"{name} must be within [0, 1], got {value!r}")
 
@@ -112,7 +110,7 @@ class DetectorParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_det", "dark_rate", "late_emission_error"):
-            _check_unit_interval(name, getattr(self, name))
+            check_unit_interval(name, getattr(self, name))
         if not (0.0 < self.window_fraction <= 1.0):
             raise ValueError(
                 f"window_fraction must be within (0, 1], got {self.window_fraction!r}"
@@ -161,28 +159,6 @@ def _ports(axes) -> np.ndarray:
     ports[..., 0, 1:] = axes
     ports[..., 1, 1:] = -axes
     return ports
-
-
-def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Port projectors for a tomography basis (HV, DA or RL).
-
-    HV and DA are analyzer rotations (0 and 45 degrees).  RL is realized as
-    a quarter-wave retarder with |H> -> (|H> + i|V>)/sqrt(2) in front of a
-    0-degree analyzer, i.e. projectors onto |R> and |L>.
-    """
-    if label not in _BASIS_KETS:
-        raise DataError(f"unknown basis label {label!r}, expected one of {BASIS_LABELS}")
-    ket = _BASIS_KETS[label]
-    p_up = np.outer(ket, ket.conj())
-    return p_up, IDENTITY_2 - p_up
-
-
-def pair_projectors(projs_1, projs_2) -> np.ndarray:
-    """Read-only (4, 4, 4) block of P_i x Q_j in (uu, ud, du, dd) order, the
-    CountRecord cell order, for photon 1 analyzed by projs_1."""
-    block = np.array([tensor(p, q) for p in projs_1 for q in projs_2])
-    block.setflags(write=False)
-    return block
 
 
 def _outcome_distribution(mat: np.ndarray, ports_a, ports_b, det: DetectorParams) -> np.ndarray:
@@ -246,12 +222,10 @@ def simulate_counts(probs, setting: MeasurementSetting, n_sequences: int, seed: 
 BASIS_ANGLES = {"HV": 0.0, "DA": 45.0, "RL": 0.0}
 #: The nine tomography basis pairs (arm A label, arm B label), in dataset order.
 BASIS_PAIRS = tuple(product(BASIS_LABELS, BASIS_LABELS))
-# Bloch axis <k|sigma|k> of each basis's up-port ket k, and the (9, 2, 4) port
-# blocks of arm A and of arm B at each basis pair, built once.
-_BASIS_AXES = {name: [np.real(k.conj() @ p @ k) for p in PAULIS] for name, k in _BASIS_KETS.items()}
-_TOMOGRAPHY_A, _TOMOGRAPHY_B = (
-    _ports([_BASIS_AXES[pair[arm]] for pair in BASIS_PAIRS]) for arm in (0, 1)
-)
+#: Read-only (2, 9, 2, 4) port blocks: for arm A and arm B, the ``_ports``
+#: block of its basis at each of the BASIS_PAIRS.  Every entry is 0 or +-1.
+TOMOGRAPHY_PORTS = _ports([[_BASIS_AXES[pair[arm]] for pair in BASIS_PAIRS] for arm in (0, 1)])
+TOMOGRAPHY_PORTS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -301,7 +275,7 @@ def simulate_tomography_dataset(
     seeds = [seed] if one else list(seed)
     if not one and (mat.shape[:-2] != (len(seeds),) or not seeds):
         raise DimensionError(f"expected a stack of {len(seeds)} states, got shape {mat.shape}")
-    probs = _on_grid(_outcome_distribution(mat[..., None, :, :], _TOMOGRAPHY_A, _TOMOGRAPHY_B, det))
+    probs = _on_grid(_outcome_distribution(mat[..., None, :, :], *TOMOGRAPHY_PORTS, det))
     row_seeds = [s for s in seeds for _ in BASIS_PAIRS]
     keys = [(i,) for i in range(len(BASIS_PAIRS))] * len(seeds)
     draws = keyed_multinomial(row_seeds, keys, n_per_basis, probs.reshape(-1, 5))

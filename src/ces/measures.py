@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import _s_max
+from .bell import s_max
 from .qcore import (
     SINGLET_KET,
     partial_transpose,
@@ -106,10 +106,10 @@ def report(rho) -> EntanglementReport:
 
     The state or stack is validated once, here.
     """
-    return _report(require_two_qubit_density(rho))
+    return report_of_valid(require_two_qubit_density(rho))
 
 
-def _report(mat: np.ndarray) -> EntanglementReport:
+def report_of_valid(mat: np.ndarray) -> EntanglementReport:
     """``report`` of a state or stack that has already passed validation."""
     c = _concurrence(mat)
     negativity, e_n = _log_negativity(mat)
@@ -119,5 +119,5 @@ def _report(mat: np.ndarray) -> EntanglementReport:
         eof=eof_from_concurrence(c),
         negativity=negativity,
         log_negativity=e_n,
-        s_max=_s_max(mat),
+        s_max=s_max(mat),
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectorParams, _check_unit_interval
+from .detection import DetectorParams, check_unit_interval
 from .qcore import DensityMatrix
 
 
@@ -56,9 +56,9 @@ class NoiseParams:
     eta_pump: float = 1.0
 
     def __post_init__(self) -> None:
-        _check_unit_interval("v0", self.v0)
-        _check_unit_interval("p_white", self.p_white)
-        _check_unit_interval("eta_pump", self.eta_pump)
+        check_unit_interval("v0", self.v0)
+        check_unit_interval("p_white", self.p_white)
+        check_unit_interval("eta_pump", self.eta_pump)
         if not self.tau_e_us > 0.0:
             raise ValueError(f"tau_e_us must be > 0, got {self.tau_e_us!r}")
 
@@ -82,8 +82,8 @@ class EfficiencyParams:
     rep_rate_khz: float = 50.0
 
     def __post_init__(self) -> None:
-        _check_unit_interval("p_photon1", self.p_photon1)
-        _check_unit_interval("p_photon2", self.p_photon2)
+        check_unit_interval("p_photon1", self.p_photon1)
+        check_unit_interval("p_photon2", self.p_photon2)
         if not self.rep_rate_khz > 0.0:
             raise ValueError(f"rep_rate_khz must be > 0, got {self.rep_rate_khz!r}")
 

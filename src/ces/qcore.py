@@ -12,6 +12,8 @@ Every other module builds on the basis conventions fixed here:
 * diagonal basis ``|D> = (|H> + |V>)/sqrt(2)``, ``|A> = (|H> - |V>)/sqrt(2)``
 * circular basis ``|R> = (|H> + i|V>)/sqrt(2)``, ``|L> = (|H> - i|V>)/sqrt(2)``
   (with the conventions above, R/L coincide with sigma+/sigma-)
+* Pauli matrices x = D/A, y = R/L, z = H/V: ``|k+><k+| - |k-><k-|`` of the
+  kets above, written exactly, so every entry of sigma_m x sigma_n is 0, +-1, +-i
 
 States are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
@@ -29,33 +31,20 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE_TOL = -1e-9
 
-_SQRT2 = np.sqrt(2.0)
-
 # Single-qubit kets in the sigma+/sigma- computational basis.
 KET_SP = np.array([1.0, 0.0], dtype=complex)
 KET_SM = np.array([0.0, 1.0], dtype=complex)
-KET_H = (KET_SP + KET_SM) / _SQRT2
-KET_V = -1j * (KET_SP - KET_SM) / _SQRT2
-KET_D = (KET_H + KET_V) / _SQRT2
-KET_A = (KET_H - KET_V) / _SQRT2
-KET_R = (KET_H + 1j * KET_V) / _SQRT2
-KET_L = (KET_H - 1j * KET_V) / _SQRT2
 
 #: Two-photon singlet ket (|s+ s-> - |s- s+>)/sqrt(2).
-SINGLET_KET = (np.kron(KET_SP, KET_SM) - np.kron(KET_SM, KET_SP)) / _SQRT2
+SINGLET_KET = (np.kron(KET_SP, KET_SM) - np.kron(KET_SM, KET_SP)) / np.sqrt(2.0)
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 
-
-def _projector(ket: np.ndarray) -> np.ndarray:
-    return np.outer(ket, ket.conj())
-
-
-# Polarization Bloch frame: x = D/A, y = R/L, z = H/V.  This is the frame in
-# which analyzer rotations by an angle a sweep the z-x great circle.
-PAULI_X = _projector(KET_D) - _projector(KET_A)
-PAULI_Y = _projector(KET_R) - _projector(KET_L)
-PAULI_Z = _projector(KET_H) - _projector(KET_V)
+# Polarization Bloch frame (see above), in which analyzer rotations by an
+# angle a sweep the z-x great circle.
+PAULI_X = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+PAULI_Y = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+PAULI_Z = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 

@@ -22,9 +22,11 @@ certificate and the same caps as every fit.
 
 Both ports of each analyzer are used, so every basis pair contributes four
 projectors.  The count table has one fixed layout, ``PROJECTORS``: the nine
-``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  Every
-estimator takes (9, 4) count tables in that pair order, a dataset's
-``counts``, and needs coincidences in every pair.  Error bars on derived
+``detection.BASIS_PAIRS`` in order, four cells each, 36 columns.  It and
+the estimators' Pauli design come from ``detection.TOMOGRAPHY_PORTS``, so
+every design coefficient is exactly 0 or +-1/4.  Every estimator takes
+(9, 4) count tables in that pair order, a dataset's ``counts``, and needs
+coincidences in every pair.  Error bars on derived
 quantities come from multinomial bootstrap resampling of the per-basis
 counts: each basis pair draws all its resamples in one call on its own
 keyed stream, the resamples are fitted as one batch, and the figures are
@@ -37,16 +39,15 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .detection import BASIS_PAIRS, basis_projectors, pair_projectors
+from .detection import BASIS_PAIRS, TOMOGRAPHY_PORTS
 from .errors import DataError
-from .measures import _report
+from .measures import report_of_valid
 from .qcore import (
     MIN_EIGENVALUE_TOL,
     PAULI_PRODUCTS,
     DensityMatrix,
     born_probabilities,
     flatten_real,
-    pauli_expectations,
     require_two_qubit_density,
     validate_density,
 )
@@ -108,15 +109,17 @@ class ReconstructionResult:
         return self.min_eigenvalue >= MIN_EIGENVALUE_TOL
 
 
+# a_km = tr(Pi_k sigma_m) / 4 = U_A[i, m1] U_B[j, m2] / 4 at cell (i, j) of a
+# pair with port blocks U_A, U_B and m = 4 m1 + m2.  rho = (1/4) sum_m c_m
+# sigma_m with c_0 = 1 fixed by the trace, so p = a[:, 0] + _DESIGN @ c[1:];
+# the (36, 15) design has full rank (a test checks it).
+_PAULI_COEFFS = np.einsum("pim,pjn->pijmn", *TOMOGRAPHY_PORTS).reshape(36, 16) / 4.0
 #: (36, 4, 4) port projectors of the count table's columns: the four cells
-#: (uu, ud, du, dd) of each of the nine BASIS_PAIRS, in that order.
-PROJECTORS = np.concatenate([pair_projectors(*map(basis_projectors, p)) for p in BASIS_PAIRS])
+#: (uu, ud, du, dd) of each of the nine BASIS_PAIRS, in that order, each
+#: P_i x Q_j = sum_m a_km sigma_m with entries that are multiples of 1/4.
+PROJECTORS = np.einsum("km,mab->kab", _PAULI_COEFFS, PAULI_PRODUCTS)
 PROJECTORS.flags.writeable = False
 _FLAT_PROJECTORS = flatten_real(PROJECTORS)
-# a_km = tr(Pi_k sigma_m) / 4: rho = (1/4) sum_m c_m sigma_m with c_0 = 1
-# fixed by the trace, so p = a[:, 0] + _DESIGN @ c[1:].  The (36, 15) design
-# has full rank (a test checks it), so the nine pairs determine the state.
-_PAULI_COEFFS = pauli_expectations(PROJECTORS).reshape(len(PROJECTORS), 16) / 4.0
 _DESIGN = _PAULI_COEFFS[:, 1:]
 # a_k a_k^T of each design row, flattened: the Newton Hessian is one product.
 _OUTER = (_DESIGN[:, :, None] * _DESIGN[:, None, :]).reshape(len(_DESIGN), -1)
@@ -549,7 +552,7 @@ def bootstrap_errors(counts, estimate, n_resamples: int, seed: int) -> Bootstrap
     kept = rho[(gap <= gap_tolerance(table.sum(axis=1))) & validate_density(rho).passed]
     if len(kept) < 2:
         raise DataError("too few successful bootstrap resamples to estimate errors")
-    figures = asdict(_report(kept))
+    figures = asdict(report_of_valid(kept))
     figures["fidelity"] = figures.pop("fidelity_singlet")
     return BootstrapErrors(
         **{f"sigma_{name}": float(np.std(v, ddof=1)) for name, v in figures.items()},

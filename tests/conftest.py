@@ -12,15 +12,14 @@ import pytest
 
 from ces.detection import (
     LATE_BOUNDARY_QUANTILE,
-    pair_projectors,
+    DetectorParams,
     setting_probabilities,
     simulate_counts,
+    simulate_tomography_dataset,
 )
 from ces.qcore import (
-    KET_H,
     KET_SM,
     KET_SP,
-    KET_V,
     SINGLET_KET,
     as_matrix,
     born_probabilities,
@@ -31,6 +30,27 @@ from ces.tomography import PROJECTORS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+# The polarization kets of the ces.qcore docstring, in the sigma+/sigma-
+# basis: the written convention that the exact Pauli matrices and the port
+# blocks are checked against.
+KET_H = (KET_SP + KET_SM) / np.sqrt(2.0)
+KET_V = -1j * (KET_SP - KET_SM) / np.sqrt(2.0)
+KET_D = (KET_H + KET_V) / np.sqrt(2.0)
+KET_A = (KET_H - KET_V) / np.sqrt(2.0)
+KET_R = (KET_H + 1j * KET_V) / np.sqrt(2.0)
+KET_L = (KET_H - 1j * KET_V) / np.sqrt(2.0)
+#: Up-port ket of each tomography basis; the down port is its complement.
+BASIS_KETS = {"HV": KET_H, "DA": KET_D, "RL": KET_R}
+
+#: Counts of a simulated ``ces tomo --trials 20000`` run, hundreds per cell,
+#: with HV/HV n_ud set to 1e14.  The table check rejects it (its pair totals
+#: differ by more than MAX_PAIR_RATIO), so tests lift that check to reach the fit.
+HUGE_CELL_TABLE = np.array(
+    [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
+     [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
+     [114, 103, 88, 113], [116, 107, 108, 74], [21, 124, 183, 16]]
+)
 
 
 def import_script(name: str, monkeypatch):
@@ -84,6 +104,14 @@ def werner(p: float) -> np.ndarray:
     return p * singlet_dm() + (1.0 - p) * np.eye(4) / 4.0
 
 
+def zero_cell_table() -> np.ndarray:
+    """Simulated (9, 4) counts of ``werner(0.9)`` with HV/HV n_uu set to 0, so
+    that an MLE fit takes boundary steps from its start; the fit certifies."""
+    counts = simulate_tomography_dataset(werner(0.9), 1_000, DetectorParams(), 5).counts.copy()
+    counts[0, 0] = 0
+    return counts
+
+
 def trace_distance(a, b) -> float:
     """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices (or stacks)."""
     diff = as_matrix(a) - as_matrix(b)
@@ -112,6 +140,20 @@ def analyzer_projectors(theta_deg: float) -> tuple[np.ndarray, np.ndarray]:
     ket = math.cos(theta) * KET_H + math.sin(theta) * KET_V
     p_up = np.outer(ket, ket.conj())
     return p_up, np.eye(2) - p_up
+
+
+def basis_projectors(label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: port projectors of a tomography basis, the up port onto its
+    ket in BASIS_KETS, the down port its complement."""
+    ket = BASIS_KETS[label]
+    p_up = np.outer(ket, ket.conj())
+    return p_up, np.eye(2) - p_up
+
+
+def pair_projectors(projs_1, projs_2) -> np.ndarray:
+    """Oracle: the (4, 4, 4) block of P_i x Q_j in (uu, ud, du, dd) order, the
+    CountRecord cell order, for photon 1 analyzed by projs_1."""
+    return np.array([np.kron(p, q) for p in projs_1 for q in projs_2])
 
 
 def kron_outcome_distribution(rho, projs_a, projs_b, det):

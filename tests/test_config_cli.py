@@ -23,7 +23,7 @@ from ces.errors import ConfigError
 from ces.fileio import write_json
 from ces.pipeline import run_bell, run_rates, run_tomo
 from ces.tomography import GAP_TOL
-from conftest import CONFIGS
+from conftest import CONFIGS, HUGE_CELL_TABLE, zero_cell_table
 
 
 class TestLoadConfig:
@@ -793,23 +793,18 @@ class TestCliExitCodes:
             assert fit["converged"] and float(rows[1].split(",")[1]) == 0.0
 
     def test_tomography_whose_r_turns_infinite_is_4(self, tmp_path, capsys, monkeypatch):
-        # A huge count drives the fit to a zero probability under a positive
-        # count; the run reports it unconverged instead of a LinAlgError.  The
-        # table is a `ces tomo --trials 20000 --seed 1` run's with HV/HV n_ud
-        # set to 1e14 (test_tomography.py::TestNonFiniteR takes the same
-        # one).  The table check rejects such a table, so it is lifted to
-        # reach the fit.
+        # A boundary step that lands on |HH><HH|, whose HV/HV ud probability
+        # is exactly 0 under a positive count, makes R non-finite; the run
+        # reports the fit unconverged instead of a LinAlgError.
         from ces.detection import TomographyDataset
         from ces.fileio import write_tomography_csv
 
-        monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
-        counts = np.array(
-            [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
-             [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
-             [114, 103, 88, 113], [116, 107, 108, 74], [21, 124, 183, 16]]
-        )
+        def step_onto_hh(counts, rho, r_op):
+            return np.full(rho.shape, 0.25, dtype=complex)
+
+        monkeypatch.setattr("ces.tomography._boundary_step", step_onto_hh)
         data = tmp_path / "tomography.csv"
-        write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
+        write_tomography_csv(data, TomographyDataset(zero_cell_table(), np.zeros(9, int)))
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -817,6 +812,26 @@ class TestCliExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         fit = json.loads((out / "reconstruction.json").read_text())["reconstruction"]
         assert not fit["converged"] and fit["certificate_gap"] is None
+
+    def test_tomography_with_a_huge_cell_exits_as_its_fit_converged(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A 1e14 cell among hundreds: exit 0 when the fit certifies, else 4,
+        # with no warning and no traceback.  The table check rejects such a
+        # table, so it is lifted to reach the fit.
+        from ces.detection import TomographyDataset
+        from ces.fileio import write_tomography_csv
+
+        monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
+        data = tmp_path / "tomography.csv"
+        write_tomography_csv(data, TomographyDataset(HUGE_CELL_TABLE, np.zeros(9, int)))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["tomo", "--data", str(data), "--out", str(out)])
+        assert "Traceback" not in capsys.readouterr().err
+        fit = json.loads((out / "reconstruction.json").read_text())["reconstruction"]
+        assert code == (0 if fit["converged"] else 4)
 
     @pytest.mark.parametrize("command", ["fit", "tomo"])
     def test_non_finite_figures_are_written_as_null(self, tmp_path, capsys, monkeypatch, command):

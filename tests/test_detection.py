@@ -17,16 +17,13 @@ from ces.detection import (
     DetectorParams,
     LATE_BOUNDARY_QUANTILE,
     MeasurementSetting,
+    TOMOGRAPHY_PORTS,
     TomographyDataset,
     _BASIS_AXES,
-    _TOMOGRAPHY_A,
-    _TOMOGRAPHY_B,
     _on_grid,
     _outcome_distribution,
     _ports,
     analyzer_axis,
-    basis_projectors,
-    pair_projectors,
     setting_probabilities,
     simulate_counts,
     simulate_tomography_dataset,
@@ -39,9 +36,11 @@ from ces.rng import derive_seed, make_stream
 from conftest import (
     CONFIGS,
     analyzer_projectors,
+    basis_projectors,
     dephased_singlet,
     draw_counts,
     kron_outcome_distribution,
+    pair_projectors,
     random_density,
     singlet_dm,
     trace_distance,
@@ -116,10 +115,16 @@ class TestAnalyzerPorts:
         np.testing.assert_allclose(
             projectors_of(_ports(_BASIS_AXES[label])), basis_projectors(label), atol=1e-15
         )
-        np.testing.assert_allclose(
-            _BASIS_AXES[label], {"HV": [0, 0, 1], "DA": [1, 0, 0], "RL": [0, 1, 0]}[label],
-            atol=1e-15,
-        )
+
+    def test_tomography_ports_are_the_basis_ports_of_each_pair(self):
+        # Arm A, then arm B, at each of the BASIS_PAIRS; every entry 0 or +-1,
+        # and the two ports of a basis sum to the identity exactly.
+        assert TOMOGRAPHY_PORTS.shape == (2, 9, 2, 4) and not TOMOGRAPHY_PORTS.flags.writeable
+        for arm in (0, 1):
+            for pair, ports in zip(BASIS_PAIRS, TOMOGRAPHY_PORTS[arm], strict=True):
+                np.testing.assert_array_equal(ports, _ports(_BASIS_AXES[pair[arm]]))
+                np.testing.assert_array_equal(ports.sum(axis=0), [2, 0, 0, 0])
+        assert set(TOMOGRAPHY_PORTS.ravel()) == {-1.0, 0.0, 1.0}
 
     def test_axes_of_0_and_45_degrees(self):
         np.testing.assert_array_equal(analyzer_axis(0.0), [0.0, 0.0, 1.0])
@@ -131,16 +136,6 @@ class TestAnalyzerPorts:
 
     def test_axis_periodic(self):
         np.testing.assert_allclose(analyzer_axis(30.0), analyzer_axis(210.0), atol=1e-12)
-
-
-class TestPairProjectors:
-    def test_cells_in_count_record_order(self):
-        projs_1, projs_2 = analyzer_projectors(17.0), basis_projectors("RL")
-        block = pair_projectors(projs_1, projs_2)
-        for cell, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            np.testing.assert_array_equal(block[cell], np.kron(projs_1[i], projs_2[j]))
-        np.testing.assert_allclose(block.sum(axis=0), np.eye(4), atol=1e-15)
-        assert not block.flags.writeable
 
 
 class TestSimulateCounts:
@@ -347,8 +342,10 @@ class TestStackedKernel:
         analyzer angle pairs."""
         rng = np.random.default_rng(6160)
         angles = rng.uniform(0, 180, (9, 2))
-        ports_a = np.concatenate([_TOMOGRAPHY_A, [_ports(analyzer_axis(a)) for a, _ in angles]])
-        ports_b = np.concatenate([_TOMOGRAPHY_B, [_ports(analyzer_axis(b)) for _, b in angles]])
+        ports_a, ports_b = (
+            np.concatenate([ports, _ports([analyzer_axis(t) for t in angles[:, arm]])])
+            for arm, ports in enumerate(TOMOGRAPHY_PORTS)
+        )
         projs = [tuple(map(basis_projectors, pair)) for pair in BASIS_PAIRS]
         projs += [(analyzer_projectors(a), analyzer_projectors(b)) for a, b in angles]
         return ports_a, ports_b, projs
@@ -390,7 +387,7 @@ class TestStackedKernel:
         configs = [load_config(path) for path in sorted(CONFIGS.glob("*.json"))]
         grids = [
             (np.array([final_state(cfg.noise, dt).matrix for dt in STORAGE_GRID_US]),
-             _TOMOGRAPHY_A, _TOMOGRAPHY_B)
+             *TOMOGRAPHY_PORTS)
             for cfg in configs
         ]
         grids.append((np.array(self.states()), *self.settings()[:2]))
@@ -443,8 +440,7 @@ class TestGrid:
         for cfg, dt in product(configs, STORAGE_GRID_US):
             rho = final_state(cfg.noise, dt)
             probs = setting_probabilities(rho, cfg.settings, cfg.detector)
-            probs = [*probs, *_outcome_distribution(rho.matrix, _TOMOGRAPHY_A, _TOMOGRAPHY_B,
-                                                    cfg.detector)]
+            probs = [*probs, *_outcome_distribution(rho.matrix, *TOMOGRAPHY_PORTS, cfg.detector)]
             rows += [(p, s, cfg.n_sequences) for p, s in zip(probs, [*cfg.settings, *pairs])]
         return rows
 
@@ -604,11 +600,6 @@ class TestTomographyDatasetSimulation:
         ds = TomographyDataset(counts=counts, discarded=np.zeros(9, dtype=np.int32))
         counts[0, 0] = 7
         assert ds.counts[0, 0] == 1 and ds.counts.dtype == np.int64
-
-    def test_basis_projector_completeness(self):
-        for label in BASIS_LABELS:
-            p_up, p_down = basis_projectors(label)
-            np.testing.assert_array_equal(p_up + p_down, np.eye(2))
 
 
 class TestSettingNormalization:

@@ -1,4 +1,4 @@
-"""Every public function of ``ces`` has a use inside the package."""
+"""Every public function and module constant of ``ces`` has a use inside the package."""
 
 from __future__ import annotations
 
@@ -44,3 +44,33 @@ def test_every_public_function_is_used_in_the_package():
         if name not in allowed and (module, name) != ("cli", "main")
     ]
     assert not unused, f"public functions nothing in src/ces uses: {unused}"
+
+
+def test_every_public_module_constant_is_read_in_the_package():
+    """Every public name assigned at module level in src/ces is read by name
+    (loaded, or as an attribute) somewhere in src/ces: a constant that only
+    tests or scripts read belongs with them."""
+    assigned, read = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            assigned += [
+                (path.stem, name.id)
+                for target in targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name) and not name.id.startswith("_")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert assigned
+    unread = [f"{module}.{name}" for module, name in assigned if name not in read]
+    assert not unread, f"public module constants nothing in src/ces reads: {unread}"

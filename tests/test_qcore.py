@@ -8,18 +8,11 @@ import numpy as np
 import pytest
 
 from ces import qcore
-from ces.detection import basis_projectors
 from ces.errors import DimensionError, ValidationError
 from ces.qcore import (
     IDENTITY_2,
-    KET_A,
-    KET_D,
-    KET_H,
-    KET_L,
-    KET_R,
     KET_SM,
     KET_SP,
-    KET_V,
     PAULIS,
     DensityMatrix,
     born_probabilities,
@@ -31,13 +24,36 @@ from ces.qcore import (
     validate_density,
 )
 from conftest import (
+    KET_A,
+    KET_D,
+    KET_H,
+    KET_L,
+    KET_R,
+    KET_V,
     analyzer_projectors,
+    basis_projectors,
     dephased_singlet,
     random_density,
     random_hermitian,
     singlet_dm,
     trace_distance,
 )
+
+
+class TestPaulis:
+    def test_exact_literals(self):
+        # sigma_x = D/A, sigma_y = R/L, sigma_z = H/V in the sigma+/sigma- basis.
+        expected = ([[0, -1j], [1j, 0]], [[1, 0], [0, -1]], [[0, 1], [1, 0]])
+        for pauli, literal in zip(PAULIS, expected, strict=True):
+            assert pauli.dtype == complex
+            np.testing.assert_array_equal(pauli, literal)
+
+    def test_match_the_kets_of_the_docstring(self):
+        # sigma_k = |k+><k+| - |k-><k-| of the written polarization kets.
+        for pauli, (up, down) in zip(PAULIS, ((KET_D, KET_A), (KET_R, KET_L), (KET_H, KET_V))):
+            np.testing.assert_allclose(
+                pauli, np.outer(up, up.conj()) - np.outer(down, down.conj()), rtol=0, atol=1e-15
+            )
 
 
 class TestTensor:

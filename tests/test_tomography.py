@@ -14,8 +14,6 @@ from ces.config import load_config
 from ces.detection import (
     BASIS_PAIRS,
     DetectorParams,
-    basis_projectors,
-    pair_projectors,
     simulate_tomography_dataset,
 )
 from ces.errors import DataError
@@ -37,13 +35,19 @@ from ces.tomography import (
 )
 from conftest import (
     CONFIGS,
+    HUGE_CELL_TABLE,
+    KET_H,
+    KET_V,
+    basis_projectors,
     dephased_singlet,
     exact_table,
+    pair_projectors,
     random_density,
     random_unitary,
     singlet_dm,
     trace_distance,
     werner,
+    zero_cell_table,
 )
 
 IDEAL = DetectorParams()
@@ -217,9 +221,22 @@ def sweep_tables():
 
 class TestTableLayout:
     def test_projectors_are_the_nine_pairs_in_order(self):
-        blocks = PROJECTORS.reshape(9, 4, 4, 4)
-        for pair, block in zip(BASIS_PAIRS, blocks, strict=True):
-            np.testing.assert_array_equal(block, pair_projectors(*map(basis_projectors, pair)))
+        # Against P_i x Q_j of the basis kets, cells (uu, ud, du, dd) of each
+        # of the BASIS_PAIRS in order; the kets carry their own rounding.
+        oracle = [pair_projectors(*map(basis_projectors, pair)) for pair in BASIS_PAIRS]
+        assert not PROJECTORS.flags.writeable
+        np.testing.assert_allclose(PROJECTORS, np.concatenate(oracle), rtol=0, atol=1e-15)
+
+    def test_design_coefficients_are_exactly_0_or_a_quarter(self):
+        assert set(tomography._PAULI_COEFFS.ravel()) == {-0.25, 0.0, 0.25}
+
+    def test_projector_entries_are_multiples_of_a_quarter(self):
+        for part in (PROJECTORS.real, PROJECTORS.imag):
+            np.testing.assert_array_equal(4.0 * part, np.rint(4.0 * part))
+
+    def test_each_pair_sums_exactly_to_the_identity(self):
+        for block in PROJECTORS.reshape(9, 4, 4, 4):
+            np.testing.assert_array_equal(block.sum(axis=0), np.eye(4))
 
     def test_design_determines_the_state(self):
         # The nine pairs determine every two-qubit state.
@@ -724,22 +741,35 @@ class TestAnchoredBootstrap:
 
 class TestNonFiniteR:
     def test_a_row_whose_probability_reaches_zero_stops_unconverged(self, monkeypatch):
-        # The `ces tomo --trials 20000 --seed 1` table with HV/HV n_ud set to
-        # 1e14: the fit drives a probability under a positive count to zero,
-        # and R turns infinite.  The table check rejects this table, so it is
-        # lifted to reach the fit.
-        monkeypatch.setattr(tomography, "MAX_PAIR_RATIO", math.inf)
-        table = np.array(
-            [[40, 100_000_000_000_000, 176, 39], [98, 105, 117, 98], [105, 108, 105, 102],
-             [94, 92, 123, 96], [38, 177, 171, 35], [95, 107, 88, 90],
-             [114, 103, 88, 113], [116, 107, 108, 74], [21, 124, 183, 16]],
-            dtype=float,
-        )
+        # A boundary step that lands on |HH><HH| = ones(4, 4) / 4, whose HV/HV
+        # ud probability is exactly 0 under a positive count: R is not
+        # finite, and the fit stops the row there, unconverged with gap inf.
+        assert mle_reconstruct(zero_cell_table()).converged
+        onto_hh = np.full((4, 4), 0.25, dtype=complex)
+        assert born_probabilities(PROJECTORS, onto_hh)[1] == 0.0
+
+        def step_onto_hh(counts, rho, r_op):
+            return np.full(rho.shape, 0.25, dtype=complex)
+
+        monkeypatch.setattr(tomography, "_boundary_step", step_onto_hh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = mle_reconstruct(table)
+            fit = mle_reconstruct(zero_cell_table())
         assert not fit.converged
         assert fit.certificate_gap == np.inf
+        assert fit.iterations == 1
+        np.testing.assert_array_equal(fit.rho.matrix, onto_hh)
+        assert validate_density(fit.rho).passed
+
+    def test_a_huge_cell_keeps_the_certificate_contract(self, monkeypatch):
+        # Whichever way the fit of a 1e14 cell ends, ``converged`` is the
+        # certificate test and nothing warns.
+        monkeypatch.setattr(tomography, "MAX_PAIR_RATIO", math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = mle_reconstruct(HUGE_CELL_TABLE)
+        tolerance = tomography.gap_tolerance(HUGE_CELL_TABLE.sum())
+        assert fit.converged == (fit.certificate_gap <= tolerance)
         assert validate_density(fit.rho).passed
 
 
@@ -787,8 +817,6 @@ class TestBasisCovariance:
         # Reconstruction must then transform covariantly: fitting the
         # rotated state matches the rotated fit within the statistical
         # scatter of the two fits.
-        from ces.qcore import KET_H, KET_V
-
         theta = np.radians(45.0)
         ket45 = np.cos(theta) * KET_H + np.sin(theta) * KET_V
         ket135 = -np.sin(theta) * KET_H + np.cos(theta) * KET_V
@@ -809,7 +837,6 @@ class TestBasisCovariance:
     def test_born_probabilities_covariant_under_local_rotation(self, rng):
         # Exact-level covariance: rotated state measured with rotated
         # projectors reproduces the original Born probabilities.
-        from ces.detection import basis_projectors
         from ces.qcore import tensor as kron
 
         rho = dephased_singlet(0.8)
@@ -880,7 +907,7 @@ class TestBootstrap:
         assert errs.n_failed == 25
 
     def test_invalid_fits_fail_the_validity_mask(self, dataset, estimate, monkeypatch):
-        real_fit, real_report = tomography._fit, tomography._report
+        real_fit, real_report = tomography._fit, tomography.report_of_valid
         reported = []
 
         def every_fifth_invalid(counts, anchor=None):
@@ -893,7 +920,7 @@ class TestBootstrap:
             return real_report(rho)
 
         monkeypatch.setattr(tomography, "_fit", every_fifth_invalid)
-        monkeypatch.setattr(tomography, "_report", recording_report)
+        monkeypatch.setattr(tomography, "report_of_valid", recording_report)
         errs = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert errs.n_failed == 20
         assert reported == [(80, 4, 4)]
