@@ -33,10 +33,11 @@ symmetrized state.
 Each sequence ends in exactly one of five outcomes (one of the four
 cells, or discarded), independently of every other sequence.  The counts
 of one setting are therefore exactly Multinomial(n_sequences, p), with p
-summed in closed form over the branches above, and each setting is one
-draw on its own keyed counter-based stream (see :mod:`ces.rng`).  Counts
-are reproducible bit-for-bit for a given seed whatever order settings run
-in, and a draw costs the same for any n_sequences.
+summed in closed form over the branches above.  Each setting is one draw
+on its own counter-based stream, and so are the nine basis pairs of one
+tomography state (see :mod:`ces.rng`).  Counts are reproducible bit-for-bit
+for a given seed whatever order settings and states run in, and a draw
+costs the same for any n_sequences.
 
 Each analyzer is described once, by the Bloch axis of its up port and the
 port block ``_ports`` of that axis: ``analyzer_axis`` for a linear analyzer,
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .qcore import pauli_expectations, require_two_qubit_density
-from .rng import keyed_multinomial, make_stream, positive_count
+from .rng import make_stream, positive_count
 
 #: Emission-time quantile beyond which photon 2 carries the late-emission
 #: depolarization.  Fixed by the reported window study (the detection window
@@ -265,9 +266,9 @@ def simulate_tomography_dataset(
     int seed, or of a (P, 4, 4) stack of states with a sequence of P seeds.
 
     The states are validated once, and one kernel call gives the outcome
-    probabilities of every basis pair.  Pair i of a state then runs
-    n_per_basis sequences on the substream (seed, (i,)) of the state's seed,
-    so the dataset is independent of the order in which bases and states
+    probabilities of every basis pair.  Each state then draws its nine pairs
+    of n_per_basis sequences in one multinomial call on ``make_stream`` of its
+    own seed, so the dataset is independent of the order in which states
     execute, and point p of a stack is the dataset of state p alone.
     """
     one = isinstance(seed, (int, np.integer))
@@ -276,8 +277,7 @@ def simulate_tomography_dataset(
     if not one and (mat.shape[:-2] != (len(seeds),) or not seeds):
         raise DimensionError(f"expected a stack of {len(seeds)} states, got shape {mat.shape}")
     probs = _on_grid(_outcome_distribution(mat[..., None, :, :], *TOMOGRAPHY_PORTS, det))
-    row_seeds = [s for s in seeds for _ in BASIS_PAIRS]
-    keys = [(i,) for i in range(len(BASIS_PAIRS))] * len(seeds)
-    draws = keyed_multinomial(row_seeds, keys, n_per_basis, probs.reshape(-1, 5))
-    draws = draws.reshape(probs.shape)
+    n = positive_count(n_per_basis)
+    draws = [make_stream(s).multinomial(n, p) for s, p in zip(seeds, probs.reshape(-1, 9, 5))]
+    draws = np.reshape(draws, probs.shape)
     return TomographyDataset(counts=draws[..., :4], discarded=draws[..., 4])

@@ -28,9 +28,8 @@ every design coefficient is exactly 0 or +-1/4.  Every estimator takes
 (9, 4) count tables in that pair order, a dataset's ``counts``, and needs
 coincidences in every pair.  Error bars on derived
 quantities come from multinomial bootstrap resampling of the per-basis
-counts: each basis pair draws all its resamples in one call on its own
-keyed stream, the resamples are fitted as one batch, and the figures are
-evaluated once on the stack of kept states.
+counts: all resamples are drawn in one call on one stream, fitted as one
+batch, and the figures are evaluated once on the stack of kept states.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .qcore import (
     require_two_qubit_density,
     validate_density,
 )
-from .rng import keyed_multinomial
+from .rng import make_stream
 
 _PROB_FLOOR = 1e-12
 #: An MLE fit has converged when its certificate gap is at most min(GAP_TOL * N,
@@ -525,12 +524,11 @@ class BootstrapErrors:
 def bootstrap_errors(counts, estimate, n_resamples: int, seed: int) -> BootstrapErrors:
     """Multinomial bootstrap of a (9, 4) count table, re-fitting with MLE.
 
-    ``estimate`` is the table's own maximum-likelihood state.  Basis pair i
-    of BASIS_PAIRS draws its counts for every resample from its observed
-    frequencies in one sized multinomial call on its own random substream
-    keyed by i; the nine draws side by side form the (n_resamples, 36)
-    count table.  Results therefore do not depend on evaluation order, and
-    resample r is the same for every n_resamples above r.  A single batched
+    ``estimate`` is the table's own maximum-likelihood state.  Each basis
+    pair of every resample is drawn from its observed frequencies, all in
+    one sized multinomial call on ``make_stream(seed)``; numpy fills the
+    (n_resamples, 9, 4) draw one resample after another, so resample r is
+    the same for every n_resamples above r.  A single batched
     ``_fit`` anchored at the estimate and the observed table reconstructs
     the resamples: each starts at the estimate and takes its first Newton
     steps with the estimate's fixed Hessian, under the same certificate and
@@ -543,11 +541,11 @@ def bootstrap_errors(counts, estimate, n_resamples: int, seed: int) -> Bootstrap
         raise DataError(f"need at least {MIN_RESAMPLES} resamples, got {n_resamples}")
     observed = _checked([counts])[0]
     cells = observed.reshape(9, 4)
-    totals = np.rint(cells.sum(axis=1)).astype(np.int64)
-    keys = [(i,) for i in range(len(cells))]
-    probs = [row / row.sum() for row in cells]
-    draws = keyed_multinomial([seed] * len(keys), keys, totals, probs, size=n_resamples)
-    table = np.concatenate(draws, axis=1).astype(float)
+    totals = cells.sum(axis=1)
+    draws = make_stream(seed).multinomial(
+        np.rint(totals).astype(np.int64), cells / totals[:, None], size=(n_resamples, 9)
+    )
+    table = draws.reshape(n_resamples, 36).astype(float)
     rho, _, gap = _fit(table, (observed, require_two_qubit_density(estimate, one=True)))
     kept = rho[(gap <= gap_tolerance(table.sum(axis=1))) & validate_density(rho).passed]
     if len(kept) < 2:

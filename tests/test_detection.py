@@ -42,6 +42,7 @@ from conftest import (
     kron_outcome_distribution,
     pair_projectors,
     random_density,
+    random_unitary,
     singlet_dm,
     trace_distance,
 )
@@ -193,31 +194,6 @@ class TestSimulateCounts:
         b = draw_counts(**kwargs)
         assert a == b
 
-    def test_scheduling_independence(self):
-        # The unit of work is one keyed multinomial draw per basis pair:
-        # the nine draws run in serial order, in reverse order, or on a
-        # thread pool must reproduce simulate_tomography_dataset exactly.
-        rho = dephased_singlet(0.85)
-        det = DetectorParams(eta_det=0.4, dark_rate=0.005, window_fraction=0.7,
-                             late_emission_error=0.2)
-        n = 200_003
-        seed = 31337
-        dataset = simulate_tomography_dataset(rho, n, det, seed)
-        reference = np.column_stack([dataset.counts, dataset.discarded])
-        plan = list(enumerate(product(BASIS_LABELS, BASIS_LABELS)))
-
-        def draw(unit):
-            # One basis pair alone: its own one-row kernel call, then its draw.
-            index, (label_a, label_b) = unit
-            ports_a, ports_b = _ports(_BASIS_AXES[label_a]), _ports(_BASIS_AXES[label_b])
-            probs = _outcome_distribution(rho, ports_a, ports_b, det)
-            return index, make_stream(seed, (index,)).multinomial(n, _on_grid(probs))
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            pooled = dict(pool.map(draw, plan))
-        for results in (dict(map(draw, plan)), dict(map(draw, plan[::-1])), pooled):
-            np.testing.assert_array_equal([results[i] for i in range(9)], reference)
-
     def test_frequencies_converge_to_born_rule(self):
         # 5-sigma binomial agreement per cell at 1e5+ coincidences.
         states = [singlet_dm(), np.eye(4) / 4.0, dephased_singlet(0.7)]
@@ -267,6 +243,22 @@ class TestSimulateCounts:
         # The multinomial draw would silently truncate it, breaking accounting.
         with pytest.raises(DataError):
             draw_counts(singlet_dm(), MeasurementSetting(0, 0), 1000.5, IDEAL, seed=1)
+
+
+# Both draw sites: a setting's counts and a tomography dataset.
+DRAWS = {
+    "counts": lambda n: simulate_counts([0.25, 0.25, 0.25, 0.25, 0.0], MeasurementSetting(0, 0),
+                                        n, 1),
+    "tomography": lambda n: simulate_tomography_dataset(singlet_dm(), n, IDEAL, 1),
+}
+
+
+@pytest.mark.parametrize("draw", DRAWS.values(), ids=DRAWS.keys())
+@pytest.mark.parametrize("n", [0, -3, 2.0, 1.5, "10"])
+def test_bad_sequence_count_is_a_data_error(draw, n):
+    # A float would be truncated by the draw, breaking the accounting.
+    with pytest.raises(DataError, match="n_sequences must be a positive integer"):
+        draw(n)
 
 
 # Grid of detector parameters over which the closed form is checked.
@@ -501,6 +493,69 @@ class TestWindowModel:
         det = DetectorParams(eta_det=1.0, window_fraction=0.4, late_emission_error=1.0)
         rec = draw_counts(singlet_dm(), MeasurementSetting(0, 0), 200_000, det, seed=9)
         assert (rec.n_uu + rec.n_dd) / rec.total < 0.003
+
+
+class TestTomographyDraw:
+    """Each state of a dataset is one multinomial call on its own stream."""
+
+    DET = DetectorParams(eta_det=0.4, dark_rate=0.005, window_fraction=0.7,
+                         late_emission_error=0.2)
+
+    @staticmethod
+    def generic_state():
+        """A dephased singlet with 20 % of |00><00|, under a fixed local
+        rotation: its Bloch vectors and correlations leave no two of the
+        nine basis pairs with the same outcome distribution."""
+        rng = np.random.default_rng(1)
+        u = np.kron(random_unitary(rng), random_unitary(rng))
+        rho = 0.8 * dephased_singlet(0.85)
+        rho[0, 0] += 0.2
+        return u @ rho @ u.conj().T
+
+    def test_dataset_is_one_draw_on_the_seed_stream(self):
+        # The oracle probabilities: one one-row kernel call per basis pair.
+        rho = dephased_singlet(0.85)
+        n, seed = 200_003, 31337
+        probs = [_outcome_distribution(rho, _ports(_BASIS_AXES[a]), _ports(_BASIS_AXES[b]),
+                                       self.DET) for a, b in BASIS_PAIRS]
+        want = make_stream(seed).multinomial(n, _on_grid(np.array(probs)))
+        dataset = simulate_tomography_dataset(rho, n, self.DET, seed)
+        np.testing.assert_array_equal(np.column_stack([dataset.counts, dataset.discarded]), want)
+
+    def test_datasets_repeat_on_a_thread_pool(self):
+        # Each call opens its own stream, so concurrent calls share no state.
+        rho = self.generic_state()
+        jobs = [(derive_seed(808, i), 10**5 + i) for i in range(16)]
+
+        def draw(job):
+            seed, n = job
+            dataset = simulate_tomography_dataset(rho, n, self.DET, seed)
+            return np.column_stack([dataset.counts, dataset.discarded])
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            pooled = list(pool.map(draw, jobs))
+        for job, got in zip(jobs, pooled):
+            np.testing.assert_array_equal(got, draw(job))
+
+    def test_every_cell_follows_its_own_row(self):
+        # One dataset of 10**7 sequences per basis pair against the exact
+        # (9, 5) table: every cell within 5 binomial sigma of its expectation,
+        # and Pearson's chi-square (45 cells, one total per row: 36 degrees
+        # of freedom) inside its central 1 - 2e-6 band.  No two rows lie
+        # within 20 sigma of each other, so a draw from a wrong row fails.
+        from scipy.stats import chi2
+
+        rho, n = self.generic_state(), 10**7
+        exact = _outcome_distribution(rho, *TOMOGRAPHY_PORTS, self.DET)
+        sigma = np.sqrt(n * exact * (1.0 - exact))
+        apart = [np.max(np.abs(exact[i] - exact[j]) * n / sigma[i])
+                 for i in range(9) for j in range(9) if i != j]
+        assert min(apart) >= 20.0
+        dataset = simulate_tomography_dataset(rho, n, self.DET, derive_seed(4242, 1000))
+        observed = np.column_stack([dataset.counts, dataset.discarded])
+        assert np.all(np.abs(observed - n * exact) <= 5.0 * sigma)
+        statistic = np.sum((observed - n * exact) ** 2 / (n * exact))
+        assert chi2.ppf(1e-6, 36) <= statistic <= chi2.isf(1e-6, 36)
 
 
 class TestTomographyDatasetSimulation:

@@ -22,7 +22,7 @@ from ces.measures import fidelity_singlet, log_negativity
 from ces.pipeline import run_sweep
 from ces.protocol import final_state
 from ces.qcore import born_probabilities, validate_density
-from ces.rng import derive_seed, keyed_multinomial, make_stream
+from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
     PROJECTORS,
@@ -41,6 +41,7 @@ from conftest import (
     basis_projectors,
     dephased_singlet,
     exact_table,
+    keyed_stream,
     pair_projectors,
     random_density,
     random_unitary,
@@ -149,10 +150,10 @@ def columns(counts) -> np.ndarray:
 
 def per_resample_keyed_row(counts: np.ndarray, seed: int, r: int) -> np.ndarray:
     """Resample r of a (9, 4) count table drawn on its own stream
-    ``make_stream(seed, (r,))``, nine basis draws in pair order: fixed
+    ``keyed_stream(seed, (r,))``, nine basis draws in pair order: fixed
     regression data from the bootstrap's former keying, not what
     ``bootstrap_errors`` draws now."""
-    rng = make_stream(seed, (r,))
+    rng = keyed_stream(seed, (r,))
     draws = [rng.multinomial(int(row.sum()), row / row.sum()) for row in counts]
     return np.concatenate(draws).astype(float)
 
@@ -925,34 +926,29 @@ class TestBootstrap:
         assert errs.n_failed == 20
         assert reported == [(80, 4, 4)]
 
-    def test_resamples_are_per_pair_draws_on_keyed_streams(self, calibrated_bootstrap):
-        # Pair i of every resample comes from one sized draw on stream i.
+    def test_resamples_are_one_sized_draw_on_the_seed_stream(self, calibrated_bootstrap):
+        # Every pair of every resample comes from one multinomial call on
+        # make_stream(seed), resample after resample, pairs in table order.
         counts, seed, _, captured = calibrated_bootstrap
         table = captured["table"]
-        for i, cells in enumerate(counts):
-            total = int(cells.sum())
-            draws = make_stream(seed, (i,)).multinomial(total, cells / total, size=len(table))
-            np.testing.assert_array_equal(table[:, 4 * i : 4 * i + 4], draws)
+        totals = counts.sum(axis=1)
+        draws = make_stream(seed).multinomial(
+            totals, counts / totals[:, None], size=(len(table), 9)
+        )
+        np.testing.assert_array_equal(table, draws.reshape(len(table), 36))
 
     def test_rows_do_not_depend_on_the_resample_count(self, calibrated_bootstrap, monkeypatch):
         counts, seed, _, captured = calibrated_bootstrap
         real_fit = tomography._fit
-        tables, streams = [], []
+        tables = []
 
         def capturing_fit(counts, anchor=None):
             tables.append(counts)
             return real_fit(counts, anchor)
 
-        def counting_draws(seeds, keys, *args, **kwargs):
-            streams.extend(zip(seeds, keys))
-            return keyed_multinomial(seeds, keys, *args, **kwargs)
-
         monkeypatch.setattr(tomography, "_fit", capturing_fit)
-        monkeypatch.setattr(tomography, "keyed_multinomial", counting_draws)
         for n_resamples in (100, 150):
-            streams.clear()
             bootstrap_errors(counts, captured["anchor"][1], n_resamples, seed)
-            assert streams == [(seed, (i,)) for i in range(9)]
         np.testing.assert_array_equal(tables[0], captured["table"])
         np.testing.assert_array_equal(tables[1][:100], tables[0])
 
