@@ -28,13 +28,6 @@ class CorrelationEstimate:
 
     value: float
     std_err: float
-    n_total: int
-
-    def __post_init__(self) -> None:
-        if abs(self.value) > 1.0 + 1e-12:
-            raise ValidationError(f"|E| must be <= 1, got {self.value}")
-        if self.std_err < 0.0:
-            raise ValidationError("std_err must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -59,7 +52,7 @@ def correlation_from_counts(rec: CountRecord) -> CorrelationEstimate:
         raise DataError("count record has zero coincidences")
     value = (rec.n_dd + rec.n_uu - rec.n_ud - rec.n_du) / total
     std_err = math.sqrt(max(0.0, 1.0 - value * value) / total)
-    return CorrelationEstimate(value=float(value), std_err=std_err, n_total=int(total))
+    return CorrelationEstimate(value=float(value), std_err=std_err)
 
 
 def chsh_quad(settings) -> tuple[float, float, float, float] | None:

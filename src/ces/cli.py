@@ -23,7 +23,7 @@ from .pipeline import (
     run_sweep,
     run_tomo,
 )
-from .tomography import MIN_RESAMPLES
+from .tomography import MAX_RESAMPLES, MIN_RESAMPLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help=f"bootstrap resamples: 0 (none) or at least {MIN_RESAMPLES}",
+        help=f"bootstrap resamples: 0 (none) or {MIN_RESAMPLES} to {MAX_RESAMPLES}",
     )
 
     p = sub.add_parser("measures", help="entanglement report for a density-matrix JSON")

@@ -50,19 +50,20 @@ def _to_negativity(values: np.ndarray, kind) -> np.ndarray:
 def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit:
     """Weighted least squares of the Gaussian decay model, with N0 profiled out.
 
-    For a fixed tau the model is linear in N0, so N0(tau) has a closed form
-    (variable projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413
-    (1973)). The residual sum is scanned on a log-spaced tau grid, and
-    the root of dRSS/dtau between the neighbours of the best grid point is
-    bracketed ever closer: each round evaluates the sign of the slope at 64
-    evenly spaced points at once and keeps the pair around its sign change,
-    until no floating-point tau lies strictly inside.
+    For a fixed tau the model is linear in N0, so N0(tau), RSS(tau) and the
+    sign of dRSS/dtau have closed forms in four weighted sums (variable
+    projection: Golub and Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)).
+    RSS is scanned on a log-spaced tau grid, and the root of dRSS/dtau
+    between the neighbours of the best grid point is bracketed ever closer:
+    each round evaluates the sign of the slope at 64 evenly spaced points at
+    once and keeps the pair around its sign change, until no floating-point
+    tau lies strictly inside; the residuals at that tau give the covariance.
     ``converged`` means that interior stationary point was found; it is false
     when RSS still falls at the grid's end, 10^3 times the longest storage
     time, because the data show no decay, or when RSS has no minimum that
     the storage times resolve.  A storage time whose square overflows has
     model value 0 at every tau; its inf * 0 terms are taken as 0.  A scan tau
-    whose cube underflows to 0 gets an inf or NaN slope, without a warning.
+    whose model underflows to 0 at every point gets NaN, without a warning.
 
     Parameters
     ----------
@@ -98,40 +99,34 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     else:
         w = np.ones_like(dt)
 
-    def profile(tau):
-        """N0(tau), the weighted residuals and their Jacobian in (N0, tau)."""
-        tau = np.asarray(tau)[..., None]
-        g = np.exp(-((dt / tau) ** 2)) / w
-        n0 = np.sum(g * n / w, axis=-1, keepdims=True) / np.sum(g * g, axis=-1, keepdims=True)
-        jac = np.stack([g, np.where(g > 0.0, n0 * g * (2.0 * dt**2 / tau**3), 0.0)], axis=-1)
-        return n0[..., 0], n0 * g - n / w, jac
-
-    # With e = exp(-(dt/tau)^2), N0 = sum(e n / w^2) / sum(e^2 / w^2), and
-    # dRSS/dtau has the sign of N0 (N0 sum(e^2 dt^2 / w^2) - sum(e n dt^2 / w^2)).
+    # With e = exp(-(dt/tau)^2), N0 = sum(e n/w^2) / sum(e^2/w^2), RSS = sum(n^2/w^2) -
+    # N0 sum(e n/w^2), and dRSS/dtau has the sign of N0 (N0 sum(e^2 dt^2/w^2) - sum(e n dt^2/w^2)).
     by_e = np.nan_to_num(np.stack([n, n * dt**2], axis=1) / w[:, None] ** 2)
     by_e2 = np.nan_to_num(np.stack([np.ones_like(dt), dt**2], axis=1) / w[:, None] ** 2)
+    n_n = np.sum((n / w) ** 2)
 
-    def rss_falls(tau):
-        """Whether dRSS/dtau < 0 at each tau of a 1-D array."""
+    def rss_and_slope(tau):
+        """RSS and the sign of dRSS/dtau at each tau of a 1-D array."""
         e = np.exp(-((dt / tau[:, None]) ** 2))
         (e_n, e_n_dt2), (e_e, e_e_dt2) = (e @ by_e).T, ((e * e) @ by_e2).T
         n0 = e_n / e_e
-        return n0 * (n0 * e_e_dt2 - e_n_dt2) < 0.0
+        return n_n - n0 * e_n, np.sign(n0 * (n0 * e_e_dt2 - e_n_dt2))
 
-    # The sign of dRSS/dtau is that of residuals . d(residuals)/dtau.
     taus = np.geomspace(dt[dt > 0.0].min() / 10.0, 1e3 * dt.max(), _SCAN_POINTS)
-    _, res, jac = profile(taus)
-    slope = np.sum(res * jac[..., 1], axis=-1)
-    k = int(np.argmin(np.sum(res * res, axis=-1)))
+    rss, slope = rss_and_slope(taus)
+    k = int(np.argmin(rss))
     converged = bool(0 < k < taus.size - 1 and slope[k - 1] < 0.0 < slope[k + 1])
     lo, hi = (taus[k - 1], taus[k + 1]) if converged else (taus[k], taus[k])
     while np.nextafter(lo, hi) < hi:
         grid = lo + (hi - lo) * _REFINE_FRACTIONS
-        falling = rss_falls(grid)
+        falling = rss_and_slope(grid)[1] < 0.0
         j = grid.size if falling.all() else int(np.argmin(falling))
         lo, hi = (grid[j - 1] if j else lo), (grid[j] if j < grid.size else hi)
     tau = 0.5 * (lo + hi)
-    n0, res, jac = profile(tau)
+    g = np.exp(-((dt / tau) ** 2)) / w
+    n0 = np.sum(g * n / w) / np.sum(g * g)
+    res = n0 * g - n / w
+    jac = np.stack([g, np.where(g > 0.0, n0 * g * (2.0 * dt**2 / tau**3), 0.0)], axis=1)
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:

@@ -37,6 +37,7 @@ from .measures import log_negativity, report
 from .protocol import final_state, rate_budget
 from .rng import derive_seed
 from .tomography import (
+    MAX_RESAMPLES,
     MIN_RESAMPLES,
     bootstrap_errors,
     linear_inversion,
@@ -184,14 +185,15 @@ def run_tomo(
 
     ``data`` may name a recorded tomography CSV; when omitted the dataset is
     simulated from the configured state and written as ``tomography.csv``.
-    ``bootstrap`` is 0 (none) or at least MIN_RESAMPLES, and needs
+    ``bootstrap`` is 0 (none) or from MIN_RESAMPLES to MAX_RESAMPLES, and needs
     ``method="mle"``: every resample is refit by MLE.
     """
     if method not in ("mle", "linear"):
         raise ConfigError(f"unknown reconstruction method {method!r}")
-    if bootstrap < 0 or 0 < bootstrap < MIN_RESAMPLES:
+    if bootstrap and not MIN_RESAMPLES <= bootstrap <= MAX_RESAMPLES:
         raise ConfigError(
-            f"bootstrap must be 0 or at least {MIN_RESAMPLES} resamples, got {bootstrap!r}"
+            f"bootstrap must be 0 or at least {MIN_RESAMPLES} and at most {MAX_RESAMPLES}"
+            f" resamples, got {bootstrap!r}"
         )
     if bootstrap and method != "mle":
         raise ConfigError(f"bootstrap resamples are refit by MLE; method {method!r} has none")

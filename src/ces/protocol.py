@@ -97,10 +97,6 @@ class RateReport:
     pairs_detected_per_s: float
     p_coincidence: float
 
-    def __post_init__(self) -> None:
-        if self.pairs_detected_per_s > self.pairs_produced_per_s + 1e-12:
-            raise ValueError("detected rate cannot exceed produced rate")
-
 
 def final_state(noise: NoiseParams, dt_us: float) -> DensityMatrix:
     """Photon-pair state at storage time dt_us: the closed form of the module docstring."""

@@ -489,6 +489,20 @@ class TestCliExitCodes:
         assert "bootstrap must be 0 or at least 100" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("n", ["10001", "1000000000000"])
+    def test_bootstrap_above_maximum_is_2(self, tmp_path, capsys, monkeypatch, n):
+        # Refused before anything is simulated: 10**12 resamples do not fit in memory.
+        from ces import pipeline
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before the flags were checked")
+
+        monkeypatch.setattr(pipeline, "simulate_tomography_dataset", no_simulation)
+        argv = ["tomo", "--trials", "20000", "--bootstrap", n, "--out", str(tmp_path / "o")]
+        assert cli.main(argv) == 2
+        assert "at most 10000 resamples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_linear_with_bootstrap_is_2(self, tmp_path, capsys, monkeypatch):
         # Every resample is refit by MLE, so its error bars do not belong
         # next to a linear-inversion state; the pair is refused before any

@@ -21,7 +21,7 @@ from ces.fileio import read_series_csv
 from ces.measures import fidelity_singlet, log_negativity
 from ces.pipeline import run_sweep
 from ces.protocol import final_state
-from ces.qcore import born_probabilities, validate_density
+from ces.qcore import PAULI_PRODUCTS, born_probabilities, validate_density
 from ces.rng import derive_seed, make_stream
 from ces.tomography import (
     GAP_TOL,
@@ -243,6 +243,11 @@ class TestTableLayout:
         # The nine pairs determine every two-qubit state.
         assert tomography._DESIGN.shape == (36, 15)
         assert np.linalg.matrix_rank(tomography._DESIGN) == 15
+        # Linear inversion is a fixed map because the Gram matrix of the
+        # Pauli design, identity column included, is exactly diagonal.
+        gram = tomography._PAULI_COEFFS.T @ tomography._PAULI_COEFFS
+        np.testing.assert_array_equal(gram, np.diag(np.diag(gram)))
+        assert set(np.diag(gram)) == {0.25, 0.75, 2.25}
 
 
 class TestTableCheck:
@@ -344,6 +349,20 @@ class TestLinearInversion:
             rho = random_density(rng, 4)
             result = linear_inversion(exact_table(rho))
             assert trace_distance(result.rho, rho) < 1e-10
+
+    def test_matches_least_squares_on_unequal_pair_totals(self, rng):
+        # The oracle solves the measurement equations by lstsq: the Hermitian,
+        # trace-one rho whose Born probabilities are nearest the frequencies.
+        for _ in range(50):
+            cells = rng.integers(0, 1000, size=(9, 4)) + 1
+            table = cells * rng.integers(1, 10_000, size=(9, 1))
+            freqs = (table / table.sum(axis=1, keepdims=True)).ravel()
+            design = tomography._PAULI_COEFFS
+            c, *_ = np.linalg.lstsq(design[:, 1:], freqs - design[:, 0], rcond=None)
+            oracle = np.einsum("m,mab->ab", np.concatenate([[1.0], c]), PAULI_PRODUCTS) / 4.0
+            rho = linear_inversion(table).rho.matrix
+            np.testing.assert_allclose(rho, oracle, rtol=0, atol=1e-12)
+            assert abs(np.trace(rho) - 1.0) <= 1e-15
 
     def test_low_count_data_flags_psd(self):
         ds = simulate_tomography_dataset(singlet_dm(), 100, IDEAL, seed=5)
@@ -882,6 +901,19 @@ class TestBootstrap:
         a = bootstrap_errors(dataset, estimate, 100, seed=53)
         b = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert a == b
+
+    def test_resamples_above_the_maximum_are_refused_before_drawing(
+        self, dataset, estimate, monkeypatch
+    ):
+        # 10**12 resamples would need about 40 PB; the count is refused
+        # before a stream is opened or a draw allocated.
+        def no_stream(seed):
+            raise AssertionError("a stream was opened")
+
+        monkeypatch.setattr(tomography, "make_stream", no_stream)
+        for n in (tomography.MAX_RESAMPLES + 1, 10**12):
+            with pytest.raises(DataError, match="need 100 to 10000 resamples"):
+                bootstrap_errors(dataset, estimate, n, seed=53)
 
     def test_uncertainty_shrinks_with_counts(self):
         small = simulate_tomography_dataset(dephased_singlet(0.8), 2_000, IDEAL, seed=59)
