@@ -137,7 +137,7 @@ def max_chsh_from_state(rho) -> BellResult:
     (singlet, Werner states), where every plane is principal, is the quad
     the polarizer quad (0, 45, 22.5, 67.5) degrees.
     """
-    mat = require_two_qubit_density(rho)
+    mat = require_two_qubit_density(rho, one=True)
     s1, s2, _ = (float(x) for x in _principal_values(mat))
 
     def to_analyzer(th: float) -> float:

@@ -86,15 +86,12 @@ def _parse_settings(raw) -> tuple[MeasurementSetting, ...]:
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError(f"settings[{i}]: expected [alpha_deg, beta_deg]")
-        try:
-            out.append(
-                MeasurementSetting(
-                    _as_number(f"settings[{i}][0]", pair[0]),
-                    _as_number(f"settings[{i}][1]", pair[1]),
-                )
+        out.append(
+            MeasurementSetting(
+                _as_number(f"settings[{i}][0]", pair[0]),
+                _as_number(f"settings[{i}][1]", pair[1]),
             )
-        except ValueError as exc:
-            raise ConfigError(f"settings[{i}]: {exc}") from exc
+        )
     return tuple(out)
 
 

@@ -7,7 +7,7 @@ Formats (all line-diffable, documented in the README):
   row per basis pair, in any order, its angles those of its labels
 * series CSV: ``dt_us,value,kind,sigma`` with kind in {N, EN} and sigma
   optionally empty
-* density-matrix JSON: ``{"dim": d, "re": [...], "im": [...]}`` row-major
+* density-matrix JSON: ``{"dim": 4, "re": [...], "im": [...]}`` row-major
 
 Each writer builds its file in memory, replaces any file at ``path`` with
 it (``_replace``) and returns the bytes written.

@@ -16,7 +16,6 @@ from .qcore import (
     SINGLET_KET,
     partial_transpose,
     require_two_qubit_density,
-    tensor,
     unstack,
 )
 
@@ -25,7 +24,7 @@ from .qcore import (
 # (This is not the same operator as the polarization-frame sigma_y, whose
 # eigenbasis R/L coincides with the computational one.)
 _FLIP_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = tensor(_FLIP_Y, _FLIP_Y)
+_SPIN_FLIP = np.kron(_FLIP_Y, _FLIP_Y)
 
 # math.log2 elementwise: numpy's SIMD log2 can differ from the C library's in
 # the last bit, depending on the CPU features numpy dispatches to.

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra on small Hilbert spaces.
+"""Exact dense linear algebra on the two-photon (two-qubit, 4x4) space.
 
 Every other module builds on the basis conventions fixed here:
 
@@ -61,34 +61,27 @@ PAULI_PRODUCTS = _freeze(
 
 
 class DensityMatrix:
-    """Density operator stored as a dense complex matrix.
+    """Two-qubit density operator stored as a dense complex 4x4 matrix.
 
     Construction only checks the shape; physicality (Hermiticity, unit trace,
     positivity) is reported by :func:`validate_density` so that diagnostic
     paths (e.g. linear-inversion tomography) can hold unphysical matrices and
     flag them instead of failing.  It remembers passing
-    :func:`require_valid_density`, which checks an array on every call.
+    :func:`require_two_qubit_density`, which checks an array on every call.
     """
 
     __slots__ = ("matrix", "_validated")
 
     def __init__(self, entries) -> None:
-        arr = np.array(entries, dtype=complex)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"density matrix must be square, got shape {arr.shape}")
-        self.matrix = _freeze(arr)
-        self._validated = None  # the matrix once require_valid_density passed it
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+        self.matrix = _freeze(np.array(two_qubit_matrix(entries, one=True)))
+        self._validated = None  # the matrix once require_two_qubit_density passed it
 
     # JSON wire form used by every CLI subcommand:
-    # {"dim": d, "re": [d*d row-major], "im": [d*d row-major]}
+    # {"dim": 4, "re": [16 row-major], "im": [16 row-major]}
 
     def to_json_dict(self) -> dict:
         return {
-            "dim": self.dim,
+            "dim": 4,
             "re": [float(x) for x in self.matrix.real.reshape(-1)],
             "im": [float(x) for x in self.matrix.imag.reshape(-1)],
         }
@@ -106,39 +99,18 @@ class DensityMatrix:
         for part, values in (("re", re), ("im", im)):
             if not np.isfinite(values).all():
                 raise ValidationError(f"density-matrix JSON: {part} holds a non-finite entry")
-        if dim < 1:
-            raise DimensionError(f"density-matrix JSON needs dim >= 1, got {dim}")
-        if re.size != dim * dim or im.size != dim * dim:
+        if dim != 4:
+            raise DimensionError(f"density-matrix JSON needs dim 4 (one 4x4 state), got {dim}")
+        if re.size != 16 or im.size != 16:
             raise ValidationError(
-                f"density-matrix JSON needs {dim * dim} entries per part, "
-                f"got re={re.size}, im={im.size}"
+                f"density-matrix JSON needs 16 entries per part, got re={re.size}, im={im.size}"
             )
-        return cls((re + 1j * im).reshape(dim, dim))
-
-
-def as_matrix(rho) -> np.ndarray:
-    """Coerce a DensityMatrix or array into a square ndarray, or a stack of
-    them (shape (..., n, n))."""
-    if isinstance(rho, DensityMatrix):
-        return rho.matrix
-    arr = np.asarray(rho, dtype=complex)
-    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
-        raise DimensionError(f"expected square matrices, got shape {arr.shape}")
-    return arr
+        return cls((re + 1j * im).reshape(4, 4))
 
 
 def unstack(values):
     """A Python scalar for the 0-d result of one state; a stack's array as is."""
     return values.item() if np.ndim(values) == 0 else values
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two kets or two matrices, a the slower-varying
-    index; each entry is the one product that np.kron forms."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.ndim == 1:
-        return (a[:, None] * b).reshape(-1)
-    return (a[:, None, :, None] * b[:, None, :]).reshape(len(a) * len(b), -1)
 
 
 def partial_transpose(rho) -> np.ndarray:
@@ -161,13 +133,14 @@ class DensityDiagnostics:
     hermiticity_defect: float
     trace_defect: float
     min_eigenvalue: float
-    hermitian_ok: bool
-    trace_ok: bool
-    psd_ok: bool
 
     @property
     def passed(self) -> bool:
-        return self.hermitian_ok & self.trace_ok & self.psd_ok
+        return (
+            (self.hermiticity_defect <= HERMITICITY_TOL)
+            & (self.trace_defect <= TRACE_TOL)
+            & (self.min_eigenvalue >= MIN_EIGENVALUE_TOL)
+        )
 
     def describe(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -179,9 +152,9 @@ class DensityDiagnostics:
 
 
 def validate_density(rho) -> DensityDiagnostics:
-    """Diagnose how far a matrix (or each of a stack) is from being a valid
-    density operator."""
-    mat = as_matrix(rho)
+    """Diagnose how far a 4x4 matrix (or each of a stack) is from being a
+    valid density operator."""
+    mat = two_qubit_matrix(rho)
     adjoint = np.swapaxes(mat.conj(), -1, -2)
     finite = np.isfinite(mat).all(axis=(-2, -1))
     # A huge or non-finite entry fails with an infinite or NaN figure, not a warning.
@@ -192,28 +165,21 @@ def validate_density(rho) -> DensityDiagnostics:
         # near-Hermitian input this is the spectrum up to the reported defect.
         part = np.where(finite[..., None, None], 0.5 * mat + 0.5 * adjoint, 0.0)
     min_eig = unstack(np.where(finite, np.min(np.linalg.eigvalsh(part), axis=-1), np.nan))
-    return DensityDiagnostics(
-        hermiticity_defect=herm,
-        trace_defect=tr,
-        min_eigenvalue=min_eig,
-        hermitian_ok=herm <= HERMITICITY_TOL,
-        trace_ok=tr <= TRACE_TOL,
-        psd_ok=min_eig >= MIN_EIGENVALUE_TOL,
-    )
+    return DensityDiagnostics(hermiticity_defect=herm, trace_defect=tr, min_eigenvalue=min_eig)
 
 
-def require_valid_density(rho) -> np.ndarray:
-    """Return the underlying matrix or stack, raising ValidationError if any
-    matrix is unphysical (a stack's message names the first failing row).
-    A DensityMatrix is checked until it passes once; an array every time."""
+def require_two_qubit_density(rho, one: bool = False) -> np.ndarray:
+    """``two_qubit_matrix(rho, one)``, raising ValidationError if any matrix
+    is unphysical (a stack's message names the first failing row).  A
+    DensityMatrix is checked until it passes once; an array every time."""
     if isinstance(rho, DensityMatrix) and rho._validated is rho.matrix:
         return rho.matrix
-    mat = as_matrix(rho)
+    mat = two_qubit_matrix(rho, one)
     passed = np.reshape(validate_density(mat).passed, -1)
     if not passed.all():
         row = int(np.argmin(passed))
         where = "" if mat.ndim == 2 else f" at row {row}"
-        diag = validate_density(mat.reshape(-1, *mat.shape[-2:])[row])
+        diag = validate_density(mat.reshape(-1, 4, 4)[row])
         raise ValidationError(f"invalid density matrix{where} ({diag.describe()})")
     if isinstance(rho, DensityMatrix):
         rho._validated = mat
@@ -221,19 +187,14 @@ def require_valid_density(rho) -> np.ndarray:
 
 
 def two_qubit_matrix(rho, one: bool = False) -> np.ndarray:
-    """``as_matrix(rho)``; DimensionError unless it is a 4x4 matrix or, when
-    not ``one``, a stack of them."""
-    mat = as_matrix(rho)
+    """The matrix of a DensityMatrix, else ``rho`` as a complex array;
+    DimensionError unless it is a 4x4 matrix or, when not ``one``, a stack
+    of them (shape (B, 4, 4))."""
+    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape[-2:] != (4, 4) or (one and mat.ndim != 2):
         what = "one two-qubit (4x4) state" if one else "two-qubit (4x4) states"
         raise DimensionError(f"expected {what}, got shape {mat.shape}")
     return mat
-
-
-def require_two_qubit_density(rho, one: bool = False) -> np.ndarray:
-    """``require_valid_density`` after ``two_qubit_matrix(rho, one)``."""
-    two_qubit_matrix(rho, one)
-    return require_valid_density(rho)
 
 
 def pauli_expectations(rho) -> np.ndarray:

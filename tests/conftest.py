@@ -21,9 +21,9 @@ from ces.qcore import (
     KET_SM,
     KET_SP,
     SINGLET_KET,
-    as_matrix,
     born_probabilities,
-    require_valid_density,
+    require_two_qubit_density,
+    two_qubit_matrix,
     unstack,
 )
 from ces.tomography import PROJECTORS
@@ -114,7 +114,7 @@ def zero_cell_table() -> np.ndarray:
 
 def trace_distance(a, b) -> float:
     """Trace distance (1/2) ||a - b||_1 between two Hermitian matrices (or stacks)."""
-    diff = as_matrix(a) - as_matrix(b)
+    diff = two_qubit_matrix(a) - two_qubit_matrix(b)
     eigs = np.linalg.eigvalsh(0.5 * (diff + np.swapaxes(diff.conj(), -1, -2)))
     return unstack(0.5 * np.sum(np.abs(eigs), axis=-1))
 
@@ -122,7 +122,7 @@ def trace_distance(a, b) -> float:
 def exact_table(rho, total_per_basis: float = 1.0) -> np.ndarray:
     """The float (9, 4) count table of exact Born probabilities times a scale:
     the noiseless oracle input for estimator round-trip checks."""
-    probs = born_probabilities(PROJECTORS, require_valid_density(rho))
+    probs = born_probabilities(PROJECTORS, require_two_qubit_density(rho))
     return np.maximum(0.0, total_per_basis * probs).reshape(9, 4)
 
 

@@ -16,8 +16,8 @@ from ces.bell import (
     max_chsh_from_state,
 )
 from ces.detection import CountRecord, MeasurementSetting, DetectorParams
-from ces.errors import ConfigError, DataError
-from ces.qcore import correlation_matrix, tensor
+from ces.errors import ConfigError, DataError, DimensionError
+from ces.qcore import correlation_matrix
 from conftest import (
     analyzer_projectors,
     dephased_singlet,
@@ -127,7 +127,7 @@ class TestAnalyticChsh:
         # observable (P_up - P_down) x (Q_up - Q_down) of the analyzer projectors.
         def correlation(rho, a, b):
             (pa_up, pa_down), (pb_up, pb_down) = analyzer_projectors(a), analyzer_projectors(b)
-            return float(np.real(np.trace(rho @ tensor(pa_up - pa_down, pb_up - pb_down))))
+            return float(np.real(np.trace(rho @ np.kron(pa_up - pa_down, pb_up - pb_down))))
 
         for _ in range(50):
             rho = random_density(rng, 4)
@@ -149,9 +149,14 @@ class TestMaxChsh:
         result = max_chsh_from_state(singlet_dm())
         assert result.s_value == pytest.approx(TSIRELSON_BOUND, abs=1e-9)
 
+    @pytest.mark.parametrize("batch", [2, 3])
+    def test_a_stack_is_a_dimension_error(self, batch):
+        with pytest.raises(DimensionError, match="one two-qubit"):
+            max_chsh_from_state(np.array([singlet_dm()] * batch))
+
     def test_separable_states_bounded_by_two(self, rng):
         for _ in range(10):
-            rho = tensor(random_density(rng, 2), random_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             result = max_chsh_from_state(rho)
             assert result.s_value <= 2.0 + 1e-9
 

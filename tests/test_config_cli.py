@@ -363,6 +363,33 @@ class TestCliExitCodes:
         assert "efficiency" in err and "eta_det" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode", ["rates", "bell"])
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ('{"noise": 3}', "noise: expected an object"),
+            ("[1, 2]", "top level: expected a JSON object"),
+            ('{"settings": []}', "settings: expected a non-empty list"),
+            ('{"settings": [[0, 0, 1]]}', "settings[0]: expected [alpha_deg, beta_deg]"),
+            ("{oops", "invalid JSON"),
+            ('{"efficiency": {"rep_rate_khz": 0}}', "efficiency.rep_rate_khz must be > 0"),
+        ],
+        ids=["section", "top-level", "no-settings", "three-angles", "not-json", "rep-rate"],
+    )
+    def test_malformed_config_is_2(self, tmp_path, capsys, mode, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert cli.main([mode, "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_bell_with_three_settings_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"settings": [[0, 22.5], [0, 67.5], [45, 22.5]], "n_sequences": 2000}')
+        assert cli.main(["bell", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "bell mode needs 4 settings" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("case", ["out_is_a_file", "output_is_a_directory", "under_a_file"])
     def test_unwritable_out_is_2(self, tmp_path, capsys, case):
         # An --out that cannot be made, or an output name taken by a
@@ -453,6 +480,15 @@ class TestCliExitCodes:
         assert "--dt-grid[0]" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid", ["1,abc,2", "1,2,0x10"])
+    def test_dt_grid_that_is_not_numbers_is_2(self, tmp_path, capsys, grid):
+        code = cli.main(
+            ["sweep", "--trials", "2000", f"--dt-grid={grid}", "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "--dt-grid: could not convert" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("grid", ["2,4", "1,1,1", "0,0,0"])
     def test_dt_grid_without_two_distinct_times_is_2(self, tmp_path, capsys, grid):
         code = cli.main(
@@ -518,6 +554,11 @@ class TestCliExitCodes:
         assert "refit by MLE" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_reconstruction_method_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown reconstruction method 'ls'"):
+            run_tomo(_fast_cfg(), tmp_path / "o", method="ls")
+        assert not (tmp_path / "o").exists()
+
     def test_bootstrap_zero_runs_none(self, tmp_path):
         out = tmp_path / "o"
         assert cli.main(["tomo", "--trials", "20000", "--bootstrap", "0", "--out", str(out)]) == 0
@@ -543,6 +584,16 @@ class TestCliExitCodes:
         assert cli.main(["fit", str(tmp_path / "missing.csv")]) == 3
         assert cli.main(["bell", "--data", str(tmp_path / "missing.csv")]) == 3
         assert cli.main(["tomo", "--data", str(tmp_path / "missing.csv")]) == 3
+
+    @pytest.mark.parametrize("text", ["a,b\n1,2\n", ""], ids=["other-columns", "empty"])
+    @pytest.mark.parametrize("command", ["fit", "bell", "tomo"])
+    def test_csv_without_the_expected_columns_is_3(self, tmp_path, capsys, command, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        args = [str(data)] if command == "fit" else ["--data", str(data)]
+        assert cli.main([command, *args, "--out", str(tmp_path / "o")]) == 3
+        assert "expected columns" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_tomography_with_pair_totals_beyond_the_ratio_is_3(self, tmp_path, capsys):
         # RL/RL n_dd at 2**53 among 100s: the bootstrap used to run for about
@@ -713,7 +764,17 @@ class TestCliExitCodes:
             json.dumps({"dim": dim, "re": rho.ravel().tolist(), "im": [0.0] * rho.size})
         )
         assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err and "needs dim 4" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["not json", None], ids=["not-json", "missing"])
+    def test_measures_of_a_file_that_is_not_json_is_3(self, tmp_path, capsys, text):
+        state = tmp_path / "state.json"
+        if text is not None:
+            state.write_text(text)
+        assert cli.main(["measures", str(state), "--out", str(tmp_path / "o")]) == 3
+        assert "cannot read density-matrix JSON" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("dim", [4.9, "4", True], ids=["float", "string", "bool"])

@@ -220,6 +220,13 @@ class TestValidation:
         with pytest.raises(DataError):
             fit_lifetime(np.array([0.0, 1.0]), np.array([0.4, 0.3]))
 
+    @pytest.mark.parametrize(
+        ("dt", "values"), [([1, 2, 3], [1, 2]), ([[1, 2, 3]], [[0.4, 0.3, 0.2]])]
+    )
+    def test_unequal_or_not_1d_rejected(self, dt, values):
+        with pytest.raises(DataError, match="1-D arrays of equal length"):
+            fit_lifetime(dt, values)
+
     def test_negative_time_rejected(self):
         with pytest.raises(DataError):
             fit_lifetime(np.array([-1.0, 1.0, 2.0]), np.array([0.4, 0.3, 0.2]))

@@ -18,7 +18,6 @@ from ces.measures import (
     log_negativity,
     report,
 )
-from ces.qcore import tensor
 from conftest import (
     dephased_singlet,
     random_density,
@@ -61,7 +60,7 @@ class TestConcurrence:
         # (standard y matrix in the conjugation basis) and compare both
         # against the analytic max(0, (3p-1)/2).
         sy = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-        flip = tensor(sy, sy)
+        flip = np.kron(sy, sy)
         for p in (0.1, 1.0 / 3.0, 0.6, 0.9):
             rho = werner(p)
             lams = np.sort(
@@ -112,7 +111,7 @@ class TestLogNegativity:
 
     def test_separable_zero(self, rng):
         for _ in range(5):
-            rho = tensor(random_density(rng, 2), random_density(rng, 2))
+            rho = np.kron(random_density(rng, 2), random_density(rng, 2))
             n, e_n = log_negativity(rho)
             assert n == pytest.approx(0.0, abs=1e-10)
             assert e_n == pytest.approx(0.0, abs=1e-10)
@@ -166,7 +165,7 @@ class TestLocalUnitaryInvariance:
     def test_monotones_invariant(self, rng):
         for _ in range(10):
             rho = random_density(rng, 4)
-            u = tensor(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             a, b = report(rho), report(u @ rho @ u.conj().T)
             assert a.concurrence == pytest.approx(b.concurrence, abs=1e-9)
             assert a.eof == pytest.approx(b.eof, abs=1e-9)
@@ -179,7 +178,7 @@ class TestLocalUnitaryInvariance:
         for _ in range(5):
             rho = random_density(rng, 4)
             u2 = random_unitary(rng, 2)
-            u = tensor(u2, u2)
+            u = np.kron(u2, u2)
             assert fidelity_singlet(u @ rho @ u.conj().T) == pytest.approx(
                 fidelity_singlet(rho), abs=1e-10
             )
@@ -192,7 +191,7 @@ class TestStacks:
         return np.array(
             [random_density(rng, 4) for _ in range(4)]
             + [random_density(rng, 4, rank=r) for r in (1, 2, 3)]
-            + [tensor(random_density(rng, 2), random_density(rng, 2)) for _ in range(2)]
+            + [np.kron(random_density(rng, 2), random_density(rng, 2)) for _ in range(2)]
             + [singlet_dm(), werner(0.3), np.eye(4) / 4.0]
         )
 

@@ -200,3 +200,7 @@ class TestNoiseParamsValidation:
     def test_out_of_range_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NoiseParams(**kwargs)
+
+    def test_negative_storage_time_rejected(self):
+        with pytest.raises(ValueError, match="dt_us must be >= 0"):
+            NoiseParams().coherence(-1.0)

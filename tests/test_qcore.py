@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,17 +12,15 @@ import pytest
 from ces import qcore
 from ces.errors import DimensionError, ValidationError
 from ces.qcore import (
-    IDENTITY_2,
     KET_SM,
     KET_SP,
     PAULIS,
+    DensityDiagnostics,
     DensityMatrix,
     born_probabilities,
     correlation_matrix,
     partial_transpose,
     require_two_qubit_density,
-    require_valid_density,
-    tensor,
     validate_density,
 )
 from conftest import (
@@ -30,11 +30,7 @@ from conftest import (
     KET_L,
     KET_R,
     KET_V,
-    analyzer_projectors,
-    basis_projectors,
-    dephased_singlet,
     random_density,
-    random_hermitian,
     singlet_dm,
     trace_distance,
 )
@@ -57,62 +53,15 @@ class TestPaulis:
 
 
 class TestTensor:
-    def test_identity_case(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
     def test_basis_ordering_convention(self):
         # |s+><s+| x |s-><s-| occupies the {+-} slot of {++, +-, -+, --}
-        proj = tensor(np.outer(KET_SP, KET_SP.conj()), np.outer(KET_SM, KET_SM.conj()))
+        proj = np.kron(np.outer(KET_SP, KET_SP.conj()), np.outer(KET_SM, KET_SM.conj()))
         np.testing.assert_allclose(proj, np.diag([0, 1, 0, 0]).astype(complex), atol=1e-15)
-
-    def test_eigenvalues_multiply(self, rng):
-        # Oracle: eigensolve both factors and the product independently.
-        a = random_hermitian(rng, 2)
-        b = random_hermitian(rng, 2)
-        ea = np.linalg.eigvalsh(a)
-        eb = np.linalg.eigvalsh(b)
-        expected = np.sort(np.multiply.outer(ea, eb).reshape(-1))
-        actual = np.sort(np.linalg.eigvalsh(tensor(a, b)))
-        np.testing.assert_allclose(actual, expected, atol=1e-10)
-
-    def test_mixed_product_identity(self, rng):
-        # (A x B)(C x D) = AC x BD
-        a, b, c, d = (random_hermitian(rng, 2) for _ in range(4))
-        lhs = tensor(a, b) @ tensor(c, d)
-        np.testing.assert_allclose(lhs, tensor(a @ c, b @ d), atol=1e-12)
-
-    def test_associativity(self, rng):
-        # Entries are triple products evaluated in different orders, so the
-        # match is exact up to the last ulp of complex multiplication.
-        a, b, c = (random_hermitian(rng, 2) for _ in range(3))
-        np.testing.assert_allclose(
-            tensor(tensor(a, b), c), tensor(a, tensor(b, c)), rtol=1e-14, atol=1e-16
-        )
-
-
-    def test_equals_kron_bit_for_bit(self, rng):
-        # Broadcasting forms each entry as the one product np.kron forms, so
-        # the bytes agree: on the shipped operators, on random complex
-        # matrices, on a product of three factors and on kets.
-        def random_complex(*shape):
-            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
-
-        operators = [IDENTITY_2, *PAULIS, *analyzer_projectors(22.5), *analyzer_projectors(-67.5)]
-        operators += [*basis_projectors("DA"), *basis_projectors("RL")]
-        operators += [random_complex(2, 2) for _ in range(8)]
-        kets = [KET_SP, KET_SM, KET_H, KET_V, KET_D, KET_A, KET_R, KET_L, random_complex(2)]
-        pairs = [(a, b) for group in (operators, kets) for a in group for b in group]
-        pairs += [(tensor(a, b), c) for a, b, c in zip(operators, operators[1:], operators[2:])]
-        for a, b in pairs:
-            expected = np.kron(a, b)
-            actual = tensor(a, b)
-            assert actual.shape == expected.shape
-            assert actual.tobytes() == expected.tobytes()
 
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self, rng):
-        rho = tensor(random_density(rng, 2), random_density(rng, 2))
+        rho = np.kron(random_density(rng, 2), random_density(rng, 2))
         pt = partial_transpose(rho)
         assert np.min(np.linalg.eigvalsh(pt)) > -1e-12
 
@@ -124,7 +73,7 @@ class TestPartialTranspose:
     def test_transposes_photon_two(self, rng):
         # A (x) B -> A (x) B^T: the second factor, not the first, is transposed.
         a, b = random_density(rng, 2), random_density(rng, 2)
-        np.testing.assert_allclose(partial_transpose(tensor(a, b)), tensor(a, b.T), atol=1e-15)
+        np.testing.assert_allclose(partial_transpose(np.kron(a, b)), np.kron(a, b.T), atol=1e-15)
 
     def test_involution(self, rng):
         rho = random_density(rng, 4)
@@ -176,7 +125,20 @@ class TestValidateDensity:
             np.testing.assert_array_equal(validate_density(stack).passed, [True, False, True])
             assert not validate_density(stack[1]).passed
             with pytest.raises(ValidationError, match="at row 1 "):
-                require_valid_density(stack)
+                require_two_qubit_density(stack)
+
+    def test_passed_is_read_from_the_three_figures(self):
+        assert [f.name for f in fields(DensityDiagnostics)] == [
+            "hermiticity_defect", "trace_defect", "min_eigenvalue"
+        ]
+        tolerances = [qcore.HERMITICITY_TOL, qcore.TRACE_TOL, qcore.MIN_EIGENVALUE_TOL]
+        assert DensityDiagnostics(*tolerances).passed
+        for i, away in enumerate([math.inf, math.inf, -math.inf]):
+            beyond = list(tolerances)
+            beyond[i] = math.nextafter(beyond[i], away)
+            assert not DensityDiagnostics(*beyond).passed
+            beyond[i] = math.nan
+            assert not DensityDiagnostics(*beyond).passed
 
     def test_hermitian_part_is_that_of_the_sum(self, rng):
         # The halves are summed so that a finite matrix cannot overflow;
@@ -203,15 +165,15 @@ class TestValidationCache:
     def test_a_state_that_passed_is_not_checked_again(self, validations):
         rho = DensityMatrix(singlet_dm())
         for _ in range(3):
-            assert require_valid_density(rho) is rho.matrix
             assert require_two_qubit_density(rho) is rho.matrix
+            assert require_two_qubit_density(rho, one=True) is rho.matrix
         assert len(validations) == 1
 
     def test_an_array_is_checked_on_every_call(self, validations):
         mat = singlet_dm()
         for n in range(1, 4):
-            require_valid_density(mat)
             require_two_qubit_density(mat)
+            require_two_qubit_density(mat, one=True)
             assert len(validations) == 2 * n
 
     def test_a_failing_state_is_checked_and_raises_on_every_call(self, validations):
@@ -225,18 +187,31 @@ class TestValidationCache:
 
     def test_a_replaced_matrix_is_checked_again(self, validations):
         rho = DensityMatrix(singlet_dm())
-        require_valid_density(rho)
+        require_two_qubit_density(rho)
         rho.matrix = 0.5 * np.eye(4)
         with pytest.raises(ValidationError):
-            require_valid_density(rho)
+            require_two_qubit_density(rho)
         assert len(validations) > 1
 
 
 class TestDensityMatrix:
     def test_immutable(self):
-        rho = DensityMatrix([[1.0, 0.0], [0.0, 0.0]])
+        rho = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 2.0
+
+    def test_the_callers_array_is_copied_not_frozen(self):
+        mat = np.eye(4, dtype=complex) / 4.0
+        rho = DensityMatrix(mat)
+        mat[0, 0] = 1.0
+        assert rho.matrix[0, 0] == 0.25
+
+    @pytest.mark.parametrize(
+        "bad", [np.eye(2) / 2.0, np.eye(8) / 8.0, np.array([np.eye(4) / 4.0] * 2)]
+    )
+    def test_anything_but_one_4x4_matrix_is_a_dimension_error(self, bad):
+        with pytest.raises(DimensionError, match="one two-qubit"):
+            DensityMatrix(bad)
 
 
 class TestDensityMatrixJson:
@@ -256,8 +231,16 @@ class TestDensityMatrixJson:
 
     @pytest.mark.parametrize(("dim", "size"), [(0, 0), (-1, 1)])
     def test_dimension_below_one_rejected(self, dim, size):
-        with pytest.raises(DimensionError, match="dim >= 1"):
+        with pytest.raises(DimensionError, match="needs dim 4"):
             DensityMatrix.from_json_dict({"dim": dim, "re": [1.0] * size, "im": [0.0] * size})
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8])
+    def test_dimension_other_than_four_rejected(self, dim):
+        rho = np.eye(dim) / dim
+        with pytest.raises(DimensionError, match=f"needs dim 4 .*got {dim}$"):
+            DensityMatrix.from_json_dict(
+                {"dim": dim, "re": rho.ravel().tolist(), "im": [0.0] * rho.size}
+            )
 
 
 class TestTwoQubitCheck:
@@ -297,7 +280,7 @@ class TestStacks:
         np.testing.assert_array_equal(diag.passed, [True, True, False, True])
         assert diag.trace_defect[2] == pytest.approx(0.1, abs=1e-12)
         with pytest.raises(ValidationError, match="at row 2 "):
-            require_valid_density(stack)
+            require_two_qubit_density(stack)
 
     def test_single_matrix_diagnostics_are_python_scalars(self, rng):
         diag = validate_density(random_density(rng, 4))

@@ -857,8 +857,6 @@ class TestBasisCovariance:
     def test_born_probabilities_covariant_under_local_rotation(self, rng):
         # Exact-level covariance: rotated state measured with rotated
         # projectors reproduces the original Born probabilities.
-        from ces.qcore import tensor as kron
-
         rho = dephased_singlet(0.8)
         ua = random_unitary(rng, 2)
         ub = random_unitary(rng, 2)
@@ -870,10 +868,10 @@ class TestBasisCovariance:
                 pb = basis_projectors(label_b)
                 for i in range(2):
                     for j in range(2):
-                        plain = np.trace(rho @ kron(pa[i], pb[j]))
+                        plain = np.trace(rho @ np.kron(pa[i], pb[j]))
                         rot = np.trace(
                             rotated
-                            @ kron(ua @ pa[i] @ ua.conj().T, ub @ pb[j] @ ub.conj().T)
+                            @ np.kron(ua @ pa[i] @ ua.conj().T, ub @ pb[j] @ ub.conj().T)
                         )
                         assert np.real(rot) == pytest.approx(np.real(plain), abs=1e-12)
 
@@ -938,6 +936,18 @@ class TestBootstrap:
         errs = bootstrap_errors(dataset, estimate, 100, seed=53)
         assert len(calls) == 1 and calls[0].shape == (100, 36)
         assert errs.n_failed == 25
+
+    def test_a_single_successful_resample_is_too_few(self, dataset, estimate, monkeypatch):
+        real_fit = tomography._fit
+
+        def all_but_one_unconverged(counts, anchor=None):
+            rho, iterations, gap = real_fit(counts, anchor)
+            gap[1:] = np.inf
+            return rho, iterations, gap
+
+        monkeypatch.setattr(tomography, "_fit", all_but_one_unconverged)
+        with pytest.raises(DataError, match="too few successful bootstrap resamples"):
+            bootstrap_errors(dataset, estimate, 100, seed=53)
 
     def test_invalid_fits_fail_the_validity_mask(self, dataset, estimate, monkeypatch):
         real_fit, real_report = tomography._fit, tomography.report_of_valid
