@@ -104,6 +104,8 @@ def fit_lifetime(dt_us, values, kind=KIND_NEGATIVITY, sigma=None) -> LifetimeFit
     by_e = np.nan_to_num(np.stack([n, n * dt**2], axis=1) / w[:, None] ** 2)
     by_e2 = np.nan_to_num(np.stack([np.ones_like(dt), dt**2], axis=1) / w[:, None] ** 2)
     n_n = np.sum((n / w) ** 2)
+    if not (n_n < np.inf and 0.0 < np.sum(w**-2.0) < np.inf):
+        raise DataError("the weighted values or sigma overflow or underflow: rescale them")
 
     def rss_and_slope(tau):
         """RSS and the sign of dRSS/dtau at each tau of a 1-D array."""

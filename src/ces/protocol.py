@@ -84,8 +84,8 @@ class EfficiencyParams:
     def __post_init__(self) -> None:
         check_unit_interval("p_photon1", self.p_photon1)
         check_unit_interval("p_photon2", self.p_photon2)
-        if not self.rep_rate_khz > 0.0:
-            raise ValueError(f"rep_rate_khz must be > 0, got {self.rep_rate_khz!r}")
+        if not 0.0 < self.rep_rate_khz * 1e3 < math.inf:
+            raise ValueError(f"rep_rate_khz must be > 0 and finite in Hz, got {self.rep_rate_khz!r}")
 
 
 @dataclass(frozen=True)

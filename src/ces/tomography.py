@@ -5,14 +5,15 @@ equations tr(rho Pi_k) = f_k by least squares (James et al., PRA 64, 052312
 (2001)), one fixed linear map as the design's Gram matrix is diagonal; it
 recovers the state exactly from exact frequencies but can leave the
 physical set on noisy data (flagged, never hidden).  The
-maximum-likelihood estimator takes damped Newton steps in the Pauli
-coordinates of rho, which reach an interior optimum in a few steps.  The
-rows whose optimum lies on the boundary of the positive semidefinite set
-take Newton steps on a factor instead, rho = A A^dag / tr(A A^dag) with A
-lower-triangular in the eigenbasis of the current iterate (Burer and
-Monteiro, Math. Program. 95, 329 (2003)), which keeps every iterate
-positive semidefinite and lets eigenvalues reach zero; a Frank-Wolfe step
-toward the top eigenvector of R adds a direction the factor lacks.
+maximum-likelihood estimator takes whole Newton steps in the Pauli
+coordinates of rho, which reach an interior optimum in a few steps.  A row
+whose Newton step would leave the positive semidefinite set, because its
+optimum lies on the boundary, takes Newton steps on the square root of rho
+instead, rho = (S + X)^2 / tr((S + X)^2) with S = rho^(1/2) and X in the
+same Pauli coordinates, which keeps every iterate positive semidefinite and
+lets eigenvalues reach zero.  Their curvature is clipped where R exceeds N,
+so every step ascends; a Frank-Wolfe step toward the top eigenvector of R
+takes over where no step length gains enough.
 Because the multinomial log-likelihood is concave, lambda_max(R) - N
 bounds how far an iterate is below the maximum (Glancy, Knill, Girard, NJP
 14, 095017 (2012)); the fit stops on that certificate.  Many count tables
@@ -69,18 +70,12 @@ MAX_PAIR_RATIO = 2**20
 #: Largest total count N of one table that an estimator accepts: the
 #: certificate lambda_max(R) - N is quantised to ulp(N), 1/16 at 2**48.
 MAX_TOTAL = 2**48
-#: A cut Newton step stops at this fraction of its way to the PSD boundary.
-_TO_BOUNDARY = 0.99
-#: A factor step is kept at the longest of these lengths that realizes this
+#: A root step is kept at the longest of these lengths that realizes this
 #: fraction (Armijo) of the increase its slope predicts.
 _STEP_LENGTHS = 0.5 ** np.arange(12)
 _ARMIJO = 1e-4
 #: Mixing weights a Frank-Wolfe step compares; weight 0 keeps the state.
 _MIX_WEIGHTS = np.concatenate([[0.0], np.geomspace(1e-16, 1.0, 97)])
-#: A boundary row whose state puts less weight than this on the top
-#: eigenvector of R takes a Frank-Wolfe step toward it: the factor step
-#: cannot grow a direction the factor lacks.
-_ABSENT = 1e-6
 #: Passes on which the Newton rows of an anchored (bootstrap) fit step with
 #: the shared Hessian of ``_chord``; later passes use each row's own.  The
 #: chord converges linearly, at a rate near 1 where a resample's optimum is
@@ -89,8 +84,8 @@ _ABSENT = 1e-6
 _CHORD_PASSES = 3
 #: On a 2-core x86 VM with numpy 2.4, ``_positive_definite`` costs about
 #: 30 us a stack and ``eigvalsh`` about 3 us a row, so a fit uses the former
-#: only on stacks of at least this many rows: for the cut test of a Newton
-#: step, and to screen rows before the certificate's ``eigvalsh(R)``.
+#: only on stacks of at least this many rows: to test a Newton step, and to
+#: screen rows before the certificate's ``eigvalsh(R)``.
 _SCREEN_ROWS = 16
 
 
@@ -124,15 +119,25 @@ PROJECTORS = np.einsum("km,mab->kab", _PAULI_COEFFS, PAULI_PRODUCTS)
 PROJECTORS.flags.writeable = False
 _FLAT_PROJECTORS = flatten_real(PROJECTORS)
 _DESIGN = _PAULI_COEFFS[:, 1:]
+# Row l is sigma_l, flattened: flatten_real(M) @ _FLAT_PAULIS.T is tr(M sigma_l)
+# for Hermitian M, and c @ _FLAT_PAULIS / 4 is sum_l c_l sigma_l / 4, flattened.
+_FLAT_PAULIS = flatten_real(PAULI_PRODUCTS)
 # With a^T a diagonal, least squares on the frequencies f is one fixed map:
 # c_m = sum_k a_km f_k / g_m for m >= 1, and rho = I/4 + sum_k f_k M_k with
 # M_k = sum_m a_km sigma_m / (4 g_m).  Row k is M_k, flattened to real.
-_LINEAR = (_DESIGN / np.sum(_DESIGN**2, axis=0)) @ flatten_real(PAULI_PRODUCTS[1:]) / 4.0
+_LINEAR = (_DESIGN / np.sum(_DESIGN**2, axis=0)) @ _FLAT_PAULIS[1:] / 4.0
 # a_k a_k^T of each design row, flattened: the Newton Hessian is one product.
 _OUTER = (_DESIGN[:, :, None] * _DESIGN[:, None, :]).reshape(len(_DESIGN), -1)
 # Row m is sigma_m / 4, flattened: a step delta in the 15 Pauli coordinates
 # changes rho by delta @ _PAULI_STEPS.
 _PAULI_STEPS = PAULI_PRODUCTS[1:].reshape(15, 16) / 4.0
+# The structure constants f_lmn = Re tr(sigma_l sigma_m sigma_n) / 4, each 0 or
+# +-1 and symmetric in l, m, n, as a (16, 256) map: (c @ _STRUCTURE)[l, n] is
+# sum_m f_lmn c_m.
+_STRUCTURE = np.einsum("lab,mbc,nca->lmn", *[PAULI_PRODUCTS] * 3).real.reshape(16, 256) / 4.0
+# The Pauli coefficients of the 36 PROJECTORS and of the identity, the trace
+# that the root step treats as a 37th cell with count -N.
+_CELLS = np.concatenate([_PAULI_COEFFS, np.eye(16)[:1]])
 
 
 def _checked(tables) -> np.ndarray:
@@ -251,17 +256,16 @@ def _chord(observed: np.ndarray, start: np.ndarray) -> np.ndarray:
     on every core, which doubles the CPU time of a bootstrap.
     """
     fisher = ((observed / born_probabilities(PROJECTORS, start) ** 2) @ _OUTER).reshape(15, 15)
-    return _DESIGN @ np.linalg.solve(fisher, flatten_real(PAULI_PRODUCTS[1:]) / 4.0)
+    return _DESIGN @ np.linalg.solve(fisher, _FLAT_PAULIS[1:] / 4.0)
 
 
 def _newton_step(weights, probs, rho, chord=None):
-    """Newton step Delta_rho of each row and its length alpha (see _fit).
+    """Newton step Delta_rho of each row, and whether rho + Delta_rho is
+    positive definite (``_positive_definite`` on _SCREEN_ROWS rows or more).
 
     weights = n/p; the Hessian A^T diag(n/p^2) A is one product with _OUTER.
     With a ``chord`` (see _chord) every row steps with that one fixed
     Hessian instead, and Delta_rho is weights @ chord.
-    alpha = 1 where rho + Delta_rho / _TO_BOUNDARY is PSD (``_positive_definite``
-    on _SCREEN_ROWS rows or more); only the rest whiten.
     """
     if chord is None:
         hessian = ((weights / probs)[:, None, :] @ _OUTER).reshape(-1, 15, 15)
@@ -269,95 +273,59 @@ def _newton_step(weights, probs, rho, chord=None):
         d_rho = (delta @ _PAULI_STEPS).reshape(-1, 4, 4)
     else:
         d_rho = (weights @ chord).view(complex).reshape(-1, 4, 4)
-    alpha = np.ones(len(d_rho))
-    trial = rho + d_rho / _TO_BOUNDARY
+    trial = rho + d_rho
     if len(trial) >= _SCREEN_ROWS:
-        cut = ~_positive_definite(trial)
-    else:
-        cut = np.linalg.eigvalsh(trial)[:, 0] < 0.0
-    if cut.any():
-        whiten = np.linalg.inv(np.linalg.cholesky(rho[cut]))
-        mu = np.linalg.eigvalsh(whiten @ d_rho[cut] @ np.swapaxes(whiten.conj(), -1, -2))[:, 0]
-        alpha[cut] = _TO_BOUNDARY / np.maximum(-mu, _TO_BOUNDARY)
-    return d_rho, alpha
+        return d_rho, _positive_definite(trial)
+    return d_rho, np.linalg.eigvalsh(trial)[:, 0] > 0.0
 
 
-# The 16 real coordinates of a 4x4 lower-triangular matrix T with a real
-# diagonal: Re T[i, a] for i >= a and Im T[i, a] for i > a, as indices into
-# the interleaved real view of T.
-_LOWER = [(i, a, part) for a in range(4) for i in range(a, 4) for part in range(1 + (i > a))]
-_LOWER_AT = np.array([2 * (4 * i + a) + part for i, a, part in _LOWER])
-_LOWER_COLUMN = np.array([a for _, a, _ in _LOWER])
-# Re tr(dT^dag M dT) = x^T K x for Hermitian M and dT with coordinates x:
-# K[s, t] is M[i_s, i_t]'s real part, or its imaginary part with a sign when
-# one of s, t is an imaginary coordinate, if s and t share a column, else 0.
-_CURVATURE_AT = np.array(
-    [[2 * (4 * i + j) + (ps != pt) for j, _, pt in _LOWER] for i, _, ps in _LOWER]
-)
-_CURVATURE_SIGN = np.array(
-    [[(a == b) * (-1.0 if (ps, pt) == (0, 1) else 1.0) for _, b, pt in _LOWER]
-     for _, a, ps in _LOWER]
-)
-_DIAGONAL_AT = np.array([2 * 5 * a for a in range(4)])
-# PROJECTORS and the identity, flattened: the identity's "probability" is the
-# trace, which the factor step treats as a 37th cell with count -N.
-_WITH_TRACE = np.concatenate([PROJECTORS, np.eye(4)[None]]).reshape(37, 16)
+def _root_step(counts, eigenvalues, eigenvectors):
+    """One Newton step of each row on the square root of rho; returns the new
+    states and whether some length of each row's step met the Armijo condition.
 
-
-def _factor_step(counts, eigenvalues, eigenvectors):
-    """One Newton step of each row on a factor of rho; returns the new states
-    and whether some length of each row's step met the Armijo condition.
-
-    With rho = V W V^dag (eigenvalues W descending), rho = A A^dag / tr(A A^dag)
-    for A = V T and T = W^(1/2).  The step moves the 16 coordinates x of T as
-    a lower-triangular matrix with a real diagonal, which leaves A no unitary
-    freedom but its scale.  With the projectors rotated to V^dag Pi_k V,
-    f(x) = sum_k n_k log p_k - N log tr(T T^dag) has gradient
-    sum_k (n_k/p_k) J_k - 2 N z, with J_k = dp_k/dx and z = x at T, and minus
-    Hessian sum_k (n_k/p_k^2) J_k J_k^T - 2 K(V^dag R V) + 2 N I once
-    4 N z z^T is added to fill the scale direction, along which f is
-    constant; K(M) is the form Re tr(dT^dag M dT) (_CURVATURE_AT).  The
-    column of a zero eigenvalue has J = 0, and K keeps its block nonsingular
-    where R < N off the support, as at the optimum.  The trace enters as a
-    37th cell, the identity with count -N (_WITH_TRACE), so one expression
-    gives f, its gradient, V^dag (R - N) V and the trial values.  The step
-    length is the longest of _STEP_LENGTHS meeting the Armijo condition; p
-    and the trace are quadratic in it, so every length is tried at once.
+    ``eigenvalues`` and ``eigenvectors`` hold those of the B states, then
+    those of their B operators R.  The step moves S = rho^(1/2) by
+    X = sum_m x_m sigma_m / 4, rho(x) = (S + X)^2 / tr((S + X)^2), so every
+    iterate is positive semidefinite and trace-one.  With s_l = tr(S sigma_l),
+    p_c = a_c . (y o y) for y = s + x, (u o v)_n = sum_lm u_l v_m f_lmn / 4
+    (_STRUCTURE) and a_c a row of _CELLS, the trace being a 37th cell with
+    count -N.  So f(x) = sum_c n_c log p_c has gradient sum_c (n_c/p_c) J_c,
+    J_c = a_c f(s) / 2, and minus Hessian sum_c (n_c/p_c^2) J_c J_c^T - f r / 2
+    with r the Pauli coefficients of R - N.  Two changes make that matrix
+    positive definite: the trace cell's J J^T is left out, which fills the
+    scale direction X = S along which f is constant, and r is taken of
+    (R - N)_-, the part of R - N below zero.  So every step ascends, and
+    where the certificate holds only the trace term sets it apart from
+    Newton's.  The step length is the longest of _STEP_LENGTHS meeting the
+    Armijo condition; p is quadratic in it, so every length is tried at once.
     """
     b = len(counts)
-    v = eigenvectors[:, :, ::-1]
-    w = np.clip(eigenvalues[:, ::-1], 0.0, None)
-    root = np.sqrt(w)
-    # V^dag Pi_k V and V^dag I V = I, flattened to real (b, 37, 32).
-    rotation = (v.conj()[:, :, None, :, None] * v[:, None, :, None, :]).reshape(b, 16, 16)
-    rotated = (_WITH_TRACE @ rotation).view(float)
     cells = np.concatenate([counts, -counts.sum(axis=1, keepdims=True)], axis=1)
+    scale = np.concatenate([np.sqrt(np.clip(eigenvalues[:b], 0.0, None)),
+                            np.minimum(eigenvalues[b:] + cells[:, 36:], 0.0)])
+    parts = (eigenvectors * scale[:, None]) @ np.swapaxes(eigenvectors.conj(), 1, 2)
+    s, r = np.split(flatten_real(parts) @ _FLAT_PAULIS.T, 2)  # S and (R - N)_-
+    jac = _CELLS @ (s @ _STRUCTURE).reshape(b, 16, 16) / 2.0
+    probs = (jac @ s[..., None])[..., 0] / 2.0
     used = cells != 0
-    probs = (rotated[:, :, _DIAGONAL_AT] @ w[..., None])[..., 0]
     weights = np.divide(cells, probs, out=np.zeros_like(probs), where=used)
-    jac = rotated[:, :, _LOWER_AT] * (2.0 * root[:, None, _LOWER_COLUMN])
-    grad = (weights[:, None] @ jac)[:, 0]
-    r_rotated = (weights[:, None] @ rotated)[:, 0]  # V^dag (R - N) V, real view
     curvature = np.divide(weights, probs, out=np.zeros_like(probs), where=used)
     curvature[:, 36] = 0.0
+    grad = (weights[:, None] @ jac)[:, 0]
     neg_hessian = (np.swapaxes(jac, 1, 2) * curvature[:, None]) @ jac
-    neg_hessian -= 2.0 * r_rotated[:, _CURVATURE_AT] * _CURVATURE_SIGN
+    neg_hessian -= (r @ _STRUCTURE).reshape(b, 16, 16) / 8.0
     delta = np.linalg.solve(neg_hessian, grad[..., None])[..., 0]
-    d_lower = np.zeros((b, 32))
-    d_lower[:, _LOWER_AT] = delta
-    d_lower = d_lower.view(complex).reshape(b, 4, 4)
-    d_gram = flatten_real(d_lower @ np.swapaxes(d_lower.conj(), 1, 2))
-    quad = (rotated @ d_gram[..., None])[..., 0]
+    square = np.einsum("bl,bln->bn", delta, (delta @ _STRUCTURE).reshape(b, 16, 16)) / 4.0
     lengths = _STEP_LENGTHS[:, None]
     linear = (jac @ delta[..., None])[:, None, :, 0]
-    trial = probs[:, None] + lengths * linear + lengths**2 * quad[:, None]
+    trial = probs[:, None] + lengths * linear + lengths**2 * (square @ _CELLS.T)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         gain = np.sum(cells[:, None] * np.log(trial / probs[:, None]), axis=-1, where=used[:, None])
     slope = np.einsum("bi,bi->b", grad, delta)
     ok = gain > np.maximum(_ARMIJO * slope, 0.0)[:, None] * _STEP_LENGTHS
     length = _STEP_LENGTHS[np.argmax(ok, axis=1)]
-    factor = v @ (root[:, :, None] * np.eye(4) + length[:, None, None] * d_lower)
-    new = factor @ np.swapaxes(factor.conj(), 1, 2)
+    root = ((s + length[:, None] * delta) @ _FLAT_PAULIS / 4.0).view(complex).reshape(b, 4, 4)
+    new = root @ root
     return new / np.einsum("bii->b", new).real[:, None, None], ok.any(axis=1)
 
 
@@ -379,16 +347,13 @@ def _mix_step(counts, rho, ket):
 
 
 def _boundary_step(counts, rho, r_op):
-    """One step of each boundary row: a factor step, or a Frank-Wolfe step
-    toward the top eigenvector of R when rho lacks that direction or no
-    length of the factor step meets the Armijo condition."""
-    b = len(counts)
+    """One step of each boundary row: a root step, or a Frank-Wolfe step
+    toward the top eigenvector of R where no length of the root step meets
+    the Armijo condition."""
     eigenvalues, eigenvectors = np.linalg.eigh(np.concatenate([rho, r_op]))
-    top = eigenvectors[b:, :, -1]
-    new, ok = _factor_step(counts, eigenvalues[:b], eigenvectors[:b])
-    mix = ~ok | (np.einsum("bi,bij,bj->b", top.conj(), rho, top).real < _ABSENT)
-    if mix.any():
-        new[mix] = _mix_step(counts[mix], rho[mix], top[mix])
+    new, ok = _root_step(counts, eigenvalues, eigenvectors)
+    if not ok.all():
+        new[~ok] = _mix_step(counts[~ok], rho[~ok], eigenvectors[len(rho):, :, -1][~ok])
     return new
 
 
@@ -419,25 +384,22 @@ def _fit(counts: np.ndarray, anchor=None):
     Newton works in the 15 Pauli coordinates c of rho, where
     p = a_0 + A c with A = _DESIGN.  It solves
     (A^T diag(n/p^2) A) delta = A^T (n/p), minus the Hessian and the
-    gradient of L = sum_k n_k log p_k, and steps rho <- rho + alpha
-    Delta_rho.  With rho = C C^dag (Cholesky) and mu the smallest eigenvalue
-    of C^-1 Delta_rho C^-dag, alpha = min(1, _TO_BOUNDARY / -mu) keeps rho
-    positive definite.  A row leaves Newton for good when a step is cut
-    shorter than its previous one, because it is heading for the PSD
-    boundary; a start on the boundary with an interior optimum takes a few
-    lengthening damped steps first.  A row with a zero-count cell never
-    takes a Newton step: the cell drops out of the Hessian, which can then
-    be singular.
+    gradient of L = sum_k n_k log p_k, and takes the whole step
+    rho <- rho + Delta_rho when that is positive definite.  A row whose step
+    would leave it takes no step and leaves Newton for good: its optimum is
+    on the PSD boundary, or behind a start on it.  A row with a zero-count
+    cell never takes a Newton step: the cell drops out of the Hessian, which
+    can then be singular.
 
     The other rows take boundary steps (``_boundary_step``): a Newton step
-    on a factor of rho (``_factor_step``), whose iterates stay positive
-    semidefinite and trace-one and whose eigenvalues can reach zero, or a
-    Frank-Wolfe step toward the top eigenvector of
-    R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add nothing) when the
-    factor lacks that direction or no length of its step meets the Armijo
-    condition; no boundary step lowers the log-likelihood.  The
-    log-likelihood is concave, so gap = lambda_max(R) - N bounds how far a
-    row's log-likelihood is below the maximum; a row stops once
+    on the square root of rho in the same Pauli coordinates (``_root_step``),
+    whose iterates stay positive semidefinite and trace-one and whose
+    eigenvalues can reach zero, or a Frank-Wolfe step toward the top
+    eigenvector of R = sum_k (n_k / p_k) Pi_k (cells with n_k = 0 add
+    nothing) where no length of the root step meets the Armijo condition;
+    no boundary step lowers the log-likelihood.  The log-likelihood is
+    concave, so gap = lambda_max(R) - N bounds how far a row's
+    log-likelihood is below the maximum; a row stops once
     gap <= gap_tolerance(N), or after MAX_ITER steps.  Each pass computes R and
     the gap of the active rows first and drops the rows that certify, so
     steps are built only for rows that still take one.  Only rows where
@@ -462,7 +424,6 @@ def _fit(counts: np.ndarray, anchor=None):
     gap = np.empty(len(counts))
     active = np.arange(len(counts))
     newton = (counts > 0).all(axis=1)
-    last_alpha = np.zeros(len(counts))
     for step in range(MAX_ITER + 1):
         n = counts[active]
         total = n.sum(axis=1)
@@ -484,10 +445,9 @@ def _fit(counts: np.ndarray, anchor=None):
         if in_newton.any():
             rows = active[in_newton]
             shared = chord if step < _CHORD_PASSES else None
-            d_rho, alpha = _newton_step(weights[in_newton], probs[in_newton], rho[rows], shared)
-            rho[rows] += alpha[:, None, None] * d_rho
-            newton[rows] = (alpha == 1.0) | (alpha > last_alpha[rows])
-            last_alpha[rows] = alpha
+            d_rho, inside = _newton_step(weights[in_newton], probs[in_newton], rho[rows], shared)
+            rho[rows[inside]] += d_rho[inside]
+            newton[rows] = inside
         if not in_newton.all():
             rows = active[~in_newton]
             rho[rows] = _boundary_step(counts[rows], rho[rows], r_op[~in_newton])

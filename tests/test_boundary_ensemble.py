@@ -10,7 +10,7 @@ from conftest import import_script
 
 
 def test_every_boundary_ensemble_row_certifies_within_20_steps(monkeypatch):
-    # The largest step counts are 14 (werner), 18 (rank1) and 12 (rank2).
+    # The largest step counts are 9 (werner), 15 (rank1) and 11 (rank2).
     ensembles = import_script("boundary_ensemble", monkeypatch).ensembles()
     assert set(ensembles) == {"werner", "rank1", "rank2"}
     for name, table in ensembles.items():

@@ -341,6 +341,12 @@ class TestWriters:
         assert entry["sha256"] == _sha256(out / "rates.json")
 
 
+def _step_onto_hh(counts, rho, r_op):
+    """A boundary step that lands every row on |HH><HH| = ones(4, 4) / 4, whose
+    HV/HV ud probability is exactly 0: R turns non-finite under a positive count."""
+    return np.full(rho.shape, 0.25, dtype=complex)
+
+
 class TestCliExitCodes:
     def test_rates_ok(self, tmp_path, capsys):
         code = cli.main(["rates", "--out", str(tmp_path)])
@@ -373,8 +379,12 @@ class TestCliExitCodes:
             ('{"settings": [[0, 0, 1]]}', "settings[0]: expected [alpha_deg, beta_deg]"),
             ("{oops", "invalid JSON"),
             ('{"efficiency": {"rep_rate_khz": 0}}', "efficiency.rep_rate_khz must be > 0"),
+            ('{"efficiency": {"rep_rate_khz": 1e308}}', "efficiency.rep_rate_khz must be > 0"),
         ],
-        ids=["section", "top-level", "no-settings", "three-angles", "not-json", "rep-rate"],
+        ids=[
+            "section", "top-level", "no-settings", "three-angles", "not-json", "rep-rate",
+            "rep-rate-overflows-hz",
+        ],
     )
     def test_malformed_config_is_2(self, tmp_path, capsys, mode, text, message):
         bad = tmp_path / "bad.json"
@@ -874,10 +884,7 @@ class TestCliExitCodes:
         from ces.detection import TomographyDataset
         from ces.fileio import write_tomography_csv
 
-        def step_onto_hh(counts, rho, r_op):
-            return np.full(rho.shape, 0.25, dtype=complex)
-
-        monkeypatch.setattr("ces.tomography._boundary_step", step_onto_hh)
+        monkeypatch.setattr("ces.tomography._boundary_step", _step_onto_hh)
         data = tmp_path / "tomography.csv"
         write_tomography_csv(data, TomographyDataset(zero_cell_table(), np.zeros(9, int)))
         out = tmp_path / "o"
@@ -911,11 +918,9 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("command", ["fit", "tomo"])
     def test_non_finite_figures_are_written_as_null(self, tmp_path, capsys, monkeypatch, command):
         # Standard JSON (RFC 8259) has no NaN or Infinity.  A series with no
-        # signal has no lifetime covariance; a count of 2**53 among 100s
-        # drives the tomography certificate gap to infinity, once the table
-        # checks that reject such a table are lifted.
-        monkeypatch.setattr("ces.tomography.MAX_PAIR_RATIO", math.inf)
-        monkeypatch.setattr("ces.tomography.MAX_TOTAL", math.inf)
+        # signal has no lifetime covariance; a boundary step onto |HH><HH|,
+        # as in test_tomography_whose_r_turns_infinite_is_4, drives the
+        # tomography certificate gap to infinity.
         from ces.detection import TomographyDataset
         from ces.fileio import write_tomography_csv
 
@@ -930,9 +935,8 @@ class TestCliExitCodes:
             data.write_text("dt_us,value,kind,sigma\n0,0,N,\n1,0,N,\n2,0,N,\n")
             argv = ["fit", str(data)]
         else:
-            counts = np.full((9, 4), 100)
-            counts[0, 0] = 2**53
-            write_tomography_csv(data, TomographyDataset(counts, np.zeros(9, int)))
+            monkeypatch.setattr("ces.tomography._boundary_step", _step_onto_hh)
+            write_tomography_csv(data, TomographyDataset(zero_cell_table(), np.zeros(9, int)))
             argv = ["tomo", "--data", str(data)]
         assert cli.main([*argv, "--out", str(out)]) == 4
         stdout = capsys.readouterr().out

@@ -5,8 +5,9 @@ A ``--trials 20000`` run of ``bell``, ``tomo`` and ``sweep`` writes the
 counts, tomography and series CSVs and the reconstruction JSON.  Each
 mutant changes one field of one of them to one value class, drops one row,
 or keeps only the header, and goes through the data mode that reads it.
-Each config mutant sets one field of ``configs/sweep.json`` to one JSON
-value class and goes through ``rates`` and ``bell``.  Every case must exit
+Each config mutant sets one field of the full config schema, filled in
+from ``configs/sweep.json``, to one JSON value class and goes through
+``rates``, ``bell`` and ``simulate``.  Every case must exit
 0, 2, 3 or 4 without an exception (so without a traceback), raise no
 warning under ``simplefilter("error")``, and a run that fails (2 or 3)
 must leave no run directory.
@@ -16,15 +17,18 @@ from __future__ import annotations
 
 import json
 import warnings
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
 
 from ces import cli
+from ces.config import load_config
 
 VALUE_CLASSES = [
     "", "nan", "inf", "-1", "1e400", "1.5", "abc", "1e23", "-0", " 3", "1e-320", "0x10", "true",
-    "100000000000000",
+    "100000000000000", "1e300",
 ]
 
 #: Data file of each kind, the run that writes it, and the mode that reads it.
@@ -132,27 +136,27 @@ CONFIG_VALUES = [-1, 0, 1.5, 1e308, float("nan"), "0.5", True, None, []]
 
 
 def _config_mutants() -> dict[str, dict]:
-    """One mutant of ``configs/sweep.json`` at 2000 sequences per (field,
-    value class), the fields being its top-level numbers and section keys."""
-    base = {**json.loads(CONFIG.read_text()), "n_sequences": 2000}
-    fields = [
-        (name, key) for name, value in base.items()
+    """One mutant of the full config that ``configs/sweep.json`` loads as, at
+    2000 sequences, per (field, value class): the fields are every top-level
+    key, every section key and ``settings[0][0]``."""
+    base = {**load_config(CONFIG).to_dict(), "n_sequences": 2000}
+    paths = [
+        (name, *([key] if isinstance(value, dict) else []))
+        for name, value in base.items()
         for key in (value if isinstance(value, dict) else [None])
-    ]
-    assert len(fields) == 10
+    ] + [("settings", 0, 0)]
+    assert len(paths) == 16
     mutants = {}
-    for name, key in fields:
+    for path in paths:
+        label = path[0] + "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path[1:])
         for value in CONFIG_VALUES:
             mutant = json.loads(json.dumps(base))
-            if key is None:
-                mutant[name] = value
-            else:
-                mutant[name][key] = value
-            mutants[f"{name if key is None else f'{name}.{key}'}={value!r}"] = mutant
+            reduce(getitem, path[:-1], mutant)[path[-1]] = value
+            mutants[f"{label}={value!r}"] = mutant
     return mutants
 
 
-@pytest.mark.parametrize("mode", ["rates", "bell"])
+@pytest.mark.parametrize("mode", ["rates", "bell", "simulate"])
 def test_every_config_mutant_exits_cleanly(tmp_path, capsys, mode):
     failures = []
     for i, (name, mutant) in enumerate(_config_mutants().items()):

@@ -240,6 +240,22 @@ class TestValidation:
         with pytest.raises(DataError, match="sigma"):
             fit_lifetime(GRID, decay(0.4, 5.0, GRID), sigma=np.full(GRID.size, bad))
 
+    @pytest.mark.parametrize(
+        ("values", "sigma"),
+        [
+            ([1e300, -1e300, 1e300], None),
+            ([0.4, 0.3, 0.2], [1e-300] * 3),
+            ([0.4, 0.3, 0.2], [1e300] * 3),
+            ([0.4, 0.3, 0.2], [1e-200] * 3),
+        ],
+    )
+    def test_weighted_data_that_overflow_or_underflow_rejected(self, values, sigma):
+        # Their weighted sums are inf or 0, which made the fit NaN.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="overflow or underflow"):
+                fit_lifetime([0.0, 1.0, 2.0], values, sigma=sigma)
+
     @pytest.mark.parametrize("dt", [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
     def test_one_storage_time_rejected(self, dt):
         with pytest.raises(DataError, match="distinct storage times"):

@@ -41,6 +41,7 @@ from conftest import (
     basis_projectors,
     dephased_singlet,
     exact_table,
+    import_script,
     keyed_stream,
     pair_projectors,
     random_density,
@@ -328,7 +329,7 @@ class TestTableCheck:
             warnings.simplefilter("error")
             fit = mle_reconstruct(table)
             errors = bootstrap_errors(table, fit.rho, 100, seed=1)
-        assert fit.converged and fit.iterations <= 60
+        assert fit.converged and fit.iterations <= 25
         assert errors.n_failed == 0
 
     def test_exact_table_is_the_born_table(self):
@@ -508,7 +509,7 @@ class TestOracleEquivalence:
 
 class TestFitPaths:
     def test_calibrated_resamples_certify_within_ten_steps(self, calibrated_bootstrap):
-        # Interior optima: damped Newton finishes in a few steps.
+        # Interior optima: whole Newton steps finish in a few steps.
         *_, captured = calibrated_bootstrap
         table = captured["table"]
         _, iterations, gap = captured["result"]
@@ -517,9 +518,9 @@ class TestFitPaths:
 
     def test_mixed_table_rows_match_single_fits(self, calibrated_bootstrap, sweep_tables):
         # One table through every path: calibrated resamples (Newton), low-count
-        # resamples whose optimum is on the boundary (Newton cut short, then
-        # boundary steps) or interior behind a boundary start (resample 84:
-        # damped Newton), rank-2 sweep points with zero-count cells and an
+        # resamples whose optimum is on the boundary (Newton until a step would
+        # leave the PSD set, then boundary steps) or interior behind a boundary
+        # start (resample 84), rank-2 sweep points with zero-count cells and an
         # adversarial row with three zero cells per basis (boundary steps from
         # the start).
         *_, captured = calibrated_bootstrap
@@ -554,7 +555,7 @@ class TestFitPaths:
             assert np.all(validate_density(rho).passed)
 
     def test_near_pure_bootstrap_certifies_every_resample(self, near_pure_werner, monkeypatch):
-        # Resample optima sit on or just inside the boundary: rows cut from
+        # Resample optima sit on or just inside the boundary: rows that leave
         # Newton continue with boundary steps toward interior optima too.
         captured = {}
         real_fit = tomography._fit
@@ -592,51 +593,26 @@ class TestFitPaths:
         assert sizes == [int((iterations > s).sum()) for s in range(iterations.max())]
         assert sum(sizes) == iterations.sum()
 
+    def test_no_boundary_step_lowers_the_log_likelihood(self, monkeypatch):
+        # Root steps ascend by the Armijo condition and Frank-Wolfe steps by
+        # their line search, whose weight 0 keeps the state.
+        ensembles = import_script("boundary_ensemble", monkeypatch).ensembles()
+        real_step = tomography._boundary_step
+        passes = []
 
-    @pytest.fixture(scope="class")
-    def low_count_table(self):
-        """Twenty tables of werner(0.9) at 150 sequences per basis pair:
-        cut Newton steps, and rows with zero cells that take none."""
-        datasets = [simulate_tomography_dataset(werner(0.9), 150, IDEAL, seed) for seed in range(20)]
-        return np.array([columns(dataset.counts) for dataset in datasets])
+        def spy(counts, rho, r_op):
+            new = real_step(counts, rho, r_op)
+            gain = tomography._log_likelihood(counts, new) - tomography._log_likelihood(counts, rho)
+            passes.append(gain)
+            return new
 
-    @pytest.mark.parametrize(
-        "table", ["calibrated", "boundary", "near_pure", "low_count"]
-    )
-    def test_step_length_shortcut_matches_whitening_every_row(
-        self, table, calibrated_bootstrap, boundary_table, near_pure_werner, low_count_table,
-        monkeypatch,
-    ):
-        # _newton_step takes alpha = 1 wherever rho + Delta_rho / _TO_BOUNDARY
-        # is PSD and whitens only the other rows.  The reference computes
-        # alpha = min(1, _TO_BOUNDARY / -mu) from the whitened step of every
-        # row; the fits must agree bit for bit.
-        table = {
-            "calibrated": calibrated_bootstrap[3]["table"],
-            "boundary": boundary_table,
-            "near_pure": near_pure_werner[None],
-            "low_count": low_count_table,
-        }[table]
-        real_step = tomography._newton_step
-        cut = []
-
-        def whiten_every_row(weights, probs, rho, chord=None):
-            d_rho, _ = real_step(weights, probs, rho, chord)
-            whiten = np.linalg.inv(np.linalg.cholesky(rho))
-            whitened = whiten @ d_rho @ np.swapaxes(whiten.conj(), -1, -2)
-            mu = np.linalg.eigvalsh(whitened)[:, 0]
-            alpha = tomography._TO_BOUNDARY / np.maximum(-mu, tomography._TO_BOUNDARY)
-            cut.append(int((alpha < 1.0).sum()))
-            return d_rho, alpha
-
-        expected = tomography._fit(table)
-        monkeypatch.setattr(tomography, "_newton_step", whiten_every_row)
-        reference = tomography._fit(table)
-        for actual, wanted in zip(expected, reference, strict=True):
-            assert actual.dtype == wanted.dtype
-            assert actual.tobytes() == wanted.tobytes()
-        if table is low_count_table:
-            assert sum(cut) > 0  # the whitening branch ran
+        monkeypatch.setattr(tomography, "_boundary_step", spy)
+        for name, table in ensembles.items():
+            passes.clear()
+            tomography._fit(table)
+            gains = np.concatenate(passes)
+            assert gains.size >= len(table), name
+            assert np.all(gains >= 0.0), (name, gains.min())
 
 
 class TestPositiveDefinite:
